@@ -3,7 +3,8 @@
 Subpackages:
 
 * scalars / ratfunc / cyclotomic: exact coefficient arithmetic in the
-  formal two-parameter field and in the curve-specialized cyclotomic tower
+  formal two-parameter field and in the curve-specialized cyclotomic tower,
+  the sparse linear-combination base of every algebra, truncated series
 * lattice: rank-2 integer lattice geometry and convex paths
 * dvr_hall: the classical Hall algebra of torsion modules with brute-force
   Hall numbers and the symmetric-function bridge
@@ -14,8 +15,8 @@ Subpackages:
 """
 
 from .curve import (Character, CharacterOrbit, ClosedPoint, CurveData,
-                    PicardGroup, all_characters, character_orbits,
-                    primitive_orbits)
+                    IdentityMismatch, PicardGroup, all_characters,
+                    character_orbits, primitive_orbits)
 from .cyclotomic import CurveRing, CurveScalar, get_curve_ring
 from .dvr_hall import (DvrHallAlgebra, DvrHallElement, SymmetricFunction,
                        aut_count, hall_number, partitions)
@@ -24,7 +25,6 @@ from .lattice import (angle_compare, canonical_path, delta,
                       enumerate_convex_paths, epsilon, interior_points,
                       sl2_apply)
 from .ratfunc import FORMAL, FormalRing, FormalScalar
-from .scalars import (TruncatedSeries, alpha_coefficient, c_coefficient,
-                      nu_integer, series_exp, series_log)
+from .scalars import TruncatedSeries, series_exp, series_log
 
 __version__ = "0.1.0"

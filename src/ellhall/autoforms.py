@@ -25,11 +25,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .curve import CharacterOrbit, ClosedPoint, CurveData, primitive_orbits
+from .curve import (CharacterOrbit, ClosedPoint, CurveData, IdentityMismatch,
+                    primitive_orbits)
 from .cyclotomic import get_curve_ring
 from .dvr_hall import DvrHallAlgebra, aut_count, partitions
 from .linalg import rank_mod_p
-from .scalars import TruncatedSeries, series_exp
+from .scalars import LinearCombination, TruncatedSeries, series_exp
 
 
 class AutoformContext:
@@ -61,7 +62,7 @@ class AutoformContext:
         if alg is None:
             q_x = self.curve.q ** x.degree
             alg = DvrHallAlgebra(q_x, ring=self.ring,
-                                 u_loc=self.ring.v ** x.degree)
+                                 u_loc=self.ring.nu ** x.degree)
             self._local[x.key()] = alg
         return alg
 
@@ -87,65 +88,27 @@ def _mono_key(pairs):
     return tuple(items)
 
 
-class GlobalTorsionElement:
+class GlobalTorsionElement(LinearCombination):
     """Linear combination of multi-point torsion monomials.
 
     A monomial is a sorted tuple of ((degree, index), partition) entries;
     the component at each closed point lives in the local Hall algebra at
-    residue cardinality q^degree.
+    residue cardinality q^degree.  The owner is the AutoformContext.
     """
 
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx: AutoformContext, terms: dict):
-        self.ctx = ctx
-        self.terms = terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def scale(self, c):
-        if isinstance(c, (int, Fraction)):
-            if c == 0:
-                return self.ctx.zero_elem()
-        elif c.is_zero():
-            return self.ctx.zero_elem()
-        return GlobalTorsionElement(self.ctx,
-                                    {k: v * c for k, v in self.terms.items()})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            if k in out:
-                s = out[k] + v
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-            else:
-                out[k] = v
-        return GlobalTorsionElement(self.ctx, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
+    __slots__ = ()
 
     def __mul__(self, other):
         if isinstance(other, GlobalTorsionElement):
             return _global_multiply(self, other)
         return self.scale(other)
 
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, GlobalTorsionElement)
-                and self.ctx is other.ctx and self.terms == other.terms)
-
     def degree_components(self) -> dict:
         out: dict = {}
         for mono, c in self.terms.items():
             d = sum(deg * sum(lam) for (deg, _), lam in mono)
             out.setdefault(d, {})[mono] = c
-        return {d: GlobalTorsionElement(self.ctx, t) for d, t in out.items()}
+        return {d: GlobalTorsionElement(self.owner, t) for d, t in out.items()}
 
     def __repr__(self):
         if not self.terms:
@@ -169,7 +132,7 @@ def _point_index(ctx: AutoformContext, key) -> ClosedPoint:
 
 
 def _global_multiply(A: GlobalTorsionElement, B: GlobalTorsionElement):
-    ctx = A.ctx
+    ctx = A.owner
     out: dict = {}
     for m1, c1 in A.terms.items():
         d1 = dict(m1)
@@ -204,13 +167,12 @@ def _global_multiply(A: GlobalTorsionElement, B: GlobalTorsionElement):
                     out[k] = out[k] + v
                 else:
                     out[k] = v
-    return GlobalTorsionElement(ctx, {k: v for k, v in out.items()
-                                      if not v.is_zero()})
+    return GlobalTorsionElement(ctx, out)
 
 
 def global_coproduct(A: GlobalTorsionElement) -> dict:
     """{(left_monomial, right_monomial): scalar} over the tensor square."""
-    ctx = A.ctx
+    ctx = A.owner
     out: dict = {}
     for mono, c in A.terms.items():
         partials = [((), (), ctx.ring.one)]
@@ -235,7 +197,7 @@ def global_coproduct(A: GlobalTorsionElement) -> dict:
 
 def global_green_pair(A: GlobalTorsionElement, B: GlobalTorsionElement):
     """Hermitian pairing: diagonal in the monomial basis, 1/#Aut weights."""
-    ctx = A.ctx
+    ctx = A.owner
     total = ctx.ring.zero
     for mono, c in A.terms.items():
         d = B.terms.get(mono)
@@ -286,7 +248,7 @@ def green_pair_twisted(ctx: AutoformContext, rho: CharacterOrbit,
                        sigma: CharacterOrbit, n: int):
     """Pairing of twisted degree-n averages; brute force vs closed form.
 
-    Returns the scalar; raises AssertionError if the two routes disagree.
+    Returns the scalar; raises IdentityMismatch if the two routes disagree.
     """
     if not rho.is_primitive():
         raise ValueError("first orbit must be primitive")
@@ -294,11 +256,12 @@ def green_pair_twisted(ctx: AutoformContext, rho: CharacterOrbit,
     ring = ctx.ring
     if rho == sigma:
         count = ring.from_int(ctx.curve.count_via_trace(n))
-        closed = (ring.v ** n) * ctx.v_integer(n) * count \
-            * ((ring.v ** -1 - ring.v) * n * n).inverse()
+        closed = (ring.nu ** n) * ctx.v_integer(n) * count \
+            * ((ring.nu ** -1 - ring.nu) * n * n).inverse()
     else:
         closed = ring.zero
-    assert brute == closed, (brute, closed)
+    if brute != closed:
+        raise IdentityMismatch((brute, closed))
     return closed
 
 
@@ -400,7 +363,8 @@ def hecke_eigenvalue_elementary(ctx: AutoformContext, orbit: CharacterOrbit,
             total = total + (term if (k - 1) % 2 == 0 else -term)
         e_prev.append(total * Fraction(1, j))
     newton = ring.u ** (x.degree * l * (n - l)) * e_prev[l]
-    assert newton == value, (value, newton)
+    if newton != value:
+        raise IdentityMismatch((value, newton))
     return value
 
 
@@ -421,7 +385,7 @@ def hecke_T0N_eigenvalue(ctx: AutoformContext, rho: CharacterOrbit,
     """Eigenvalue of the degree-N twisted torsion average on the eigenform.
 
     Computed both as the literal character sum over Pic^0(X_N) and by the
-    closed form (zero unless sigma is the norm of rho); asserted equal.
+    closed form (zero unless sigma is the norm of rho); checked equal.
     """
     if not rho.is_primitive():
         raise ValueError("rho must be primitive")
@@ -451,7 +415,8 @@ def hecke_T0N_eigenvalue(ctx: AutoformContext, rho: CharacterOrbit,
         closed = ctx.v_integer(N) * Fraction(1, N) * (ring.u ** (N * (n - 1))) * count
     else:
         closed = ring.zero
-    assert char_sum_value == closed, (char_sum_value, closed)
+    if char_sum_value != closed:
+        raise IdentityMismatch((char_sum_value, closed))
     return closed
 
 
@@ -467,7 +432,7 @@ def theta_coproduct_coefficients(ctx: AutoformContext, orbit: CharacterOrbit,
     """
     n = orbit.level
     ring = ctx.ring
-    kappa = (ring.v ** -1 - ring.v) * n
+    kappa = (ring.nu ** -1 - ring.nu) * n
     inner = {}
     for ell in range(1, d_max + 1):
         normed = orbit.norm_to(n * ell)

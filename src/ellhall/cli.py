@@ -12,7 +12,7 @@ Configuration comes from an optional key=value curve file plus flags
 a fixed seed and configuration (timings are only included on request).
 
 Exit codes: 0 all checks passed or were skipped, 1 any check failed,
-2 configuration or usage error.
+2 configuration, usage or input error.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from .curve import BudgetExceeded, CurveData, all_characters, character_orbits, \
     primitive_orbits
 from .elliptic_hall import EllipticHallAlgebra
-from .exprlang import ExprError, parse_expression
+from .exprlang import parse_expression
 from .ratfunc import FORMAL
 from .verification import CheckResult, run_verify_all
 
@@ -279,7 +279,8 @@ def main(argv=None) -> int:
         elif args.command == "straighten":
             try:
                 report = cmd_straighten(config, args.expression)
-            except ExprError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
+                # bad input (a parse error is a ValueError too), not a failed check
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
         elif args.command == "verify-all":

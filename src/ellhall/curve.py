@@ -27,6 +27,13 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
+class IdentityMismatch(AssertionError):
+    """Two independent routes to an exact value disagree.
+
+    Raised explicitly, so the checks still fire under ``python -O``.
+    """
+
+
 class CurveData:
     """A smooth Weierstrass curve y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
 
@@ -364,10 +371,6 @@ class ClosedPoint:
         self.rep = rep
         self.index = index
 
-    @property
-    def residue_cardinality(self):
-        return self.curve.q ** self.degree
-
     def key(self):
         return (self.degree, self.index)
 
@@ -623,6 +626,7 @@ def primitive_orbits(curve, n: int) -> list[CharacterOrbit]:
             norm_images.add(chi.norm_to(n))
     by_exclusion = [o for o in orbits
                     if not any(m in norm_images for m in o.members())]
-    assert {o.rep for o in by_orbit} == {o.rep for o in by_exclusion}, \
-        "orbit-size and norm-exclusion primitivity criteria disagree"
+    if {o.rep for o in by_orbit} != {o.rep for o in by_exclusion}:
+        raise IdentityMismatch(
+            "orbit-size and norm-exclusion primitivity criteria disagree")
     return by_orbit

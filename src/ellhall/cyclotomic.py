@@ -3,8 +3,8 @@
 One ring instance per (q, M, trace).  Elements are coordinate vectors over
 the power basis of the cyclotomic field tensored with {1, u}; everything is
 kept reduced modulo the M-th cyclotomic polynomial and u^2 = q, so equality
-is plain coordinate comparison.  v := 1/u = u/q is the standard square root
-of 1/q.
+is plain coordinate comparison.  The loop weight nu := 1/u = u/q is the
+standard square root of 1/q (the curve-side v).
 
 When q is a perfect square the tower degenerates (u is the literal integer
 root); elements then carry no u-component.
@@ -96,7 +96,7 @@ class CurveRing:
             self.u = self.from_fraction(self.sqrt_q)
         else:
             self.u = CurveScalar(self, zero_vec, one_vec)
-        self.v = self.u.inverse()
+        self.nu = self.u.inverse()
         # conjugation matrix: zeta^k -> zeta^(-k)
         self._conj_rows = [self._reduce_power((m - k) % m) for k in range(self.degree)]
         self._trace_powers = [2, trace] if trace is not None else None
@@ -146,19 +146,22 @@ class CurveRing:
         return self.q ** i + 1 - t[i]
 
     def nu_integer(self, r: int) -> "CurveScalar":
+        """The nu-integer [r] = (nu^r - nu^-r)/(nu - nu^-1); [1] = 1."""
         if r < 1:
             raise ValueError("r must be >= 1")
-        v = self.v
-        num = v ** r - v ** (-r)
-        return num / (v - v ** (-1))
+        nu = self.nu
+        num = nu ** r - nu ** (-r)
+        return num / (nu - nu ** (-1))
 
     def c_coefficient(self, i: int) -> "CurveScalar":
+        """c_i = [i] nu^i #X(F_{q^i}) / i, via the trace recursion."""
         if i < 1:
             raise ValueError("i must be >= 1")
         n_points = self.point_count(i)
-        return self.nu_integer(i) * self.v ** i * Fraction(n_points, i)
+        return self.nu_integer(i) * self.nu ** i * Fraction(n_points, i)
 
     def alpha_coefficient(self, i: int) -> "CurveScalar":
+        """alpha_i = #X(F_{q^i}) (1 - q^-i) / i, a rational number."""
         if i < 1:
             raise ValueError("i must be >= 1")
         n_points = self.point_count(i)
@@ -383,12 +386,6 @@ class CurveScalar:
 
     def __hash__(self):
         return hash((self.ring.q, self.ring.m, self.a, self.b))
-
-    def rational_part(self) -> Fraction:
-        """The value as a Fraction; raises if not rational."""
-        if any(self.a[1:]) or any(self.b):
-            raise ValueError("scalar is not rational")
-        return self.a[0]
 
     def reduce_mod(self, p: int, zeta_img: int, u_img: int) -> int:
         """Image under Q(zeta_M)[u] -> F_p, zeta -> zeta_img, u -> u_img.

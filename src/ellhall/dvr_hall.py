@@ -18,6 +18,7 @@ from itertools import combinations, product
 from .cyclotomic import get_curve_ring
 from .finitefield import get_field
 from .linalg import invert_matrix
+from .scalars import LinearCombination
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -360,7 +361,7 @@ class DvrHallAlgebra:
                  budget: int = DEFAULT_SUBSPACE_BUDGET):
         self.q = q_loc
         self.ring = ring if ring is not None else get_curve_ring(q_loc, 1)
-        self.u = u_loc if u_loc is not None else self.ring.v
+        self.u = u_loc if u_loc is not None else self.ring.nu
         assert (self.u ** -2) == self.ring.from_int(q_loc), \
             "u_loc must square to 1/q_loc"
         self.budget = budget
@@ -372,11 +373,10 @@ class DvrHallAlgebra:
         return DvrHallElement(self, {tuple(lam): self.ring.one})
 
     def element(self, terms: dict) -> "DvrHallElement":
-        return DvrHallElement(
-            self, {tuple(k): v for k, v in terms.items() if not v.is_zero()})
+        return DvrHallElement(self, {tuple(k): v for k, v in terms.items()})
 
     def multiply(self, A: "DvrHallElement", B: "DvrHallElement") -> "DvrHallElement":
-        if A.algebra.q != self.q or B.algebra.q != self.q:
+        if A.owner.q != self.q or B.owner.q != self.q:
             raise ValueError("cannot mix Hall algebras at different prime powers")
         out: dict = {}
         for mu, cm in A.terms.items():
@@ -387,7 +387,7 @@ class DvrHallAlgebra:
                     if g:
                         v = c * g
                         out[lam] = out[lam] + v if lam in out else v
-        return self.element(out)
+        return DvrHallElement(self, out)
 
     def coproduct(self, A: "DvrHallElement") -> dict:
         """Tensor expansion {(mu, nu): scalar}."""
@@ -499,51 +499,15 @@ class DvrHallAlgebra:
         return total
 
 
-class DvrHallElement:
-    __slots__ = ("algebra", "terms")
+class DvrHallElement(LinearCombination):
+    """Linear combination of isomorphism classes (partitions)."""
 
-    def __init__(self, algebra, terms):
-        self.algebra = algebra
-        self.terms = terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def scale(self, c):
-        if isinstance(c, (int, Fraction)):
-            if c == 0:
-                return self.algebra.zero
-        elif c.is_zero():
-            return self.algebra.zero
-        return DvrHallElement(self.algebra,
-                              {k: v * c for k, v in self.terms.items()})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            if k in out:
-                s = out[k] + v
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-            else:
-                out[k] = v
-        return DvrHallElement(self.algebra, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
+    __slots__ = ()
 
     def __mul__(self, other):
         if isinstance(other, DvrHallElement):
-            return self.algebra.multiply(self, other)
+            return self.owner.multiply(self, other)
         return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, DvrHallElement)
-                and self.algebra is other.algebra and self.terms == other.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -556,30 +520,10 @@ class DvrHallElement:
 # symmetric functions in the power-sum basis
 
 
-class SymmetricFunction:
-    """Linear combination of power-sum monomials p_lambda."""
+class SymmetricFunction(LinearCombination):
+    """Linear combination of power-sum monomials p_lambda over a ring."""
 
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring, terms):
-        self.ring = ring
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
-
-    def is_zero(self):
-        return not self.terms
-
-    def scale(self, c):
-        return SymmetricFunction(self.ring,
-                                 {k: v * c for k, v in self.terms.items()})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out[k] + v if k in out else v
-        return SymmetricFunction(self.ring, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
+    __slots__ = ()
 
     def __mul__(self, other):
         if isinstance(other, SymmetricFunction):
@@ -589,12 +533,8 @@ class SymmetricFunction:
                     key = tuple(sorted(la + lb, reverse=True))
                     v = ca * cb
                     out[key] = out[key] + v if key in out else v
-            return SymmetricFunction(self.ring, out)
+            return SymmetricFunction(self.owner, out)
         return self.scale(other)
-
-    def __eq__(self, other):
-        return (isinstance(other, SymmetricFunction)
-                and self.terms == other.terms)
 
     def __repr__(self):
         if not self.terms:

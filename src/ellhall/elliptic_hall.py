@@ -32,11 +32,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import CurveRing
 from .lattice import (angle_key, canonical_path, delta, det, epsilon,
                       interior_points, path_class, primitive, sl2_apply)
 from .ratfunc import FormalRing
-from .scalars import TruncatedSeries, alpha_coefficient, c_coefficient, series_exp
+from .scalars import LinearCombination, TruncatedSeries, series_exp
 
 
 class StraighteningError(RuntimeError):
@@ -56,13 +55,7 @@ class EllipticHallAlgebra:
         self.ring = ring
         # flip_relation_sign is a fault-injection hook for mutation tests
         self._sign = -1 if flip_relation_sign else 1
-        if isinstance(ring, CurveRing):
-            nu = ring.v
-        elif isinstance(ring, FormalRing):
-            nu = ring.nu
-        else:
-            raise TypeError("unsupported coefficient backend")
-        self.kappa = (nu.inverse() - nu) * n
+        self.kappa = (ring.nu.inverse() - ring.nu) * n
         self.kappa_inv = self.kappa.inverse()
         self.one = AlgebraElement(self, {(): ring.one})
         self.zero = AlgebraElement(self, {})
@@ -77,12 +70,12 @@ class EllipticHallAlgebra:
     def c(self, i: int):
         v = self._c_cache.get(i)
         if v is None:
-            v = c_coefficient(i, self.ring)
+            v = self.ring.c_coefficient(i)
             self._c_cache[i] = v
         return v
 
     def alpha(self, i: int):
-        return alpha_coefficient(i, self.ring)
+        return self.ring.alpha_coefficient(i)
 
     # -- basic elements ---------------------------------------------------
 
@@ -97,21 +90,21 @@ class EllipticHallAlgebra:
         for path, c in terms.items():
             p = canonical_path(path)
             out[p] = out[p] + c if p in out else c
-        return AlgebraElement(self, {p: c for p, c in out.items() if not c.is_zero()})
+        return AlgebraElement(self, out)
 
     def from_word(self, word, coeff=None) -> "AlgebraElement":
         """Straighten a single product of generators."""
         coeff = self.ring.one if coeff is None else coeff
         out = {}
         self._accumulate_word(tuple(tuple(v) for v in word), coeff, out)
-        return AlgebraElement(self, {p: c for p, c in out.items() if not c.is_zero()})
+        return AlgebraElement(self, out)
 
     def straighten(self, terms) -> "AlgebraElement":
         """Straighten a list of (coefficient, word) pairs."""
         out = {}
         for coeff, word in terms:
             self._accumulate_word(tuple(tuple(v) for v in word), coeff, out)
-        return AlgebraElement(self, {p: c for p, c in out.items() if not c.is_zero()})
+        return AlgebraElement(self, out)
 
     # -- theta series -----------------------------------------------------
 
@@ -318,7 +311,7 @@ class EllipticHallAlgebra:
         return cached
 
     def multiply(self, A: "AlgebraElement", B: "AlgebraElement") -> "AlgebraElement":
-        if A.algebra is not B.algebra:
+        if A.owner is not B.owner:
             raise ValueError("elements of different algebras")
         out = {}
         for p1, c1 in A.terms.items():
@@ -332,7 +325,7 @@ class EllipticHallAlgebra:
                         out[path] = out[path] + v
                     else:
                         out[path] = v
-        return AlgebraElement(self, {p: c for p, c in out.items() if not c.is_zero()})
+        return AlgebraElement(self, out)
 
     # -- SL_2(Z) action ----------------------------------------------------
 
@@ -343,7 +336,7 @@ class EllipticHallAlgebra:
         out = {}
         for path, c in A.terms.items():
             self._accumulate_word(tuple(sl2_apply(g, s) for s in path), c, out)
-        return AlgebraElement(self, {p: c for p, c in out.items() if not c.is_zero()})
+        return AlgebraElement(self, out)
 
     # -- relation verification ----------------------------------------------
 
@@ -439,68 +432,18 @@ class EllipticHallAlgebra:
         return total.is_zero()
 
 
-class AlgebraElement:
+class AlgebraElement(LinearCombination):
     """Finite linear combination of canonical convex paths."""
 
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra, terms: dict):
-        self.algebra = algebra
-        self.terms = terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def scale(self, c) -> "AlgebraElement":
-        if isinstance(c, (int, Fraction)):
-            if c == 0:
-                return self.algebra.zero
-            if c == 1:
-                return self
-        elif c.is_zero():
-            return self.algebra.zero
-        return AlgebraElement(self.algebra,
-                              {p: v * c for p, v in self.terms.items()})
-
-    def __add__(self, other):
-        if isinstance(other, AlgebraElement):
-            out = dict(self.terms)
-            for p, c in other.terms.items():
-                if p in out:
-                    s = out[p] + c
-                    if s.is_zero():
-                        del out[p]
-                    else:
-                        out[p] = s
-                else:
-                    out[p] = c
-            return AlgebraElement(self.algebra, out)
-        return NotImplemented
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
+    __slots__ = ()
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
-            return self.algebra.multiply(self, other)
+            return self.owner.multiply(self, other)
         return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
 
     def coefficient(self, path):
-        return self.terms.get(canonical_path(path), self.algebra.ring.zero)
+        return self.terms.get(canonical_path(path), self.owner.ring.zero)
 
     def support(self):
         return sorted(self.terms)
@@ -510,7 +453,7 @@ class AlgebraElement:
         for p, c in self.terms.items():
             cls = path_class(p)
             out.setdefault(cls, {})[p] = c
-        return {cls: AlgebraElement(self.algebra, t) for cls, t in out.items()}
+        return {cls: AlgebraElement(self.owner, t) for cls, t in out.items()}
 
     def __repr__(self):
         if not self.terms:

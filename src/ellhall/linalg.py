@@ -34,35 +34,6 @@ def invert_matrix(rows, one):
     return [row[n:] for row in aug]
 
 
-def rank(rows, one) -> int:
-    """Rank of a rectangular matrix of field elements (destructive copy)."""
-    if not rows:
-        return 0
-    work = [list(r) for r in rows]
-    ncols = len(work[0])
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if not work[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = work[r][col].inverse() if hasattr(work[r][col], "inverse") \
-            else 1 / work[r][col]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(len(work)):
-            if i != r and not work[i][col].is_zero():
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    return r
-
-
 def rank_mod_p(sparse_rows, ncols: int, p: int) -> int:
     """Rank over F_p of rows given as {column: residue} dicts."""
     pivots: dict[int, dict] = {}

@@ -734,6 +734,33 @@ class FormalRing:
     def from_fraction(self, fr):
         return _coerce(Fraction(fr))
 
+    # -- structure constants of the loop algebra ---------------------------
+
+    def nu_integer(self, r: int) -> FormalScalar:
+        """The nu-integer [r] = (nu^r - nu^-r)/(nu - nu^-1); [1] = 1."""
+        if r < 1:
+            raise ValueError("r must be >= 1")
+        nu = self.nu
+        # geometric form avoids a division
+        return sum((nu ** (r - 1 - 2 * k) for k in range(r)), self.zero)
+
+    def c_coefficient(self, i: int) -> FormalScalar:
+        """c_i = (s^i - s^-i)(sb^i - sb^-i) [i] / i."""
+        if i < 1:
+            raise ValueError("i must be >= 1")
+        s, sb = self.s, self.sb
+        return ((s ** i - s ** (-i)) * (sb ** i - sb ** (-i))
+                * self.nu_integer(i) * Fraction(1, i))
+
+    def alpha_coefficient(self, i: int) -> FormalScalar:
+        """alpha_i = (1 - s^2i)(1 - sb^2i)(1 - (s sb)^-2i) / i."""
+        if i < 1:
+            raise ValueError("i must be >= 1")
+        s, sb = self.s, self.sb
+        one = self.one
+        return ((one - s ** (2 * i)) * (one - sb ** (2 * i))
+                * (one - (s * sb) ** (-2 * i)) * Fraction(1, i))
+
     def __eq__(self, other):
         return isinstance(other, FormalRing)
 

@@ -1,4 +1,4 @@
-"""Exact coefficient arithmetic: formal and curve-specialized backends.
+"""Exact coefficient arithmetic, sparse linear combinations and series.
 
 Formal backend: the field Q(s, sb) from :mod:`ellhall.ratfunc`, where
 s, sb are square roots of the two deformation parameters sigma, sigma-bar
@@ -8,10 +8,19 @@ Curve backend: Q(zeta_M)[u]/(u^2 - q) from :mod:`ellhall.cyclotomic`,
 where the specialized quantities reduce through sigma*sigma-bar = q and the
 trace recursion t_i = a*t_{i-1} - q*t_{i-2}.
 
-Both element types support +, -, *, /, ** and multiplication by int or
-Fraction, which is all the series layer needs.  Scalars are immutable
-values and safe to share across threads; ring construction goes through a
-per-process cache.
+Both rings expose the same protocol: ``zero``, ``one``, the loop weight
+``nu`` and the structure constants ``nu_integer(r)``, ``c_coefficient(i)``
+and ``alpha_coefficient(i)``.  Both element types support +, -, *, /, **
+and multiplication by int or Fraction, and are false exactly when zero.
+
+Every algebra of the package is a free module with a sparse basis over
+these rings; :class:`LinearCombination` holds the module structure once,
+and each algebra adds only its product.  :class:`TruncatedSeries` keeps
+power series with the same zero rule: construction drops zero
+coefficients, so an element is zero exactly when it has no terms.
+
+Scalars and elements are immutable values and safe to share across
+threads; ring construction goes through a per-process cache.
 """
 
 from __future__ import annotations
@@ -24,55 +33,58 @@ from .ratfunc import FORMAL, FormalRing, FormalScalar
 
 __all__ = [
     "FORMAL", "FormalRing", "FormalScalar", "CurveRing", "CurveScalar",
-    "get_curve_ring", "nu_integer", "c_coefficient", "alpha_coefficient",
-    "TruncatedSeries", "series_exp", "series_log",
+    "get_curve_ring", "LinearCombination", "TruncatedSeries", "series_exp",
+    "series_log",
 ]
 
 
-def nu_integer(r: int, ring):
-    """The nu-integer [r] = (nu^r - nu^-r)/(nu - nu^-1); [1] = 1."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if isinstance(ring, CurveRing):
-        return ring.nu_integer(r)
-    nu = ring.nu
-    # geometric form avoids a division
-    return sum((nu ** (r - 1 - 2 * k) for k in range(r)), ring.zero)
+class LinearCombination:
+    """Finite linear combination {basis key: nonzero coefficient}.
 
-
-def c_coefficient(i: int, ring):
-    """Structure constant c_i of the loop-algebra relations.
-
-    Formal mode: (s^i - s^-i)(sb^i - sb^-i) [i] / i.
-    Curve mode: [i] v^i #X(F_{q^i}) / i, via the trace recursion.
+    ``owner`` is the algebra (or ring) the element lives in.  Coefficients
+    may be scalars, Fractions or elements of another algebra: anything that
+    supports +, * and is false exactly when zero.  Subclasses are built as
+    ``cls(owner, terms)`` and define the product.
     """
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    if isinstance(ring, CurveRing):
-        return ring.c_coefficient(i)
-    s, sb = ring.s, ring.sb
-    return ((s ** i - s ** (-i)) * (sb ** i - sb ** (-i))
-            * nu_integer(i, ring) * Fraction(1, i))
 
+    __slots__ = ("owner", "terms")
 
-def alpha_coefficient(i: int, ring):
-    """The Eisenstein normalization constant alpha_i.
+    def __init__(self, owner, terms: dict):
+        self.owner = owner
+        self.terms = {k: v for k, v in terms.items() if v}
 
-    Formal mode: (1 - s^2i)(1 - sb^2i)(1 - (s sb)^-2i) / i.
-    Curve mode: the rational number #X(F_{q^i}) (1 - q^-i) / i.
-    """
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    if isinstance(ring, CurveRing):
-        return ring.alpha_coefficient(i)
-    s, sb = ring.s, ring.sb
-    one = ring.one
-    return ((one - s ** (2 * i)) * (one - sb ** (2 * i))
-            * (one - (s * sb) ** (-2 * i)) * Fraction(1, i))
+    def is_zero(self) -> bool:
+        return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
 
-def _is_zero(v) -> bool:
-    return v.is_zero() if hasattr(v, "is_zero") else v == 0
+    def scale(self, c):
+        if not c:
+            return type(self)(self.owner, {})
+        return type(self)(self.owner, {k: v * c for k, v in self.terms.items()})
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = out[k] + v if k in out else v
+        return type(self)(self.owner, out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __rmul__(self, c):
+        return self.scale(c)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.owner is other.owner and self.terms == other.terms
 
 
 class TruncatedSeries:
@@ -80,33 +92,37 @@ class TruncatedSeries:
 
     Coefficients may live in any of the package's coefficient-like rings
     (scalars, algebra elements, plain Fractions): they must support +, *
-    and multiplication by Fraction.
+    and multiplication by Fraction.  Not a :class:`LinearCombination`: the
+    sum of two series is truncated at the smaller order, and the
+    constructor carries the order and the coefficient ring's one.
     """
 
-    __slots__ = ("coeffs", "order", "one")
+    __slots__ = ("terms", "order", "one")
 
-    def __init__(self, coeffs: dict, order: int, one):
+    def __init__(self, terms: dict, order: int, one):
         if order < 0:
             raise ValueError("order must be >= 0")
         self.order = order
         self.one = one
-        self.coeffs = {k: v for k, v in coeffs.items()
-                       if k <= order and not _is_zero(v)}
+        self.terms = {k: v for k, v in terms.items() if k <= order and v}
 
     @classmethod
     def constant(cls, value, order: int, one):
         return cls({0: value}, order, one)
 
     def coefficient(self, k: int):
-        c = self.coeffs.get(k)
+        c = self.terms.get(k)
         if c is None:
             return self.one * 0
         return c
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def __add__(self, other):
         if isinstance(other, TruncatedSeries):
-            out = dict(self.coeffs)
-            for k, v in other.coeffs.items():
+            out = dict(self.terms)
+            for k, v in other.terms.items():
                 out[k] = out[k] + v if k in out else v
             return TruncatedSeries(out, min(self.order, other.order), self.one)
         return NotImplemented
@@ -115,15 +131,15 @@ class TruncatedSeries:
         return self + other.scale(-1)
 
     def scale(self, c):
-        return TruncatedSeries({k: v * c for k, v in self.coeffs.items()},
+        return TruncatedSeries({k: v * c for k, v in self.terms.items()},
                                self.order, self.one)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             order = min(self.order, other.order)
             out = {}
-            for i, a in self.coeffs.items():
-                for j, b in other.coeffs.items():
+            for i, a in self.terms.items():
+                for j, b in other.terms.items():
                     if i + j <= order:
                         p = a * b
                         out[i + j] = out[i + j] + p if i + j in out else p
@@ -133,22 +149,22 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.terms == other.terms
 
     def __repr__(self):
-        body = " + ".join(f"({v})*z^{k}" for k, v in sorted(self.coeffs.items()))
+        body = " + ".join(f"({v})*z^{k}" for k, v in sorted(self.terms.items()))
         return f"TruncatedSeries({body or '0'}; O(z^{self.order + 1}))"
 
 
 def series_exp(a: TruncatedSeries) -> TruncatedSeries:
     """exp of a series with zero constant term."""
-    if 0 in a.coeffs and not _is_zero(a.coeffs[0]):
+    if 0 in a.terms:
         raise ValueError("series_exp needs zero constant term")
     out = TruncatedSeries.constant(a.one, a.order, a.one)
     power = out
     for k in range(1, a.order + 1):
         power = power * a
-        if not power.coeffs:
+        if not power:
             break
         out = out + power.scale(Fraction(1, factorial(k)))
     return out
@@ -158,13 +174,13 @@ def series_log(a: TruncatedSeries) -> TruncatedSeries:
     """log of a series with constant term 1."""
     if a.coefficient(0) != a.one:
         raise ValueError("series_log needs constant term 1")
-    u = TruncatedSeries({k: v for k, v in a.coeffs.items() if k > 0},
+    u = TruncatedSeries({k: v for k, v in a.terms.items() if k > 0},
                         a.order, a.one)
     out = TruncatedSeries({}, a.order, a.one)
     power = TruncatedSeries.constant(a.one, a.order, a.one)
     for k in range(1, a.order + 1):
         power = power * u
-        if not power.coeffs:
+        if not power:
             break
         out = out + power.scale(Fraction((-1) ** (k + 1), k))
     return out

@@ -191,7 +191,7 @@ class TestThetaCoproduct:
         rho = primitive_orbits(e1, 1)[0]
         th = theta_coproduct_coefficients(ctx, rho, 2)
         assert th[0] == ctx.one_elem()
-        kappa = ctx.ring.v ** -1 - ctx.ring.v
+        kappa = ctx.ring.nu ** -1 - ctx.ring.nu
         assert th[1] == T0_twisted(ctx, rho, 1).scale(kappa)
 
     def test_grouplike(self, ctx, e1):

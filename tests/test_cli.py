@@ -127,9 +127,13 @@ class TestMainEntry:
         rc, _ = self.run_main(["--curve", "/nonexistent.curve", "curve-info"])
         assert rc == 2
 
-    def test_parse_error_exit_two(self):
-        rc, _ = self.run_main(["straighten", "t(1,0) * oops("])
+    @pytest.mark.parametrize("expression", ["t(1,0) * oops(", "t(0,0)", "1/0", "theta(0,0)"],
+                             ids=["parse", "origin", "zero-division", "theta-origin"])
+    def test_parse_error_exit_two(self, expression, capsys):
+        rc, _ = self.run_main(["straighten", expression])
         assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_json_deterministic(self, e1_file):
         rc1, out1 = self.run_main(["--curve", e1_file, "--format", "json", "characters"])
@@ -170,3 +174,23 @@ def test_console_entry_point(e1_file):
         env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
     assert proc.returncode == 0
     assert "summary:" in proc.stdout
+
+
+FAULT_SCRIPT = """
+import ellhall.autoforms as af
+from ellhall.verification import check_twisted_pairing
+pair = af.global_green_pair
+af.global_green_pair = lambda a, b: pair(a, b) * 2
+print(check_twisted_pairing(nmax=2).status)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_identity_fault_fails_under_optimize(flags):
+    # identity checks raise explicitly, so python -O must not turn them off
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", FAULT_SCRIPT],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["fail"]

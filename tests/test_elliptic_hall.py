@@ -242,7 +242,7 @@ class TestCurveBackend:
             N = n * d
             counts = [3, 9, 9, 9, 33, 81]
             want = alg.generator((1, d)).scale(
-                ring.nu_integer(N) * ring.v ** N * Fraction(counts[N - 1], N))
+                ring.nu_integer(N) * ring.nu ** N * Fraction(counts[N - 1], N))
             assert alg.commutator((0, d), (1, 0)) == want
 
     def test_associativity_curve_mode(self):

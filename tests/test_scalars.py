@@ -3,11 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from ellhall.autoforms import AutoformContext, T0_twisted
+from ellhall.curve import CurveData, primitive_orbits
 from ellhall.cyclotomic import cyclotomic_polynomial, get_curve_ring
+from ellhall.dvr_hall import DvrHallAlgebra, SymmetricFunction, p_monomial
+from ellhall.elliptic_hall import EllipticHallAlgebra
 from ellhall.ratfunc import FORMAL
-from ellhall.scalars import (TruncatedSeries, alpha_coefficient,
-                             c_coefficient, nu_integer, series_exp,
-                             series_log)
+from ellhall.scalars import TruncatedSeries, series_exp, series_log
 
 R = FORMAL
 E1_RING = get_curve_ring(2, 9, 0)
@@ -31,44 +33,44 @@ def formal_values():
 
 class TestNuInteger:
     def test_r1_is_one(self):
-        assert nu_integer(1, R) == R.one
+        assert R.nu_integer(1) == R.one
 
     def test_r2(self):
-        assert nu_integer(2, R) == R.nu + R.nu ** -1
+        assert R.nu_integer(2) == R.nu + R.nu ** -1
 
     def test_r3_expanded(self):
         # (nu^3 - nu^-3)/(nu - nu^-1) by hand
-        assert nu_integer(3, R) == R.nu ** 2 + R.one + R.nu ** -2
+        assert R.nu_integer(3) == R.nu ** 2 + R.one + R.nu ** -2
         lhs = (R.nu ** 3 - R.nu ** -3) / (R.nu - R.nu ** -1)
-        assert nu_integer(3, R) == lhs
+        assert R.nu_integer(3) == lhs
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            nu_integer(0, R)
+            R.nu_integer(0)
         with pytest.raises(ValueError):
-            nu_integer(-2, E1_RING)
+            E1_RING.nu_integer(-2)
 
 
 class TestStructureConstants:
     def test_c1_formal(self):
-        assert c_coefficient(1, R) == (R.s - 1 / R.s) * (R.sb - 1 / R.sb)
+        assert R.c_coefficient(1) == (R.s - 1 / R.s) * (R.sb - 1 / R.sb)
 
     def test_c1_curve_E1(self):
-        assert c_coefficient(1, E1_RING) == E1_RING.v * 3
+        assert E1_RING.c_coefficient(1) == E1_RING.nu * 3
 
     def test_alpha_formal(self):
         want = (1 - R.s ** 2) * (1 - R.sb ** 2) * (1 - (R.s * R.sb) ** -2)
-        assert alpha_coefficient(1, R) == want
+        assert R.alpha_coefficient(1) == want
 
     def test_alpha_curve_values(self):
-        assert alpha_coefficient(1, E1_RING) == E1_RING.from_fraction(Fraction(3, 2))
-        assert alpha_coefficient(2, E1_RING) == E1_RING.from_fraction(Fraction(27, 8))
+        assert E1_RING.alpha_coefficient(1) == E1_RING.from_fraction(Fraction(3, 2))
+        assert E1_RING.alpha_coefficient(2) == E1_RING.from_fraction(Fraction(27, 8))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            c_coefficient(0, R)
+            R.c_coefficient(0)
         with pytest.raises(ValueError):
-            alpha_coefficient(-1, E1_RING)
+            E1_RING.alpha_coefficient(-1)
 
     @pytest.mark.parametrize("i", range(1, 9))
     def test_specialization_identity(self, i):
@@ -76,10 +78,10 @@ class TestStructureConstants:
         # s^2 + sb^2 -> trace turns it into a formal identity
         s, sb = R.s, R.sb
         count_lift = (s * sb) ** (2 * i) + 1 - s ** (2 * i) - sb ** (2 * i)
-        rhs = nu_integer(i, R) * (s * sb) ** (-i) * count_lift * Fraction(1, i)
-        assert c_coefficient(i, R) == rhs
+        rhs = R.nu_integer(i) * (s * sb) ** (-i) * count_lift * Fraction(1, i)
+        assert R.c_coefficient(i) == rhs
         alpha_rhs = count_lift * (1 - (s * sb) ** (-2 * i)) * Fraction(1, i)
-        assert alpha_coefficient(i, R) == alpha_rhs
+        assert R.alpha_coefficient(i) == alpha_rhs
 
 
 class TestFormalField:
@@ -119,7 +121,7 @@ class TestFormalField:
 
 class TestCurveRing:
     def test_u_v_inverse(self):
-        assert E1_RING.u * E1_RING.v == E1_RING.one
+        assert E1_RING.u * E1_RING.nu == E1_RING.one
         assert E1_RING.u ** 2 == E1_RING.from_int(2)
 
     def test_cyclotomic_polynomials(self):
@@ -156,7 +158,7 @@ class TestCurveRing:
     def test_square_q_degenerates(self):
         ring = get_curve_ring(4, 1)
         assert ring.u == ring.from_int(2)
-        assert ring.v == ring.from_fraction(Fraction(1, 2))
+        assert ring.nu == ring.from_fraction(Fraction(1, 2))
 
     def test_mixed_q_rejected(self):
         with pytest.raises(ValueError):
@@ -204,3 +206,52 @@ class TestSeries:
         c = R.monomial(1, -1, Fraction(5, 3))
         a = TruncatedSeries({1: c}, 9, R.one)
         assert series_log(series_exp(a)) == a
+
+
+def _algebra_element():
+    alg = EllipticHallAlgebra(1, FORMAL)
+    return alg.generator((1, 0)) * alg.generator((0, 1)), alg.zero
+
+
+def _dvr_element():
+    alg = DvrHallAlgebra(2)
+    return alg.basis_element((1,)) * alg.basis_element((1,)), alg.zero
+
+
+def _global_element():
+    ctx = AutoformContext(CurveData(2, a3=1))
+    rho = primitive_orbits(ctx.curve, 1)[1]
+    return T0_twisted(ctx, rho, 1) * T0_twisted(ctx, rho, 1), ctx.zero_elem()
+
+
+def _symmetric_function():
+    ring = E1_RING
+    x = p_monomial(ring, (2, 1)) + p_monomial(ring, (1,)).scale(ring.zeta(9))
+    return x, SymmetricFunction(ring, {})
+
+
+def _series_of_scalars():
+    return (TruncatedSeries({1: R.s, 2: Fraction(1, 2) * R.one}, 4, R.one),
+            TruncatedSeries({}, 4, R.one))
+
+
+def _series_of_elements():
+    alg = EllipticHallAlgebra(1, FORMAL)
+    terms = {1: alg.generator((0, 1)), 2: alg.theta((0, 2))}
+    return TruncatedSeries(terms, 3, alg.one), TruncatedSeries({}, 3, alg.one)
+
+
+@pytest.mark.parametrize("make", [
+    _algebra_element, _dvr_element, _global_element, _symmetric_function,
+    _series_of_scalars, _series_of_elements,
+], ids=["AlgebraElement", "DvrHallElement", "GlobalTorsionElement",
+        "SymmetricFunction", "TruncatedSeries", "TruncatedSeries-of-elements"])
+def test_zero_rule(make):
+    x, zero = make()
+    assert x and x.terms
+    diff = x - x
+    assert not diff
+    assert diff == zero
+    assert not diff.terms
+    assert not x.scale(0)
+    assert x.scale(0) == zero
