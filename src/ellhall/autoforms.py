@@ -17,7 +17,10 @@ u_x = q_x^(-1/2).  This module provides:
 * the cusp form census and an exact independence certificate for
   monomials in the twisted averages.
 
-Everything is exact: scalars live in Q(zeta_M)[u]/(u^2 - q).
+Everything is exact: scalars live in Q(zeta_M)[u]/(u^2 - q).  The
+independence certificate runs the same constructions over the image of
+that ring in F_p (:class:`~ellhall.cyclotomic.FpRing`) and certifies full
+rank there, which implies full rank over Q(zeta_M)[u].
 """
 
 from __future__ import annotations
@@ -26,23 +29,32 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .curve import (CharacterOrbit, ClosedPoint, CurveData, IdentityMismatch,
-                    primitive_orbits)
-from .cyclotomic import get_curve_ring
+                    character_orbits, primitive_orbits)
+from .cyclotomic import FpRing, get_curve_ring
 from .dvr_hall import DvrHallAlgebra, aut_count, partitions
 from .linalg import rank_mod_p
 from .scalars import LinearCombination, TruncatedSeries, series_exp
 
 
 class AutoformContext:
-    """Shared exact environment: curve, scalar ring, local Hall algebras."""
+    """Shared exact environment: curve, scalar ring, local Hall algebras.
 
-    def __init__(self, curve: CurveData, char_levels=(1,), max_point_degree=8):
+    The scalar ring is Q(zeta_M)[u]/(u^2 - q), M the lcm of the Picard
+    exponents at ``char_levels``, unless ``ring`` gives another ring with
+    the same protocol and room for those character values (its image in
+    F_p, say).
+    """
+
+    def __init__(self, curve: CurveData, char_levels=(1,), max_point_degree=8,
+                 ring=None):
         self.curve = curve
         self.max_point_degree = max_point_degree
-        m = 1
-        for lv in char_levels:
-            m = lcm(m, curve.picard(lv).exponent)
-        self.ring = get_curve_ring(curve.q, m, curve.trace)
+        if ring is None:
+            m = 1
+            for lv in char_levels:
+                m = lcm(m, curve.picard(lv).exponent)
+            ring = get_curve_ring(curve.q, m, curve.trace)
+        self.ring = ring
         self._local: dict[tuple, DvrHallAlgebra] = {}
         self._points: dict[int, list[ClosedPoint]] = {}
 
@@ -123,14 +135,6 @@ class GlobalTorsionElement(LinearCombination):
         return " + ".join(bits)
 
 
-def _point_index(ctx: AutoformContext, key) -> ClosedPoint:
-    deg, idx = key
-    for x in ctx.curve.closed_points(deg):
-        if x.key() == key:
-            return x
-    raise KeyError(key)
-
-
 def _global_multiply(A: GlobalTorsionElement, B: GlobalTorsionElement):
     ctx = A.owner
     out: dict = {}
@@ -150,8 +154,7 @@ def _global_multiply(A: GlobalTorsionElement, B: GlobalTorsionElement):
                     lam = lam1 or lam2
                     partials = [(mono + ((key, lam),), w) for mono, w in partials]
                     continue
-                x = _point_index(ctx, key)
-                alg = ctx.local_algebra(x)
+                alg = ctx.local_algebra(ctx.curve.closed_point(key))
                 loc = alg.multiply(alg.basis_element(lam1),
                                    alg.basis_element(lam2))
                 partials = [
@@ -177,8 +180,7 @@ def global_coproduct(A: GlobalTorsionElement) -> dict:
     for mono, c in A.terms.items():
         partials = [((), (), ctx.ring.one)]
         for key, lam in mono:
-            x = _point_index(ctx, key)
-            alg = ctx.local_algebra(x)
+            alg = ctx.local_algebra(ctx.curve.closed_point(key))
             local = alg.coproduct(alg.basis_element(lam))
             partials = [
                 (left + ((key, mu),) if mu else left,
@@ -561,29 +563,44 @@ def _order_check(g, p, m):
 
 
 def _sqrt_mod(a, p):
-    for x in range(1, p):
-        if (x * x) % p == a % p:
-            return x
-    raise ValueError("no square root mod p")
+    """The square root r of a mod the prime p with r <= p - r (Tonelli-Shanks)."""
+    a %= p
+    if not a or pow(a, (p - 1) // 2, p) != 1:
+        raise ValueError("no square root mod p")
+    # p - 1 = odd * 2^s, and z a non-residue
+    odd, s = p - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, odd, p), pow(a, odd, p), pow(a, (odd + 1) // 2, p)
+    while t != 1:
+        # least i with t^(2^i) = 1; then i < s
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return min(r, p - r)
 
 
-def monomial_independence_rank(ctx: AutoformContext, levels, max_total_degree: int):
-    """Exact rank certificate for monomials in the twisted torsion averages.
+def twisted_monomials(ctx: AutoformContext, levels, max_total_degree: int) -> list:
+    """Monomials of total degree 1..max_total_degree in the twisted averages.
 
-    Builds all monomials of total degree <= max_total_degree in the family
-    {T^rho~_{(0,d)} : d in levels, rho~ a Frobenius orbit at level d},
-    expands them in the torsion monomial basis, and certifies full rank by
-    reduction modulo a prime that embeds the scalar ring.  Returns
-    (number_of_monomials, rank).
+    The family is {T^rho~_{(0,d)} : d in levels, rho~ a Frobenius orbit at
+    level d}; a monomial is a multiset over it, expanded in the torsion
+    monomial basis over ``ctx.ring``.
     """
-    from .curve import character_orbits
     family = []
     for d in levels:
         for orbit in character_orbits(ctx.curve, d):
-            family.append((d, orbit, T0_twisted(ctx, orbit, d)))
-    # monomials as multisets over the family
+            family.append((d, T0_twisted(ctx, orbit, d)))
     monos: list[tuple[int, GlobalTorsionElement]] = [(0, ctx.one_elem())]
-    for d, _orbit, elem in family:
+    for d, elem in family:
         extended = list(monos)
         for deg, cur in monos:
             acc = cur
@@ -593,15 +610,24 @@ def monomial_independence_rank(ctx: AutoformContext, levels, max_total_degree: i
                 total += d
                 extended.append((total, acc))
         monos = extended
-    monos = [(deg, e) for deg, e in monos if deg > 0]
+    return [e for deg, e in monos if deg > 0]
+
+
+def monomial_independence_rank(ctx: AutoformContext, levels, max_total_degree: int):
+    """Exact rank certificate for monomials in the twisted torsion averages.
+
+    Builds the :func:`twisted_monomials` over the image of ``ctx.ring`` in
+    F_p, for a prime p that embeds the scalar ring, and returns
+    (number_of_monomials, rank over F_p).  Reduction mod p is a ring
+    homomorphism, so the matrix is the reduction of the exact one, and
+    full rank over F_p certifies full rank over Q(zeta_M)[u].
+    """
     p, zeta_img, u_img = find_reduction_prime(ctx.ring)
+    fp_ctx = AutoformContext(ctx.curve, max_point_degree=ctx.max_point_degree,
+                             ring=FpRing(ctx.ring, p, zeta_img, u_img))
     columns: dict = {}
     rows = []
-    for _deg, elem in monos:
-        row = {}
-        for mono, c in elem.terms.items():
-            col = columns.setdefault(mono, len(columns))
-            row[col] = c.reduce_mod(p, zeta_img, u_img)
-        rows.append(row)
-    r = rank_mod_p(rows, len(columns), p)
-    return len(monos), r
+    for elem in twisted_monomials(fp_ctx, levels, max_total_degree):
+        rows.append({columns.setdefault(mono, len(columns)): c.value
+                     for mono, c in elem.terms.items()})
+    return len(rows), rank_mod_p(rows, len(columns), p)

@@ -8,8 +8,9 @@ Subcommands:
   verify-all   the full verification suite
 
 Configuration comes from an optional key=value curve file plus flags
-(flags win).  All numeric output is exact; reports are deterministic for
-a fixed seed and configuration (timings are only included on request).
+(flags win), given before or after the subcommand.  All numeric output
+is exact; reports are deterministic for a fixed seed and configuration
+(timings are only included on request).
 
 Exit codes: 0 all checks passed or were skipped, 1 any check failed,
 2 configuration, usage or input error.
@@ -22,7 +23,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .curve import BudgetExceeded, CurveData, all_characters, character_orbits, \
     primitive_orbits
@@ -237,39 +238,42 @@ def cmd_verify_all(config: RunConfig) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ellhall",
-        description="Exact loop-algebra and curve-side verification toolkit")
-    parser.add_argument("--curve", metavar="FILE", help="curve config file (key=value)")
-    parser.add_argument("--n", type=int, default=1, help="twist level / character level")
-    parser.add_argument("--order", type=int, default=8, help="series truncation order")
-    parser.add_argument("--budget-degree", type=int, default=None,
+    # Options every subcommand takes, before or after its name.  None has a
+    # parser default: an option given in neither place keeps its RunConfig
+    # default, and the copy after the subcommand cannot overwrite a value
+    # given before it.
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--curve", metavar="FILE", help="curve config file (key=value)")
+    common.add_argument("--n", type=int, help="twist level / character level")
+    common.add_argument("--order", type=int, help="series truncation order")
+    common.add_argument("--budget-degree", type=int,
                         help="reduce check budgets to this degree bound")
-    parser.add_argument("--seed", type=int, default=1234, help="seed for randomized checks")
-    parser.add_argument("--format", dest="out_format", default="text",
-                        choices=("json", "csv", "text"))
-    parser.add_argument("--with-timings", action="store_true",
+    common.add_argument("--seed", type=int, help="seed for randomized checks")
+    common.add_argument("--format", dest="out_format", choices=("json", "csv", "text"))
+    common.add_argument("--with-timings", action="store_true",
                         help="include elapsed times (reports stop being byte-stable)")
-    parser.add_argument("--inject-sign-flip", action="store_true",
+    common.add_argument("--inject-sign-flip", action="store_true",
                         help=argparse.SUPPRESS)  # fault-injection hook for tests
+    parser = argparse.ArgumentParser(
+        prog="ellhall", parents=[common],
+        description="Exact loop-algebra and curve-side verification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("curve-info")
-    sub.add_parser("characters")
-    p_str = sub.add_parser("straighten")
+    sub.add_parser("curve-info", parents=[common])
+    sub.add_parser("characters", parents=[common])
+    p_str = sub.add_parser("straighten", parents=[common])
     p_str.add_argument("expression")
-    sub.add_parser("verify-all")
+    sub.add_parser("verify-all", parents=[common])
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(n=args.n, order=args.order,
-                       budget_degree=args.budget_degree, seed=args.seed,
-                       out_format=args.out_format, with_timings=args.with_timings,
-                       inject_sign_flip=args.inject_sign_flip)
+    given = vars(args)
+    config = RunConfig(**{f.name: given[f.name] for f in fields(RunConfig)
+                          if f.name in given})
     try:
-        if args.curve:
+        if "curve" in given:
             config.curve_params = load_curve_file(args.curve)
         config.validate()
         if args.command == "curve-info":

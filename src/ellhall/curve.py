@@ -48,6 +48,7 @@ class CurveData:
         self.max_field_size = max_field_size
         self._levels: dict[int, _Level] = {}
         self._closed: list[list] = [[]]  # degree-indexed, [0] unused
+        self._above: dict[tuple, tuple] = {}  # (x.key(), n) -> points_above
         self._picard: dict[int, PicardGroup] = {}
         base = self.level(1)
         if self._discriminant(base).is_zero():
@@ -219,12 +220,24 @@ class CurveData:
         self.closed_points(d)
         return len(self._closed[d])
 
-    def points_above(self, x: "ClosedPoint", n: int) -> list:
+    def closed_point(self, key) -> "ClosedPoint":
+        """The closed point x with x.key() == key, by index."""
+        deg, idx = key
+        if len(self._closed) <= deg:
+            self.closed_points(deg)
+        return self._closed[deg][idx]
+
+    def points_above(self, x: "ClosedPoint", n: int) -> tuple:
         """Degree-0 classes of the closed points of the level-n curve over x.
 
         Returned as points of X(F_{q^n}): the group-law sum of one Frobenius
         coset of geometric points above x, one entry per closed point above.
+        Computed once per (x, n) and cached on the curve.
         """
+        key = (x.key(), n)
+        cached = self._above.get(key)
+        if cached is not None:
+            return cached
         f = x.degree
         d = gcd(f, n)
         big = lcm(f, n)
@@ -236,7 +249,8 @@ class CurveData:
             for j in range(f // d):
                 acc = self.add(big, acc, self.frobenius(big, yi, n * j))
             out.append(self.restrict_point(big, n, acc))
-        return out
+        self._above[key] = cached = tuple(out)
+        return cached
 
     def norm_points(self, m: int, n: int, P):
         """Relative norm X(F_{q^n}) -> X(F_{q^m}) for m | n."""

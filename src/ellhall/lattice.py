@@ -17,6 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .curve import IdentityMismatch
+
 Point = tuple
 
 
@@ -119,7 +121,9 @@ def interior_points(x: Point, y: Point) -> int:
     """
     n = interior_points_pick(x, y)
     if max(abs(x[0]), abs(x[1]), abs(y[0]), abs(y[1])) <= 12:
-        assert n == interior_points_scan(x, y)
+        scan = interior_points_scan(x, y)
+        if n != scan:
+            raise IdentityMismatch((x, y, n, scan))
     return n
 
 

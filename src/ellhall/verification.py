@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .autoforms import (AutoformContext, T0_twisted, character_l_function,
+from .autoforms import (AutoformContext, character_l_function,
                         cusp_dimension, cusp_dimension_component,
                         global_coproduct, green_pair_twisted,
                         hecke_T0N_eigenvalue, l_function,

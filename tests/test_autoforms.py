@@ -10,9 +10,13 @@ from ellhall.autoforms import (AutoformContext, T0_twisted, T0r_at_point,
                                hecke_charpoly, hecke_eigenvalue_elementary,
                                l_function, monomial_independence_rank,
                                power_sum_eigenvalues,
-                               theta_coproduct_coefficients, zeta_xn_series)
+                               theta_coproduct_coefficients,
+                               twisted_monomials, zeta_xn_series)
+from ellhall.autoforms import _sqrt_mod
 from ellhall.curve import (Character, CharacterOrbit, CurveData,
                            all_characters, character_orbits, primitive_orbits)
+from ellhall.cyclotomic import FpRing
+from ellhall.linalg import rank_mod_p
 from ellhall.scalars import TruncatedSeries
 
 
@@ -94,6 +98,70 @@ class TestTwistedAverages:
                 for e in elems]
         from ellhall.linalg import rank_mod_p
         assert rank_mod_p(rows, len(monos), p) == len(elems)
+
+
+class TestReductionModP:
+    @pytest.fixture(scope="class")
+    def rings(self, ctx):
+        p, zim, uim = find_reduction_prime(ctx.ring)
+        return ctx.ring, FpRing(ctx.ring, p, zim, uim), (p, zim, uim)
+
+    def test_ring_protocol_is_the_reduction(self, rings):
+        exact, fp, images = rings
+        m = exact.m
+        values = [exact.one, exact.u, exact.nu, exact.zeta(m, 1) + Fraction(2, 3),
+                  exact.u * exact.zeta(m, m - 1) - 5]
+        for x in values:
+            for y in values:
+                for op in (lambda a, b: a + b, lambda a, b: a - b,
+                           lambda a, b: a * b, lambda a, b: a / b,
+                           lambda a, b: a ** 3 * b ** -2):
+                    assert op(_image(fp, x, images), _image(fp, y, images)) == \
+                        op(x, y).reduce_mod(*images)
+        for i in range(1, 6):
+            for name in ("nu_integer", "c_coefficient", "alpha_coefficient"):
+                want = getattr(exact, name)(i).reduce_mod(*images)
+                assert getattr(fp, name)(i) == want
+        for k in range(2 * m):
+            assert fp.zeta(m, k) == exact.zeta(m, k).reduce_mod(*images)
+
+    def test_denominator_divisible_by_p_raises(self, rings):
+        exact, fp, images = rings
+        p = images[0]
+        bad = Fraction(3, 2 * p)
+        with pytest.raises(ValueError):
+            exact.from_fraction(bad).reduce_mod(*images)
+        with pytest.raises(ValueError):
+            fp.from_fraction(bad)
+        with pytest.raises(ValueError):
+            fp.one * bad
+        assert fp.from_fraction(Fraction(p, 3)).is_zero()
+
+    def test_invalid_images_rejected(self, rings):
+        exact, _fp, (p, zim, uim) = rings
+        with pytest.raises(ValueError):
+            FpRing(exact, p, 1, uim)
+        with pytest.raises(ValueError):
+            FpRing(exact, p, zim, uim + 1)
+
+    @pytest.mark.parametrize("p", [3, 7, 11, 19, 43, 5, 13, 17, 41, 257])
+    def test_sqrt_mod_matches_scan(self, p):
+        def scan(a):
+            for x in range(1, p):
+                if (x * x) % p == a % p:
+                    return x
+            return None
+        for a in range(p + 3):
+            want = scan(a)
+            if want is None:
+                with pytest.raises(ValueError):
+                    _sqrt_mod(a, p)
+            else:
+                assert _sqrt_mod(a, p) == want
+
+
+def _image(fp, x, images):
+    return fp.from_int(x.reduce_mod(*images))
 
 
 class TestGreenPairTwisted:
@@ -290,6 +358,25 @@ class TestCensusAndIndependence:
     def test_small_independence(self, ctx):
         count, rk = monomial_independence_rank(ctx, (1,), 3)
         assert count == rk
+
+    def test_fp_certificate_is_the_reduced_exact_one(self, e1):
+        exact = AutoformContext(e1, char_levels=(1, 2))
+        p, zim, uim = find_reduction_prime(exact.ring)
+        fp = AutoformContext(e1, ring=FpRing(exact.ring, p, zim, uim))
+        exact_monos = twisted_monomials(exact, (1, 2), 3)
+        fp_monos = twisted_monomials(fp, (1, 2), 3)
+        assert len(exact_monos) == len(fp_monos)
+        rows = []
+        for e, f in zip(exact_monos, fp_monos):
+            reduced = {m: c.reduce_mod(p, zim, uim) for m, c in e.terms.items()}
+            assert {m: v for m, v in reduced.items() if v} == \
+                {m: c.value for m, c in f.terms.items()}
+            rows.append(reduced)
+        columns = {m: i for i, m in enumerate({m for row in rows for m in row})}
+        rank = rank_mod_p([{columns[m]: v for m, v in row.items()} for row in rows],
+                          len(columns), p)
+        assert monomial_independence_rank(exact, (1, 2), 3) == (len(rows), rank)
+        assert rank == len(rows)
 
     def test_global_pair_diagonal(self, ctx, e1):
         x = e1.closed_points(1)[0]

@@ -156,6 +156,14 @@ class TestMainEntry:
         assert report["summary"]["fail"] == 0
         assert report["summary"]["skip"] == len(report["checks"])
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-all", "--budget-degree", "1", "--format", "json"],
+        ["--format", "json", "verify-all", "--budget-degree", "1"],
+    ], ids=["after", "split"])
+    def test_global_options_after_subcommand(self, argv):
+        before = self.run_main(["--budget-degree", "1", "--format", "json", "verify-all"])
+        assert self.run_main(argv) == before
+
     def test_verify_all_mutation_fails(self, e1_file):
         rc, out = self.run_main(["--curve", e1_file, "--budget-degree", "1",
                                  "--inject-sign-flip", "--format", "json",

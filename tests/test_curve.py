@@ -1,11 +1,11 @@
 import random
+from math import gcd
 
 import pytest
 
 from ellhall.curve import (BudgetExceeded, Character, CharacterOrbit,
                            CurveData, all_characters, character_orbits,
                            primitive_orbits)
-from ellhall.cyclotomic import get_curve_ring
 from ellhall.scalars import TruncatedSeries, series_exp
 from fractions import Fraction
 
@@ -90,6 +90,30 @@ class TestClosedPoints:
                 total = sum(e * curve.closed_point_count(e)
                             for e in range(1, d + 1) if d % e == 0)
                 assert total == curve.count_points(d)
+
+    def test_closed_point_by_key(self, e1):
+        fresh = CurveData(2, a3=1)  # degree 3 not enumerated yet
+        assert fresh.closed_point((3, 1)).key() == (3, 1)
+        for x in e1.closed_points(4):
+            assert e1.closed_point(x.key()) is x
+
+    def test_points_above_cached(self):
+        curve = CurveData(2, a3=1)  # fresh, so nothing is cached yet
+        pairs = [(x, n) for x in curve.closed_points(4) for n in (1, 2, 3)]
+        calls = []
+        frobenius = curve.frobenius
+        curve.frobenius = lambda *args: calls.append(args) or frobenius(*args)
+        first = [curve.points_above(x, n) for x, n in pairs]
+        computed = len(calls)
+        again = [curve.points_above(x, n) for x, n in pairs]
+        assert len(calls) == computed  # each (x, n) computed once
+        assert all(a is b for a, b in zip(first, again))
+        for (x, n), pts in zip(pairs, first):
+            # the level-big/level-n norm of each Frobenius conjugate of x
+            big = x.degree * n // gcd(x.degree, n)
+            y = curve.embed_point(x.degree, big, x.rep)
+            assert pts == tuple(curve.norm_points(n, big, curve.frobenius(big, y, i))
+                                for i in range(gcd(x.degree, n)))
 
 
 class TestFrobeniusAndEmbeddings:

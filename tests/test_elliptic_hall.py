@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ellhall.cyclotomic import get_curve_ring
-from ellhall.elliptic_hall import EllipticHallAlgebra, StraighteningError
+from ellhall.elliptic_hall import EllipticHallAlgebra
 from ellhall.lattice import delta, det, enumerate_convex_paths, path_class
 from ellhall.ratfunc import FORMAL
 

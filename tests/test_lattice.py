@@ -1,11 +1,17 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
-from ellhall.lattice import (angle_compare, angle_key, canonical_path, delta,
-                             det, enumerate_convex_paths, epsilon, in_cone,
+from ellhall.lattice import (angle_compare, canonical_path, delta, det,
+                             enumerate_convex_paths, epsilon, in_cone,
                              interior_points, interior_points_pick,
                              interior_points_scan, is_canonical_path,
                              path_class, sl2_apply)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 points = st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(
     lambda v: v != (0, 0))
@@ -127,3 +133,25 @@ class TestPaths:
         ginv = ((g[1][1], -g[0][1]), (-g[1][0], g[0][0]))
         back = {canonical_path([sl2_apply(ginv, s) for s in p]) for p in mapped}
         assert back == set(paths)
+
+
+SCAN_FAULT_SCRIPT = """
+import ellhall.lattice as lattice
+from ellhall.curve import IdentityMismatch
+lattice.interior_points_scan = lambda x, y: lattice.interior_points_pick(x, y) + 1
+try:
+    lattice.interior_points((2, 1), (1, 3))
+except IdentityMismatch:
+    print("mismatch")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_pick_scan_mismatch_raises_under_optimize(flags):
+    # the cross-check raises explicitly, so python -O must not turn it off
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", SCAN_FAULT_SCRIPT],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["mismatch"]
