@@ -259,7 +259,7 @@ def green_pair_twisted(ctx: AutoformContext, rho: CharacterOrbit,
     if rho == sigma:
         count = ring.from_int(ctx.curve.count_via_trace(n))
         closed = (ring.nu ** n) * ctx.v_integer(n) * count \
-            * ((ring.nu ** -1 - ring.nu) * n * n).inverse()
+            * (ring.kappa(n) * n).inverse()
     else:
         closed = ring.zero
     if brute != closed:
@@ -434,7 +434,7 @@ def theta_coproduct_coefficients(ctx: AutoformContext, orbit: CharacterOrbit,
     """
     n = orbit.level
     ring = ctx.ring
-    kappa = (ring.nu ** -1 - ring.nu) * n
+    kappa = ring.kappa(n)
     inner = {}
     for ell in range(1, d_max + 1):
         normed = orbit.norm_to(n * ell)

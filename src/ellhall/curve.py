@@ -206,7 +206,8 @@ class CurveData:
                 while cur != P:
                     orbit.append(cur)
                     cur = self.frobenius(d, cur)
-                assert len(orbit) == d
+                if len(orbit) != d:
+                    raise IdentityMismatch(f"Frobenius orbit of size {len(orbit)}, not {d}")
                 seen.update(orbit)
                 out.append(ClosedPoint(self, d, min(orbit, key=_point_sort_key),
                                        len(out)))
@@ -422,7 +423,8 @@ class PicardGroup:
         exponent = 1
         for P in pts:
             exponent = lcm(exponent, orders[_key_of(P)])
-        assert N % exponent == 0
+        if N % exponent:
+            raise IdentityMismatch(f"group exponent {exponent} does not divide order {N}")
         d2 = exponent
         d1 = N // exponent
         self.exponent = exponent
@@ -431,7 +433,8 @@ class PicardGroup:
             self.divisors = (d2,)
             self.generators = (g2,)
         else:
-            assert d2 % d1 == 0, "not a rank-2 abelian group shape"
+            if d2 % d1:
+                raise IdentityMismatch("not a rank-2 abelian group shape")
             g2 = next(P for P in pts if orders[_key_of(P)] == d2)
             span_g2 = set()
             acc = None
@@ -452,7 +455,8 @@ class PicardGroup:
                 if ok:
                     g1 = P
                     break
-            assert g1 is not None, "no complementary generator found"
+            if g1 is None:
+                raise IdentityMismatch("no complementary generator found")
             self.divisors = (d1, d2)
             self.generators = (g1, g2)
         # discrete-log table
@@ -463,9 +467,11 @@ class PicardGroup:
             for g, e in zip(self.generators, exps):
                 acc = curve.add(n, acc, curve.mul(n, e, g))
             key = _key_of(acc)
-            assert key not in self.dlog, "generators do not span freely"
+            if key in self.dlog:
+                raise IdentityMismatch("generators do not span freely")
             self.dlog[key] = exps
-        assert len(self.dlog) == N
+        if len(self.dlog) != N:
+            raise IdentityMismatch(f"discrete-log table has {len(self.dlog)} entries, not {N}")
 
     def log(self, P):
         return self.dlog[_key_of(P)]
@@ -523,7 +529,8 @@ class Character:
         new = []
         for g, d in zip(pic.generators, pic.divisors):
             e = self.value_exponent(curve.frobenius(n, g))
-            assert (e * d) % m == 0
+            if (e * d) % m:
+                raise IdentityMismatch("Frobenius twist is not a character value")
             new.append((e * d // m) % d)
         return Character(curve, n, new)
 
@@ -538,7 +545,8 @@ class Character:
         for g, d in zip(pic_big.generators, pic_big.divisors):
             img = curve.norm_points(n, big_level, g)
             e = self.value_exponent(img)
-            assert (e * d) % m_small == 0
+            if (e * d) % m_small:
+                raise IdentityMismatch("relative norm is not a character value")
             new.append((e * d // m_small) % d)
         return Character(curve, big_level, new)
 

@@ -46,13 +46,15 @@ def _polydiv_exact(a: list[int], b: list[int]) -> list[int]:
             da -= 1
         if da < db:
             break
-        assert a[da] % b[db] == 0
+        if a[da] % b[db]:
+            raise ArithmeticError("inexact cyclotomic division")
         c = a[da] // b[db]
         out[da - db] = c
         for k, bc in enumerate(b):
             a[k + da - db] -= c * bc
         a = a[:da]  # leading term killed
-    assert not any(a), "inexact cyclotomic division"
+    if any(a):
+        raise ArithmeticError("inexact cyclotomic division")
     return out
 
 
@@ -72,7 +74,8 @@ class _TraceRing:
     """Structure constants specialized at a curve, in ring arithmetic only.
 
     Shared by :class:`CurveRing` and its images :class:`FpRing`; a subclass
-    sets ``q``, ``trace``, ``nu``, ``from_fraction`` and ``_trace_powers``.
+    sets ``q``, ``trace``, ``nu``, ``from_fraction``, ``_trace_powers`` and
+    an empty dict ``_nu_integers``, the memo of :meth:`nu_integer`.
     """
 
     def point_count(self, i: int) -> int:
@@ -88,9 +91,16 @@ class _TraceRing:
         """The nu-integer [r] = (nu^r - nu^-r)/(nu - nu^-1); [1] = 1."""
         if r < 1:
             raise ValueError("r must be >= 1")
-        nu = self.nu
-        num = nu ** r - nu ** (-r)
-        return num / (nu - nu ** (-1))
+        val = self._nu_integers.get(r)
+        if val is None:
+            nu = self.nu
+            val = (nu ** r - nu ** (-r)) / (nu - nu ** (-1))
+            self._nu_integers[r] = val
+        return val
+
+    def kappa(self, n: int) -> "CurveScalar | FpScalar":
+        """kappa = n (nu^-1 - nu), the scale of relation (2) at twist n."""
+        return (self.nu.inverse() - self.nu) * n
 
     def c_coefficient(self, i: int) -> "CurveScalar | FpScalar":
         """c_i = [i] nu^i #X(F_{q^i}) / i, via the trace recursion."""
@@ -134,6 +144,15 @@ class CurveRing(_TraceRing):
             self._red.append(tuple(cur))
         zero_vec = (Fraction(0),) * self.degree
         one_vec = (Fraction(1),) + (Fraction(0),) * (self.degree - 1)
+        # coordinates of zeta^k, 0 <= k < M: multiply by x, reduce on overflow
+        powers = [one_vec]
+        for _ in range(m - 1):
+            top = powers[-1][-1]
+            vec = (Fraction(0),) + powers[-1][:-1]
+            if top:
+                vec = tuple(v + top * r for v, r in zip(vec, self._red[0]))
+            powers.append(vec)
+        self._zeta_powers = tuple(powers)
         self.zero = CurveScalar(self, zero_vec, zero_vec)
         self.one = CurveScalar(self, one_vec, zero_vec)
         if self.sqrt_q is not None:
@@ -142,8 +161,9 @@ class CurveRing(_TraceRing):
             self.u = CurveScalar(self, zero_vec, one_vec)
         self.nu = self.u.inverse()
         # conjugation matrix: zeta^k -> zeta^(-k)
-        self._conj_rows = [self._reduce_power((m - k) % m) for k in range(self.degree)]
+        self._conj_rows = [self._zeta_powers[(m - k) % m] for k in range(self.degree)]
         self._trace_powers = [2, trace] if trace is not None else None
+        self._nu_integers = {}
 
     # -- constructors ---------------------------------------------------
 
@@ -159,24 +179,7 @@ class CurveRing(_TraceRing):
         if order <= 0 or self.m % order:
             raise ValueError(f"root of unity order {order} not available at M={self.m}")
         k = (self.m // order) * (power % order)
-        vec = self._reduce_power(k % self.m)
-        return CurveScalar(self, vec, (Fraction(0),) * self.degree)
-
-    def _reduce_power(self, k: int):
-        """Coordinates of zeta^k, 0 <= k < M."""
-        d = self.degree
-        if k < d:
-            return tuple(Fraction(1) if i == k else Fraction(0) for i in range(d))
-        vec = [Fraction(0)] * d
-        vec[0] = Fraction(1)
-        # multiply by x, k times, reducing on overflow (M small; fine)
-        for _ in range(k):
-            top = vec[d - 1]
-            vec = [Fraction(0)] + vec[:-1]
-            if top:
-                row = self._red[0]
-                vec = [vec[i] + top * row[i] for i in range(d)]
-        return tuple(vec)
+        return CurveScalar(self, self._zeta_powers[k], (Fraction(0),) * self.degree)
 
     # -- cyclotomic helpers ------------------------------------------------
 
@@ -257,7 +260,7 @@ class CurveRing(_TraceRing):
         zb = [Fraction(0)] * other.degree
         for k in range(self.degree):
             if x.a[k] or x.b[k]:
-                row = other._reduce_power((k * step) % other.m)
+                row = other._zeta_powers[(k * step) % other.m]
                 for i in range(other.degree):
                     if row[i]:
                         za[i] += x.a[k] * row[i]
@@ -465,6 +468,7 @@ class FpRing(_TraceRing):
         self.u = FpScalar(self, u_img % p)
         self.nu = self.u.inverse()
         self._trace_powers = [2, ring.trace] if ring.trace is not None else None
+        self._nu_integers = {}
 
     def residue(self, x) -> int:
         """The image in [0, p) of an int or Fraction."""

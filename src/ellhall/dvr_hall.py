@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
+from .curve import IdentityMismatch
 from .cyclotomic import get_curve_ring
 from .finitefield import get_field
 from .linalg import invert_matrix
@@ -53,7 +54,8 @@ def aut_count(lam, q: int) -> int:
     for m in mults.values():
         for j in range(1, m + 1):
             val *= 1 - Fraction(1, q) ** j
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise IdentityMismatch(f"automorphism count {val} is not an integer")
     return int(val)
 
 
@@ -305,7 +307,8 @@ def _coordinates(vec, pivots, rows, F):
         if c:
             row = rows[i]
             v = [F.sub[a][F.mul[c][b]] for a, b in zip(v, row)]
-    assert not any(v), "vector not in the subspace"
+    if any(v):
+        raise IdentityMismatch("vector not in the subspace")
     return coords
 
 
@@ -362,8 +365,8 @@ class DvrHallAlgebra:
         self.q = q_loc
         self.ring = ring if ring is not None else get_curve_ring(q_loc, 1)
         self.u = u_loc if u_loc is not None else self.ring.nu
-        assert (self.u ** -2) == self.ring.from_int(q_loc), \
-            "u_loc must square to 1/q_loc"
+        if self.u ** -2 != self.ring.from_int(q_loc):
+            raise IdentityMismatch("u_loc must square to 1/q_loc")
         self.budget = budget
         self.one = DvrHallElement(self, {(): self.ring.one})
         self.zero = DvrHallElement(self, {})

@@ -18,14 +18,17 @@ swapped against their commutator; commutators outside the defining
 relations are resolved recursively by splitting a factor z = x + (z - x)
 at the lattice point closest to the segment [o, z] on the positively
 oriented side, which re-expresses t_z through an interior-free commutator
-plus lower theta corrections.  Commutators are memoized per algebra.
+plus lower theta corrections.
 
 An SL_2(Z) action permutes the generators through the linear action on
 the lattice.
 
-Elements are immutable values; the memoized commutator/theta/product
-tables are confined to their algebra instance, so share algebras
-read-mostly or keep one per worker.
+Each algebra memoizes, in tables confined to the instance: the theta
+elements per (direction, index), the commutators [t_a, t_b] per ordered
+pair, the basic commutators of relation (2) per (x + y, delta(y)) without
+their sign eps(x, y), the straightened products of pairs of normal-form
+paths, and the interior-free splits of each lattice point.  Elements are
+immutable values, so share algebras read-mostly or keep one per worker.
 """
 
 from __future__ import annotations
@@ -55,13 +58,14 @@ class EllipticHallAlgebra:
         self.ring = ring
         # flip_relation_sign is a fault-injection hook for mutation tests
         self._sign = -1 if flip_relation_sign else 1
-        self.kappa = (ring.nu.inverse() - ring.nu) * n
+        self.kappa = ring.kappa(n)
         self.kappa_inv = self.kappa.inverse()
         self.one = AlgebraElement(self, {(): ring.one})
         self.zero = AlgebraElement(self, {})
         self._c_cache: dict[int, object] = {}
         self._theta_cache: dict[tuple, "AlgebraElement"] = {}
         self._comm_cache: dict[tuple, "AlgebraElement"] = {}
+        self._basic_cache: dict[tuple, "AlgebraElement"] = {}
         self._pair_cache: dict[tuple, dict] = {}
         self._split_cache: dict[tuple, tuple] = {}
 
@@ -147,10 +151,12 @@ class EllipticHallAlgebra:
         if interior_points(x, y) != 0:
             raise ValueError("triangle has interior points: not a basic case")
         z = (x[0] + y[0], x[1] + y[1])
-        coeff = self.c(self.n * delta(y)) * self.kappa_inv
-        if self._sign * epsilon(x, y) < 0:
-            coeff = -coeff
-        return self.theta(z).scale(coeff)
+        dy = delta(y)
+        val = self._basic_cache.get((z, dy))
+        if val is None:
+            val = self.theta(z).scale(self.c(self.n * dy) * self.kappa_inv)
+            self._basic_cache[(z, dy)] = val
+        return -val if self._sign * epsilon(x, y) < 0 else val
 
     def commutator(self, a, b) -> "AlgebraElement":
         """[t_a, t_b] in normal form."""
@@ -164,7 +170,7 @@ class EllipticHallAlgebra:
             return cached
         rev = self._comm_cache.get((b, a))
         if rev is not None and rev is not _IN_PROGRESS:
-            res = rev.scale(-1)
+            res = -rev
             self._comm_cache[(a, b)] = res
             return res
         self._comm_cache[(a, b)] = _IN_PROGRESS
@@ -180,7 +186,7 @@ class EllipticHallAlgebra:
         if delta(b) == 1 and interior_points(b, a) == 0:
             return self.commutator_basic(b, a)
         if delta(a) == 1 and interior_points(a, b) == 0:
-            return self.commutator_basic(a, b).scale(-1)
+            return -self.commutator_basic(a, b)
         # Resolve one factor through an interior-free split z = x + y and
         # Jacobi.  A candidate split is admissible against the other factor
         # o when det(x,o) and det(y,o) do not have opposite signs (so the
@@ -210,7 +216,7 @@ class EllipticHallAlgebra:
             except StraighteningError as err:
                 last_err = err
                 continue
-            return res.scale(-1) if flip else res
+            return -res if flip else res
         raise last_err
 
     def _resolve_through(self, z, o, x, y):

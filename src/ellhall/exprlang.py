@@ -105,7 +105,7 @@ class _Parser:
         at = self.where()
         if tok == "-":
             self.advance()
-            return self.factor().scale(-1)
+            return -self.factor()
         if tok == "(":
             self.advance()
             value = self.expr()

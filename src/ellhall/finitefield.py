@@ -187,7 +187,8 @@ class FiniteField:
                 if acc == self.zero and cand != self.zero:
                     root = cand
                     break
-            assert root is not None, "subfield modulus has no root"
+            if root is None:
+                raise ArithmeticError("subfield modulus has no root")
             emb = {}
             for e in sub:
                 acc = self.zero
@@ -263,7 +264,8 @@ class FFElement:
             r0, s0 = _trim(new_r0) or [0], new_s0
             if len(r0) < len(r1):
                 r0, r1, s0, s1 = r1, r0, s1, s0
-        assert r1 and r1[0] != 0
+        if not r1 or r1[0] == 0:
+            raise ArithmeticError("element not invertible modulo the field modulus")
         inv_c = pow(r1[0], p - 2, p)
         out = [(inv_c * c) % p for c in s1]
         out += [0] * (f.n - len(out))

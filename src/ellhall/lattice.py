@@ -86,7 +86,8 @@ def interior_points_pick(x: Point, y: Point) -> int:
     boundary = delta(x) + delta(y) + delta(z)
     # Pick: I = A - B/2 + 1 with 2A = |det|
     twice_area = abs(d)
-    assert (twice_area - boundary) % 2 == 0
+    if (twice_area - boundary) % 2:
+        raise IdentityMismatch(f"Pick parity fails for {x}, {y}")
     return (twice_area - boundary + 2) // 2
 
 

@@ -538,7 +538,8 @@ class FormalScalar:
         c = _frac_gcd(self.coef, other.coef)
         t1 = self.coef / c
         t2 = other.coef / c
-        assert t1.denominator == 1 and t2.denominator == 1
+        if t1.denominator != 1 or t2.denominator != 1:
+            raise ArithmeticError("coefficient gcd does not divide both coefficients")
         t1, t2 = t1.numerator, t2.numerator
         mi = min(self.shift[0], other.shift[0])
         mj = min(self.shift[1], other.shift[1])
@@ -573,7 +574,14 @@ class FormalScalar:
             return NotImplemented
         if self.coef == 0 or other.coef == 0:
             return _ZERO
+        coef = self.coef * other.coef
+        shift = (self.shift[0] + other.shift[0], self.shift[1] + other.shift[1])
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        # a monomial factor leaves the other's reduced num/den as they are
+        if n2 == _ONE_POLY and d2 == _ONE_POLY:
+            return FormalScalar(coef, shift, n1, d1, _normalized=True)
+        if n1 == _ONE_POLY and d1 == _ONE_POLY:
+            return FormalScalar(coef, shift, n2, d2, _normalized=True)
         if d2 != _ONE_POLY and n1 != _ONE_POLY:
             g = bgcd(n1, d2)
             if g != _ONE_POLY:
@@ -582,10 +590,7 @@ class FormalScalar:
             g = bgcd(n2, d1)
             if g != _ONE_POLY:
                 n2, d1 = bdivexact(n2, g), bdivexact(d1, g)
-        return FormalScalar.make(
-            self.coef * other.coef,
-            (self.shift[0] + other.shift[0], self.shift[1] + other.shift[1]),
-            bmul(n1, n2), bmul(d1, d2), coprime=True)
+        return FormalScalar.make(coef, shift, bmul(n1, n2), bmul(d1, d2), coprime=True)
 
     __rmul__ = __mul__
 
@@ -743,6 +748,10 @@ class FormalRing:
         nu = self.nu
         # geometric form avoids a division
         return sum((nu ** (r - 1 - 2 * k) for k in range(r)), self.zero)
+
+    def kappa(self, n: int) -> FormalScalar:
+        """kappa = n (nu^-1 - nu), the scale of relation (2) at twist n."""
+        return (self.nu.inverse() - self.nu) * n
 
     def c_coefficient(self, i: int) -> FormalScalar:
         """c_i = (s^i - s^-i)(sb^i - sb^-i) [i] / i."""

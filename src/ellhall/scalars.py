@@ -75,10 +75,15 @@ class LinearCombination:
         return type(self)(self.owner, out)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = out[k] - v if k in out else -v
+        return type(self)(self.owner, out)
 
     def __neg__(self):
-        return self.scale(-1)
+        return type(self)(self.owner, {k: -v for k, v in self.terms.items()})
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -130,7 +135,12 @@ class TruncatedSeries:
         return NotImplemented
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        if isinstance(other, TruncatedSeries):
+            return self + (-other)
+        return NotImplemented
+
+    def __neg__(self):
+        return TruncatedSeries({k: -v for k, v in self.terms.items()}, self.order, self.one)
 
     def scale(self, c):
         return TruncatedSeries({k: v * c for k, v in self.terms.items()},

@@ -202,3 +202,26 @@ def test_identity_fault_fails_under_optimize(flags):
         env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["fail"]
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+GOLDEN_WORDS = ["t(2,-1)*t(-1,2)*t(0,1)", "t(1,1)*t(0,-1)*t(-1,0)",
+                "t(0,1)*t(1,0)*t(-1,-1)*t(1,0)"]
+
+GOLDEN = {
+    "verify_all_budget2.json": ["--budget-degree", "2", "--format", "json", "verify-all"],
+    **{f"straighten_n{n}_w{i}.json": ["--n", str(n), "--format", "json", "straighten", word]
+       for i, word in enumerate(GOLDEN_WORDS, 1) for n in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN))
+def test_report_unchanged_byte_for_byte(golden):
+    # the committed files are reports of an earlier version of the package;
+    # exact arithmetic in canonical form must reproduce them to the byte
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellhall", *GOLDEN[golden]], capture_output=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (DATA / golden).read_bytes()

@@ -1,11 +1,16 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ellhall.dvr_hall import (DvrHallAlgebra, aut_count, aut_count_bruteforce,
                               conjugate, e_monomial, hall_number, p_monomial,
                               partitions, submodule_census)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 H2 = DvrHallAlgebra(2)
 H3 = DvrHallAlgebra(3)
@@ -189,3 +194,25 @@ class TestMacdonald:
         for lam in partitions(3):
             a = H2.basis_element(lam)
             assert H2.from_symmetric(H2.to_symmetric(a)) == a
+
+
+U_LOC_SCRIPT = """
+from ellhall.curve import IdentityMismatch
+from ellhall.cyclotomic import get_curve_ring
+from ellhall.dvr_hall import DvrHallAlgebra
+try:
+    DvrHallAlgebra(2, u_loc=get_curve_ring(2, 1).nu * 2)
+except IdentityMismatch:
+    print("mismatch")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_bad_u_loc_raises_under_optimize(flags):
+    # the invariant raises explicitly, so python -O must not turn it off
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", U_LOC_SCRIPT],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["mismatch"]

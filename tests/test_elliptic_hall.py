@@ -5,7 +5,7 @@ import pytest
 
 from ellhall.cyclotomic import get_curve_ring
 from ellhall.elliptic_hall import EllipticHallAlgebra
-from ellhall.lattice import delta, det, enumerate_convex_paths, path_class
+from ellhall.lattice import delta, det, enumerate_convex_paths, epsilon, path_class
 from ellhall.ratfunc import FORMAL
 
 
@@ -93,6 +93,25 @@ class TestBasicCommutators:
     def test_rejects_imprimitive_x(self, alg1):
         with pytest.raises(ValueError):
             alg1.commutator_basic((2, 0), (0, 1))
+
+    @pytest.mark.parametrize("n", (1, 2))
+    @pytest.mark.parametrize("x, y", [((1, 0), (0, 1)), ((1, 0), (0, 2)),
+                                      ((1, 1), (-1, 0)), ((2, 1), (-1, -1))])
+    def test_memoized_value(self, n, x, y):
+        # relation (2) from theta, c and kappa on a fresh algebra
+        fresh = EllipticHallAlgebra(n, FORMAL)
+        unsigned = fresh.theta((x[0] + y[0], x[1] + y[1])).scale(
+            fresh.c(n * delta(y)) * fresh.kappa_inv)
+        alg = EllipticHallAlgebra(n, FORMAL)
+        flipped = EllipticHallAlgebra(n, FORMAL, flip_relation_sign=True)
+        orientations = [(x, y, epsilon(x, y))]
+        if delta(y) == 1:
+            orientations.append((y, x, epsilon(y, x)))
+        for _ in range(2):
+            for a, b, eps in orientations:
+                want = unsigned if eps > 0 else -unsigned
+                assert alg.commutator_basic(a, b).terms == want.terms
+                assert flipped.commutator_basic(a, b).terms == (-want).terms
 
 
 class TestStraightening:

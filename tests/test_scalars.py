@@ -5,10 +5,10 @@ from hypothesis import given, strategies as st
 
 from ellhall.autoforms import AutoformContext, T0_twisted
 from ellhall.curve import CurveData, primitive_orbits
-from ellhall.cyclotomic import cyclotomic_polynomial, get_curve_ring
+from ellhall.cyclotomic import CurveRing, FpRing, cyclotomic_polynomial, get_curve_ring
 from ellhall.dvr_hall import DvrHallAlgebra, SymmetricFunction, p_monomial
 from ellhall.elliptic_hall import EllipticHallAlgebra
-from ellhall.ratfunc import FORMAL
+from ellhall.ratfunc import FORMAL, FormalScalar, bmul
 from ellhall.scalars import TruncatedSeries, series_exp, series_log
 
 R = FORMAL
@@ -241,11 +241,14 @@ def _series_of_elements():
     return TruncatedSeries(terms, 3, alg.one), TruncatedSeries({}, 3, alg.one)
 
 
-@pytest.mark.parametrize("make", [
+ELEMENT_MAKERS = pytest.mark.parametrize("make", [
     _algebra_element, _dvr_element, _global_element, _symmetric_function,
     _series_of_scalars, _series_of_elements,
 ], ids=["AlgebraElement", "DvrHallElement", "GlobalTorsionElement",
         "SymmetricFunction", "TruncatedSeries", "TruncatedSeries-of-elements"])
+
+
+@ELEMENT_MAKERS
 def test_zero_rule(make):
     x, zero = make()
     assert x and x.terms
@@ -255,3 +258,66 @@ def test_zero_rule(make):
     assert not diff.terms
     assert not x.scale(0)
     assert x.scale(0) == zero
+
+
+@ELEMENT_MAKERS
+def test_negation_is_scale_minus_one(make):
+    a, zero = make()
+    # b shares a's keys (with other coefficients) and has keys of its own
+    b = a * a + a.scale(2)
+    assert -a == a.scale(-1)
+    assert -zero == zero
+    for x, y in ((a, b), (b, a), (a, zero), (zero, a), (a, a)):
+        assert x - y == x + y.scale(-1)
+
+
+def test_series_difference_truncates_at_smaller_order():
+    a = TruncatedSeries({1: R.s, 4: R.one}, 4, R.one)
+    b = TruncatedSeries({1: R.sb, 2: R.nu}, 2, R.one)
+    assert a - b == TruncatedSeries({1: R.s - R.sb, 2: -R.nu}, 2, R.one)
+    assert (a - b).order == (b - a).order == 2
+
+
+_CORPUS = [
+    R.monomial(2, -1, Fraction(-3, 4)),
+    (R.s + R.sb) / (R.one - R.s * R.sb) * Fraction(5, 7),
+    R.c_coefficient(2) * R.monomial(-3, 1),
+    R.kappa(2).inverse(),
+    -R.alpha_coefficient(1) / R.c_coefficient(1),
+]
+
+_MONOMIALS = [
+    R.one, -R.one, R.zero, R.nu, R.monomial(1, 0), R.monomial(-2, 3, Fraction(-2, 9)),
+    1, -1, 0, Fraction(3, 5), Fraction(-7, 2), Fraction(0),
+]
+
+
+@pytest.mark.parametrize("m", _MONOMIALS, ids=repr)
+@pytest.mark.parametrize("f", _CORPUS, ids=repr)
+def test_monomial_product_is_canonical(f, m):
+    g = m if isinstance(m, FormalScalar) else R.from_fraction(m)
+    want = FormalScalar.make(f.coef * g.coef,
+                             (f.shift[0] + g.shift[0], f.shift[1] + g.shift[1]),
+                             bmul(f.num, g.num), bmul(f.den, g.den))
+    for prod in (f * m, m * f):
+        assert (prod.coef, prod.shift, prod.num, prod.den) == \
+            (want.coef, want.shift, want.num, want.den)
+
+
+@pytest.mark.parametrize("ring", [
+    FORMAL, E1_RING, FpRing(get_curve_ring(2, 1, 0), 7, 1, 3)], ids=repr)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kappa(ring, n):
+    assert ring.kappa(n) == (ring.nu ** -1 - ring.nu) * n
+
+
+def test_curve_ring_memoized_constants():
+    ring = CurveRing(3, 12, 1)
+    for r in (1, 2, 3, 5):
+        val = ring.nu_integer(r)
+        assert val == (ring.nu ** r - ring.nu ** -r) / (ring.nu - ring.nu ** -1)
+        assert ring.nu_integer(r) is val
+    z = ring.zeta(12)
+    for k in range(-3, 30):
+        assert ring.zeta(12, k) == z ** k
+    assert ring.zeta(4, 3) == z ** 9
