@@ -336,10 +336,8 @@ class _Level:
         a1, a2, a3, a4, a6 = self.a
         pts = [None]
         if f.p == 2:
-            sqrt_map = {}
             artin = {}
             for z in f:
-                sqrt_map[z * z] = z
                 key = z * z + z
                 if key not in artin:
                     artin[key] = z
@@ -347,7 +345,7 @@ class _Level:
                 c = a1 * x + a3
                 d = x ** 3 + a2 * x * x + a4 * x + a6
                 if c.is_zero():
-                    pts.append((x, sqrt_map[d]))
+                    pts.append((x, f.sqrt(d)))
                 else:
                     c2 = c * c
                     w = artin.get(d / c2)
@@ -355,16 +353,12 @@ class _Level:
                         pts.append((x, c * w))
                         pts.append((x, c * w + c))
         else:
-            sqrt_map = {}
-            for z in f:
-                if z * z not in sqrt_map:
-                    sqrt_map[z * z] = z
             inv2 = f.from_int(2).inverse()
             for x in f:
                 c = a1 * x + a3
                 d = x ** 3 + a2 * x * x + a4 * x + a6
                 disc = d + c * c * inv2 * inv2
-                z = sqrt_map.get(disc)
+                z = f.sqrt(disc)
                 if z is None:
                     continue
                 if z.is_zero():

@@ -17,7 +17,7 @@ from itertools import combinations, product
 
 from .curve import IdentityMismatch
 from .cyclotomic import get_curve_ring
-from .finitefield import get_field
+from .finitefield import factor_prime_power, get_field
 from .linalg import invert_matrix
 from .scalars import LinearCombination
 
@@ -126,29 +126,22 @@ def _det_nonzero(M, F) -> bool:
 
 
 class _GFTables:
+    """Index tables of F_q: zero at index 0, one at 1, the rest in field order.
+
+    For a prime q the residue c sits at index c.
+    """
+
     def __init__(self, q: int):
         self.q = q
-        if q in (2, 3, 5, 7):
-            self.add = [[(a + b) % q for b in range(q)] for a in range(q)]
-            self.sub = [[(a - b) % q for b in range(q)] for a in range(q)]
-            self.mul = [[(a * b) % q for b in range(q)] for a in range(q)]
-            self.neg = [(-a) % q for a in range(q)]
-            self.inv = [0] + [pow(a, q - 2, q) for a in range(1, q)]
-        else:
-            from .finitefield import factor_prime_power
-            p, k = factor_prime_power(q)
-            field = get_field(p, k)
-            # index 0 must be the zero and index 1 the one of the field
-            rest = sorted((e for e in field
-                           if e != field.zero and e != field.one),
-                          key=lambda e: e.coeffs)
-            elems = [field.zero, field.one] + rest
-            index = {e: i for i, e in enumerate(elems)}
-            self.add = [[index[a + b] for b in elems] for a in elems]
-            self.sub = [[index[a - b] for b in elems] for a in elems]
-            self.mul = [[index[a * b] for b in elems] for a in elems]
-            self.neg = [index[-a] for a in elems]
-            self.inv = [0] + [index[elems[i].inverse()] for i in range(1, q)]
+        field = get_field(*factor_prime_power(q))
+        elems = [field.zero, field.one] + [e for e in field
+                                           if e != field.zero and e != field.one]
+        index = {e: i for i, e in enumerate(elems)}
+        self.add = [[index[a + b] for b in elems] for a in elems]
+        self.sub = [[index[a - b] for b in elems] for a in elems]
+        self.mul = [[index[a * b] for b in elems] for a in elems]
+        self.neg = [index[-a] for a in elems]
+        self.inv = [0] + [index[elems[i].inverse()] for i in range(1, q)]
 
 
 @lru_cache(maxsize=None)

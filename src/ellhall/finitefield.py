@@ -1,14 +1,25 @@
-"""Finite fields F_{p^n} with exact element arithmetic.
+"""Finite fields F_{p^n} as tables of interned elements.
 
 Each field is built as F_p[T]/(f) for a deterministically chosen monic
-irreducible f.  Fields are cached per (p, n); embeddings between fields of
-the same characteristic are computed once by root-finding the subfield's
-defining polynomial and then cached, so towers stay consistent.
+irreducible f.  Building a field creates every element once, in the
+``itertools.product`` order of its coefficient tuples (the iteration
+order), and the arithmetic returns those shared objects: a sum looks up
+its coefficient tuple, while products, inverses, quotients and powers are
+index arithmetic mod p^n - 1 on discrete logs to the first primitive
+element g in iteration order (``exp[k]`` is g^k; zero has no log).
+Square roots halve the log.  Every field, prime or not, takes this one
+path; it costs O(p^n) memory per field built, the same order as
+enumerating the field once.
+
+Fields are cached per (p, n); embeddings between fields of the same
+characteristic are computed once by root-finding the subfield's defining
+polynomial and then cached, so towers stay consistent.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
@@ -123,7 +134,6 @@ def _find_irreducible(p, n):
     if n == 1:
         return [0, 1]
     # lexicographic scan over lower coefficients; constant term nonzero
-    from itertools import product
     for tail in product(range(p), repeat=n - 1):
         for c0 in range(1, p):
             f = [c0] + list(tail) + [1]
@@ -138,32 +148,71 @@ def get_field(p: int, n: int) -> "FiniteField":
 
 
 class FiniteField:
+    """F_{p^n} as a table of interned elements with discrete logs.
+
+    Every element is built once, in iteration order; ``exp[k]`` is g^k for
+    the primitive element g, and each element stores its log.
+    """
+
     def __init__(self, p: int, n: int):
         self.p = p
         self.n = n
         self.size = p ** n
+        self.units = self.size - 1  # order of the multiplicative group
         self.modulus = _find_irreducible(p, n)
-        self.zero = FFElement(self, (0,) * n)
-        self.one = FFElement(self, (1,) + (0,) * (n - 1))
+        self._elements = [FFElement(self, coeffs)
+                          for coeffs in product(range(p), repeat=n)]
+        self._by_coeffs = {e.coeffs: e for e in self._elements}
+        self.zero = self._elements[0]
+        self.one = self.element([1])
+        self.exp = self._power_table()
         self._embeddings: dict[tuple[int, int], dict] = {}
+
+    def _power_table(self) -> list:
+        """Powers of the first primitive element; sets each element's log."""
+        p, f, m = self.p, self.modulus, self.units
+        ells = _prime_divisors(m)
+        g = next(list(e.coeffs) for e in self._elements[1:]
+                 if all(_trim(_ppowmod(list(e.coeffs), m // ell, f, p)) != [1]
+                        for ell in ells))
+        exp = []
+        power = [1]
+        for k in range(m):
+            e = self.element(power)
+            if e.log is not None:
+                raise ArithmeticError(f"g^{k} repeats g^{e.log}: g is not primitive")
+            e.log = k
+            exp.append(e)
+            power = _pmod(_pmul(power, g, p), f, p)
+        return exp
 
     def element(self, coeffs) -> "FFElement":
         coeffs = list(coeffs)[: self.n]
         coeffs += [0] * (self.n - len(coeffs))
-        return FFElement(self, tuple(c % self.p for c in coeffs))
+        return self._by_coeffs[tuple(c % self.p for c in coeffs)]
 
     def from_int(self, k: int) -> "FFElement":
         return self.element([k])
 
     def __iter__(self):
-        from itertools import product
-        for tup in product(range(self.p), repeat=self.n):
-            yield FFElement(self, tup)
+        return iter(self._elements)
 
-    def gen(self) -> "FFElement":
-        if self.n == 1:
-            return self.from_int(1)
-        return self.element([0, 1])
+    def sqrt(self, a: "FFElement"):
+        """A square root of a, or None for a non-square.
+
+        Of the two roots +-z the one first in iteration order; for p = 2 the
+        root is unique (the unit group has odd order, so every log halves).
+        """
+        k = a.log
+        if k is None:
+            return self.zero
+        if k % 2:
+            if self.p != 2:
+                return None
+            k += self.units
+        z = self.exp[k // 2]
+        w = -z
+        return z if z.coeffs <= w.coeffs else w
 
     def embedding_from(self, sub: "FiniteField") -> dict:
         """Field embedding as a dict {subfield element: image here}."""
@@ -180,7 +229,7 @@ class FiniteField:
         else:
             # deterministic root of the subfield modulus in this field
             root = None
-            for cand in sorted(self, key=lambda e: e.coeffs):
+            for cand in self:
                 acc = self.zero
                 for c in reversed(sub.modulus):
                     acc = acc * cand + self.from_int(c)
@@ -203,89 +252,62 @@ class FiniteField:
 
 
 class FFElement:
-    __slots__ = ("field", "coeffs", "_hash")
+    """An element of F_{p^n}; created only by its field, one object each.
+
+    ``coeffs`` are the coordinates in F_p[T]/(f), low to high; ``log`` is
+    the discrete log to the field's primitive element, None for zero.
+    """
+
+    __slots__ = ("field", "coeffs", "log", "_hash")
 
     def __init__(self, field, coeffs):
         self.field = field
         self.coeffs = coeffs
+        self.log = None
         self._hash = None
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return self.log is None
 
     def __add__(self, other):
-        p = self.field.p
-        return FFElement(self.field,
-                         tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        f = self.field
+        p = f.p
+        return f._by_coeffs[tuple((a + b) % p
+                                  for a, b in zip(self.coeffs, other.coeffs))]
 
     def __sub__(self, other):
-        p = self.field.p
-        return FFElement(self.field,
-                         tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        f = self.field
+        p = f.p
+        return f._by_coeffs[tuple((a - b) % p
+                                  for a, b in zip(self.coeffs, other.coeffs))]
 
     def __neg__(self):
-        p = self.field.p
-        return FFElement(self.field, tuple((-a) % p for a in self.coeffs))
+        f = self.field
+        p = f.p
+        return f._by_coeffs[tuple((-a) % p for a in self.coeffs)]
 
     def __mul__(self, other):
         f = self.field
-        if f.n == 1:
-            return FFElement(f, ((self.coeffs[0] * other.coeffs[0]) % f.p,))
-        prod = _pmul(list(self.coeffs), list(other.coeffs), f.p)
-        red = _pmod(prod, f.modulus, f.p)
-        red += [0] * (f.n - len(red))
-        return FFElement(f, tuple(red[: f.n]))
+        if self.log is None or other.log is None:
+            return f.zero
+        return f.exp[(self.log + other.log) % f.units]
 
     def inverse(self):
-        if self.is_zero():
+        if self.log is None:
             raise ZeroDivisionError("finite field inverse of zero")
-        # extended Euclid against the modulus
         f = self.field
-        p = f.p
-        if f.n == 1:
-            return FFElement(f, (pow(self.coeffs[0], p - 2, p),))
-        r0, r1 = list(f.modulus), _trim(list(self.coeffs))
-        s0, s1 = [0], [1]
-        while len(r1) - 1 > 0 or (len(r1) == 1 and r1[0] != 0):
-            if len(r0) < len(r1):
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            if len(r1) == 1:
-                break
-            inv_lead = pow(r1[-1], p - 2, p)
-            quot_deg = len(r0) - len(r1)
-            c = (r0[-1] * inv_lead) % p
-            new_r0 = list(r0)
-            for k in range(len(r1)):
-                new_r0[k + quot_deg] = (new_r0[k + quot_deg] - c * r1[k]) % p
-            new_s0 = list(s0) + [0] * max(0, len(s1) + quot_deg - len(s0))
-            for k in range(len(s1)):
-                new_s0[k + quot_deg] = (new_s0[k + quot_deg] - c * s1[k]) % p
-            r0, s0 = _trim(new_r0) or [0], new_s0
-            if len(r0) < len(r1):
-                r0, r1, s0, s1 = r1, r0, s1, s0
-        if not r1 or r1[0] == 0:
-            raise ArithmeticError("element not invertible modulo the field modulus")
-        inv_c = pow(r1[0], p - 2, p)
-        out = [(inv_c * c) % p for c in s1]
-        out += [0] * (f.n - len(out))
-        return FFElement(f, tuple(out[: f.n]))
+        return f.exp[-self.log % f.units]
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def __pow__(self, e):
         f = self.field
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = f.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if self.log is None:
+            if e < 0:
+                raise ZeroDivisionError("finite field inverse of zero")
+            return f.one if e == 0 else f.zero
+        return f.exp[self.log * e % f.units]
 
     def frobenius(self, q: int) -> "FFElement":
         """The q-power map (q a power of the characteristic)."""

@@ -92,25 +92,30 @@ def interior_points_pick(x: Point, y: Point) -> int:
 
 
 def interior_points_scan(x: Point, y: Point) -> int:
-    """Interior points by direct scan over the bounding box."""
+    """Interior points counted column by column, independently of Pick.
+
+    Each column strictly between the extreme abscissae meets the triangle
+    in a segment [lo, hi] whose ends lie on the edges; its open part holds
+    ceil(hi) - floor(lo) - 1 lattice points.
+    """
     if det(x, y) == 0:
         raise ValueError("degenerate triangle")
-    o = (0, 0)
     z = (x[0] + y[0], x[1] + y[1])
-    verts = (o, x, z)
-    lo_q = min(v[0] for v in verts)
-    hi_q = max(v[0] for v in verts)
-    lo_p = min(v[1] for v in verts)
-    hi_p = max(v[1] for v in verts)
+    edges = [(a, b) if a[0] < b[0] else (b, a)
+             for a, b in (((0, 0), x), (x, z), (z, (0, 0))) if a[0] != b[0]]
     count = 0
-    for q in range(lo_q, hi_q + 1):
-        for p in range(lo_p, hi_p + 1):
-            w = (q, p)
-            s1 = det((x[0] - o[0], x[1] - o[1]), (w[0] - o[0], w[1] - o[1]))
-            s2 = det((z[0] - x[0], z[1] - x[1]), (w[0] - x[0], w[1] - x[1]))
-            s3 = det((o[0] - z[0], o[1] - z[1]), (w[0] - z[0], w[1] - z[1]))
-            if (s1 > 0 and s2 > 0 and s3 > 0) or (s1 < 0 and s2 < 0 and s3 < 0):
-                count += 1
+    for q in range(min(0, x[0], z[0]) + 1, max(0, x[0], z[0])):
+        lo = hi = None
+        for (aq, ap), (bq, bp) in edges:
+            if aq <= q <= bq:
+                # the edge's ordinate at q is num / den, den > 0
+                num, den = ap * (bq - aq) + (bp - ap) * (q - aq), bq - aq
+                f, c = num // den, -(-num // den)
+                if lo is None or f < lo:
+                    lo = f
+                if hi is None or c > hi:
+                    hi = c
+        count += hi - lo - 1
     return count
 
 
@@ -118,7 +123,8 @@ def interior_points_scan(x: Point, y: Point) -> int:
 def interior_points(x: Point, y: Point) -> int:
     """Strict interior count of the triangle spanned by o, x, x+y.
 
-    Cross-checked Pick's theorem against a direct scan for small inputs.
+    Pick's theorem, cross-checked against the column count for small
+    inputs.
     """
     n = interior_points_pick(x, y)
     if max(abs(x[0]), abs(x[1]), abs(y[0]), abs(y[1])) <= 12:

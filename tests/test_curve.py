@@ -1,5 +1,8 @@
 import random
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -249,3 +252,15 @@ class TestZeta:
             {k: Fraction(e1.count_via_trace(n * k), k) for k in range(1, order + 1)},
             order, Fraction(1))
         assert series_exp(logs) == e1.zeta_truncated(n, order)
+
+
+def test_curve_report_unchanged_byte_for_byte():
+    # tests/data/curve_report.txt is the output of an earlier version of the
+    # package: counts for n <= 6, zeta, Picard groups, primitive orbits at
+    # levels 1-3 and one L-function must be reproduced to the byte
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "curve_report.py")],
+        capture_output=True, env={"PATH": "/usr/bin:/bin"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (root / "tests" / "data" / "curve_report.txt").read_bytes()

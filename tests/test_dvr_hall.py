@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from ellhall.dvr_hall import (DvrHallAlgebra, aut_count, aut_count_bruteforce,
-                              conjugate, e_monomial, hall_number, p_monomial,
-                              partitions, submodule_census)
+from ellhall.dvr_hall import (DvrHallAlgebra, _gf, aut_count,
+                              aut_count_bruteforce, conjugate, e_monomial,
+                              hall_number, p_monomial, partitions,
+                              submodule_census)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -216,3 +217,15 @@ def test_bad_u_loc_raises_under_optimize(flags):
         env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["mismatch"]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_prime_field_tables_are_residues(q):
+    # the field tables of a prime q put residue c at index c
+    F = _gf(q)
+    rng = range(q)
+    assert F.add == [[(a + b) % q for b in rng] for a in rng]
+    assert F.sub == [[(a - b) % q for b in rng] for a in rng]
+    assert F.mul == [[(a * b) % q for b in rng] for a in rng]
+    assert F.neg == [(-a) % q for a in rng]
+    assert F.inv == [0] + [pow(a, q - 2, q) for a in range(1, q)]

@@ -1,0 +1,119 @@
+from itertools import product
+
+import pytest
+
+from ellhall.finitefield import _pmod, _pmul, get_field
+
+FIELDS = ([(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 5)]
+          + [(5, n) for n in range(1, 4)] + [(7, n) for n in range(1, 3)])
+
+
+def padded(field, coeffs):
+    coeffs = list(coeffs) + [0] * (field.n - len(coeffs))
+    return tuple(coeffs[: field.n])
+
+
+def ref_mul(field, a, b):
+    """Coefficients of a * b by dense multiplication mod the modulus."""
+    p = field.p
+    return padded(field, _pmod(_pmul(list(a), list(b), p), field.modulus, p))
+
+
+@pytest.fixture(params=FIELDS, ids=lambda pn: f"F{pn[0]}^{pn[1]}")
+def field(request):
+    return get_field(*request.param)
+
+
+def test_iteration_order_is_product_order(field):
+    assert [e.coeffs for e in field] == list(product(range(field.p), repeat=field.n))
+    assert len(set(field)) == field.size
+
+
+def test_elements_are_interned(field):
+    elems = list(field)
+    p = field.p
+    for a in elems[:: max(1, len(elems) // 7)]:
+        assert a is field.element(a.coeffs)
+        assert -a is field.element([-c for c in a.coeffs])
+        for b in elems[:: max(1, len(elems) // 5)]:
+            assert (a + b) is field.element([x + y for x, y in zip(a.coeffs, b.coeffs)])
+            assert (a - b) is field.element([x - y for x, y in zip(a.coeffs, b.coeffs)])
+            assert (a * b) is field.element(ref_mul(field, a.coeffs, b.coeffs))
+    assert field.from_int(p + 1) is field.one
+    assert field.from_int(0) is field.zero
+    assert list(field) == elems and all(x is y for x, y in zip(field, elems))
+    assert get_field(field.p, field.n) is field
+    # only zero has no log, so is_zero reads the right slot
+    assert [e for e in field if e.is_zero()] == [field.zero]
+
+
+def test_products_match_dense_reduction(field):
+    elems = list(field)
+    for a in elems:
+        for b in elems:
+            assert (a * b).coeffs == ref_mul(field, a.coeffs, b.coeffs)
+
+
+def test_exp_table(field):
+    exp = field.exp
+    g = exp[1 % len(exp)]
+    assert len(exp) == field.size - 1
+    assert len({e.coeffs for e in exp}) == field.size - 1
+    assert exp[0] is field.one
+    for k, e in enumerate(exp):
+        assert e.log == k
+        assert exp[(k + 1) % len(exp)].coeffs == ref_mul(field, e.coeffs, g.coeffs)
+    # g is the first element of iteration order that generates the units
+    for e in field:
+        if e is g:
+            break
+        if e.is_zero():
+            continue
+        assert len({(e ** k).coeffs for k in range(field.size - 1)}) < field.size - 1
+
+
+def test_inverse_and_division(field):
+    for a in field:
+        if a.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+            with pytest.raises(ZeroDivisionError):
+                field.one / a
+            continue
+        assert a * a.inverse() is field.one
+        for b in list(field)[:: max(1, field.size // 9)]:
+            assert (b / a) * a is b
+
+
+def test_powers(field):
+    one = field.one
+    for a in field:
+        if a.is_zero():
+            assert a ** 0 is one
+            for e in range(1, field.size + 1):
+                assert a ** e is field.zero
+            for e in (-1, -2, -3):
+                with pytest.raises(ZeroDivisionError):
+                    a ** e
+            continue
+        acc = one.coeffs
+        for e in range(field.size + 1):
+            assert (a ** e).coeffs == acc
+            acc = ref_mul(field, acc, a.coeffs)
+        inv = a.inverse()
+        for e in (1, 2, 3):
+            assert a ** -e is inv ** e
+        assert a.frobenius(field.p).coeffs == (a ** field.p).coeffs
+
+
+def test_sqrt_is_first_root_in_iteration_order(field):
+    elems = list(field)
+    for a in elems:
+        want = next((z for z in elems
+                     if ref_mul(field, z.coeffs, z.coeffs) == a.coeffs), None)
+        assert field.sqrt(a) is want
+    if field.p == 2:
+        assert all(field.sqrt(a) is not None for a in elems)
+    else:
+        squares = sum(1 for a in elems if field.sqrt(a) is not None)
+        assert squares == (field.size + 1) // 2

@@ -53,6 +53,29 @@ def test_pick_equals_scan(x, y):
         assert interior_points_pick(x, y) == interior_points_scan(x, y)
 
 
+def interior_points_walk(x, y):
+    """Oracle: test every lattice point of the bounding box."""
+    z = (x[0] + y[0], x[1] + y[1])
+    verts = ((0, 0), x, z)
+    count = 0
+    for q in range(min(v[0] for v in verts), max(v[0] for v in verts) + 1):
+        for p in range(min(v[1] for v in verts), max(v[1] for v in verts) + 1):
+            s1 = det(x, (q, p))
+            s2 = det((z[0] - x[0], z[1] - x[1]), (q - x[0], p - x[1]))
+            s3 = det((-z[0], -z[1]), (q - z[0], p - z[1]))
+            if (s1 > 0 and s2 > 0 and s3 > 0) or (s1 < 0 and s2 < 0 and s3 < 0):
+                count += 1
+    return count
+
+
+def test_column_count_equals_walk():
+    box = [(q, p) for q in range(-6, 7) for p in range(-6, 7) if (q, p) != (0, 0)]
+    pairs = [(x, y) for x in box for y in box if det(x, y) != 0]
+    assert len(pairs) == 27248
+    for x, y in pairs:
+        assert interior_points_scan(x, y) == interior_points_walk(x, y), (x, y)
+
+
 def test_angle_examples():
     assert angle_compare((0, 1), (1, 0)) == 1     # pi vs pi/2
     assert angle_compare((1, 1), (1, 2)) == -1
