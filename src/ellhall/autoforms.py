@@ -31,7 +31,7 @@ from math import gcd, lcm
 from .curve import (CharacterOrbit, ClosedPoint, CurveData, IdentityMismatch,
                     character_orbits, primitive_orbits)
 from .cyclotomic import FpRing, get_curve_ring
-from .dvr_hall import DvrHallAlgebra, aut_count, partitions
+from .dvr_hall import DvrHallAlgebra, aut_count, hall_products, partitions
 from .linalg import rank_mod_p
 from .scalars import LinearCombination, TruncatedSeries, series_exp
 
@@ -78,9 +78,6 @@ class AutoformContext:
             self._local[x.key()] = alg
         return alg
 
-    def v_integer(self, r: int):
-        return self.ring.nu_integer(r)
-
     def zero_elem(self) -> "GlobalTorsionElement":
         return GlobalTorsionElement(self, {})
 
@@ -115,13 +112,6 @@ class GlobalTorsionElement(LinearCombination):
             return _global_multiply(self, other)
         return self.scale(other)
 
-    def degree_components(self) -> dict:
-        out: dict = {}
-        for mono, c in self.terms.items():
-            d = sum(deg * sum(lam) for (deg, _), lam in mono)
-            out.setdefault(d, {})[mono] = c
-        return {d: GlobalTorsionElement(self.owner, t) for d, t in out.items()}
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -136,6 +126,8 @@ class GlobalTorsionElement(LinearCombination):
 
 
 def _global_multiply(A: GlobalTorsionElement, B: GlobalTorsionElement):
+    """Product point by point: where both monomials meet at a closed point of
+    degree d, each lam enters with the Hall number g^lam_{lam1 lam2}(q^d)."""
     ctx = A.owner
     out: dict = {}
     for m1, c1 in A.terms.items():
@@ -154,13 +146,11 @@ def _global_multiply(A: GlobalTorsionElement, B: GlobalTorsionElement):
                     lam = lam1 or lam2
                     partials = [(mono + ((key, lam),), w) for mono, w in partials]
                     continue
-                alg = ctx.local_algebra(ctx.curve.closed_point(key))
-                loc = alg.multiply(alg.basis_element(lam1),
-                                   alg.basis_element(lam2))
+                table = hall_products(lam1, lam2, ctx.curve.q ** key[0])
                 partials = [
-                    (mono + ((key, lam),), w * wl)
+                    (mono + ((key, lam),), w * g)
                     for mono, w in partials
-                    for lam, wl in loc.terms.items()]
+                    for lam, g in table.items()]
             for mono, w in partials:
                 v = c * w
                 if v.is_zero():
@@ -223,7 +213,7 @@ def T0r_at_point(ctx: AutoformContext, r: int, x: ClosedPoint) -> GlobalTorsionE
     if r % x.degree:
         return ctx.zero_elem()
     alg = ctx.local_algebra(x)
-    front = ctx.v_integer(r) * Fraction(x.degree, r)
+    front = ctx.ring.nu_integer(r) * Fraction(x.degree, r)
     out = ctx.zero_elem()
     for lam in partitions(r // x.degree):
         coeff = front * alg.n_u(len(lam) - 1)
@@ -258,7 +248,7 @@ def green_pair_twisted(ctx: AutoformContext, rho: CharacterOrbit,
     ring = ctx.ring
     if rho == sigma:
         count = ring.from_int(ctx.curve.count_via_trace(n))
-        closed = (ring.nu ** n) * ctx.v_integer(n) * count \
+        closed = (ring.nu ** n) * ctx.ring.nu_integer(n) * count \
             * (ring.kappa(n) * n).inverse()
     else:
         closed = ring.zero
@@ -411,10 +401,10 @@ def hecke_T0N_eigenvalue(ctx: AutoformContext, rho: CharacterOrbit,
         hits = hits + acc * Fraction(1, len(pts))
         sig = sig.frobenius()
     count = curve.count_via_trace(N)
-    front = ctx.v_integer(N) * Fraction(n, N * N) * (ring.u ** (N * (n - 1))) * count
+    front = ctx.ring.nu_integer(N) * Fraction(n, N * N) * (ring.u ** (N * (n - 1))) * count
     char_sum_value = front * hits
     if sigma == rho.norm_to(N):
-        closed = ctx.v_integer(N) * Fraction(1, N) * (ring.u ** (N * (n - 1))) * count
+        closed = ctx.ring.nu_integer(N) * Fraction(1, N) * (ring.u ** (N * (n - 1))) * count
     else:
         closed = ring.zero
     if char_sum_value != closed:

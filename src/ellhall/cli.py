@@ -90,7 +90,7 @@ def build_curve(config: RunConfig) -> CurveData:
     q = params.pop("q")
     try:
         return CurveData(q, max_field_size=config.max_field_size, **params)
-    except ValueError as exc:
+    except (ValueError, BudgetExceeded) as exc:
         raise ConfigError(str(exc))
 
 

@@ -9,9 +9,10 @@ standard square root of 1/q (the curve-side v).
 When q is a perfect square the tower degenerates (u is the literal integer
 root); elements then carry no u-component.
 
-Rings with the same q embed into each other along M | M' via
-zeta_M -> zeta_M'^(M'/M); mixed-M arithmetic lifts both operands to the
-lcm ring.
+Scalars of two different rings never mix: arithmetic and comparison
+between them raise ValueError, so equal scalars always hash alike.  A
+computation that needs several roots of unity builds its ring at the lcm
+order up front (``CurveData.character_ring``).
 
 :class:`FpRing` is the image of a ring in F_p for a prime p = 1 mod M with
 q a square mod p.  It speaks the same ring protocol, so exact-rank
@@ -22,7 +23,7 @@ is the same homomorphism applied to an exact value.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 
 def cyclotomic_polynomial(m: int) -> list[int]:
@@ -243,44 +244,9 @@ class CurveRing(_TraceRing):
                 vec = [vec[i] + c * row[i] for i in range(d)]
         return tuple(vec)
 
-    # -- ring tower ---------------------------------------------------------
-
-    def extended(self, m_new: int) -> "CurveRing":
-        if m_new % self.m:
-            raise ValueError("new cyclotomic order must be a multiple")
-        return get_curve_ring(self.q, m_new, self.trace)
-
-    def lift_to(self, other: "CurveRing", x: "CurveScalar") -> "CurveScalar":
-        if other.q != self.q or other.trace != self.trace:
-            raise ValueError("incompatible rings")
-        if other.m % self.m:
-            raise ValueError("target cyclotomic order must be a multiple")
-        step = other.m // self.m
-        za = [Fraction(0)] * other.degree
-        zb = [Fraction(0)] * other.degree
-        for k in range(self.degree):
-            if x.a[k] or x.b[k]:
-                row = other._zeta_powers[(k * step) % other.m]
-                for i in range(other.degree):
-                    if row[i]:
-                        za[i] += x.a[k] * row[i]
-                        zb[i] += x.b[k] * row[i]
-        return CurveScalar(other, tuple(za), tuple(zb))
-
     def __repr__(self):
         t = f", trace={self.trace}" if self.trace is not None else ""
         return f"CurveRing(q={self.q}, M={self.m}{t})"
-
-
-def _common_ring(x: "CurveScalar", y: "CurveScalar"):
-    rx, ry = x.ring, y.ring
-    if rx is ry:
-        return x, y
-    if rx.q != ry.q or rx.trace != ry.trace:
-        raise ValueError(f"cannot mix scalars from {rx} and {ry}")
-    m = rx.m * ry.m // gcd(rx.m, ry.m)
-    ring = get_curve_ring(rx.q, m, rx.trace)
-    return rx.lift_to(ring, x), ry.lift_to(ring, y)
 
 
 class CurveScalar:
@@ -298,8 +264,11 @@ class CurveScalar:
         return not self.is_zero()
 
     def _coerce(self, other):
+        """(self, other) over one ring, or None if other is not a ring element."""
         if isinstance(other, CurveScalar):
-            return _common_ring(self, other)
+            if other.ring is not self.ring:
+                raise ValueError(f"cannot mix scalars from {self.ring} and {other.ring}")
+            return self, other
         if isinstance(other, (int, Fraction)):
             return self, self.ring.from_fraction(other)
         return None

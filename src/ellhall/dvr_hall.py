@@ -3,10 +3,14 @@
 Isomorphism classes are partitions (I_lambda = direct sum of t-power
 quotients).  Hall numbers are computed by brute-force enumeration of
 t-stable subspaces in row-reduced form, so every structure constant at a
-concrete prime power is an honest count.  On top of that sit the
-automorphism counts, the Green pairing, the coproduct, the primitive
-elements F_r, and the bialgebra bridge to symmetric functions determined
-by sending the full elementary module of rank r to u^{r(r-1)} e_r.
+concrete prime power is an honest count; the types of a submodule and its
+quotient are read off the ranks dim t^j.  :func:`hall_products` tabulates
+g^lam_{mu nu}(q) once per (mu, nu, q) and is the only source of product
+structure constants, here and in the global torsion algebra of
+:mod:`ellhall.autoforms`.  On top of that sit the automorphism counts, the
+Green pairing, the coproduct, the primitive elements F_r, and the
+bialgebra bridge to symmetric functions determined by sending the full
+elementary module of rank r to u^{r(r-1)} e_r.
 """
 
 from __future__ import annotations
@@ -95,30 +99,9 @@ def aut_count_bruteforce(lam, q: int) -> int:
                     break
             if not commutes:
                 break
-        if commutes and _det_nonzero(M, F):
+        if commutes and _rank_int(M, F) == m:
             count += 1
     return count
-
-
-def _det_nonzero(M, F) -> bool:
-    m = len(M)
-    A = [list(r) for r in M]
-    for c in range(m):
-        piv = None
-        for r in range(c, m):
-            if A[r][c]:
-                piv = r
-                break
-        if piv is None:
-            return False
-        A[c], A[piv] = A[piv], A[c]
-        inv = F.inv[A[c][c]]
-        A[c] = [F.mul[inv][v] for v in A[c]]
-        for r in range(m):
-            if r != c and A[r][c]:
-                f = A[r][c]
-                A[r] = [F.sub[a][F.mul[f][b]] for a, b in zip(A[r], A[c])]
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +147,7 @@ def _shift_map(lam):
 # submodule enumeration
 
 
-DEFAULT_SUBSPACE_BUDGET = 300_000
+SUBSPACE_BUDGET = 300_000
 
 
 def _rref_matrices(m: int, r: int, q: int):
@@ -225,103 +208,55 @@ def _rank_int(rows, F):
     return r
 
 
-def _module_type_of_nilpotent(mat, F) -> tuple:
-    """Partition of a nilpotent matrix acting on F_q^r (rows as images)."""
-    r = len(mat)
-    if r == 0:
-        return ()
-    kers = [0]
-    power = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    j = 0
-    while kers[-1] < r:
-        j += 1
-        power = [[_matdot(power, mat, i, c, F) for c in range(r)] for i in range(r)]
-        kers.append(r - _rank_int(power, F))
-        if j > r:
-            raise AssertionError("matrix is not nilpotent")
-    cols = [kers[i + 1] - kers[i] for i in range(len(kers) - 1)]
-    return conjugate(tuple(sorted((c for c in cols if c), reverse=True)))
+def _type_from_dims(dims) -> tuple:
+    """Type of a t-module X from dims[j] = dim t^j X, j = 0, 1, ...
 
-
-def _matdot(A, B, i, c, F):
-    total = 0
-    for k in range(len(B)):
-        if A[i][k] and B[k][c]:
-            total = F.add[total][F.mul[A[i][k]][B[k][c]]]
-    return total
+    dim t^(j-1) X - dim t^j X is the number of parts >= j, so the type is
+    the conjugate of the successive drops (Macdonald, ch. II.1).
+    """
+    if dims[-1]:
+        raise IdentityMismatch(f"dim t^j X = {dims[-1]} after {len(dims) - 1} steps")
+    return conjugate(tuple(a - b for a, b in zip(dims, dims[1:])))
 
 
 @lru_cache(maxsize=None)
-def submodule_census(lam: tuple, q: int, budget: int = DEFAULT_SUBSPACE_BUDGET):
+def submodule_census(lam: tuple, q: int):
     """All t-stable subspaces of I_lambda, classified by (quotient, sub) type.
 
-    Returns {(mu, nu): count} with nu the type of the submodule and mu the
-    type of the quotient.
+    Returns {(mu, nu): count} with nu the type of the submodule N and mu the
+    type of the quotient M/N, both read off ranks: dim t^j N is the rank of
+    t^j applied to a basis of N, and dim t^j(M/N) = rank(t^j M + N) - dim N,
+    where t^j M is spanned by the basis vectors at depth >= j in their block.
     """
     m = sum(lam)
     F = _gf(q)
     T = _shift_map(lam)
+    depth = [j for part in lam for j in range(part)]
+    units = [tuple(int(i == k) for i in range(m)) for k in range(m)]
+    steps = lam[0] if lam else 0
     est = _subspace_count_estimate(m, q)
-    if est > budget:
+    if est > SUBSPACE_BUDGET:
         raise ValueError(
             f"subspace enumeration for |lambda|={m}, q={q} needs ~{est} "
-            f"candidates, over budget {budget}")
+            f"candidates, over budget {SUBSPACE_BUDGET}")
     census: dict[tuple, int] = {}
     for r in range(m + 1):
         for pivots, rows in _rref_matrices(m, r, q):
-            stable = True
-            for row in rows:
-                img = _apply_shift(row, T, F)
-                if any(_reduce_vector(img, pivots, rows, F)):
-                    stable = False
-                    break
-            if not stable:
+            images = [_apply_shift(row, T, F) for row in rows]
+            if any(any(_reduce_vector(img, pivots, rows, F)) for img in images):
                 continue
-            # type of the submodule: t restricted to the row space
-            tn = []
-            for row in rows:
-                img = _apply_shift(row, T, F)
-                coords = _coordinates(img, pivots, rows, F)
-                tn.append(coords)
-            nu = _module_type_of_nilpotent(tn, F)
-            # type of the quotient: kernels of t^j on M/N
-            mu = _quotient_type(lam, pivots, rows, T, F)
-            key = (mu, nu)
+            sub_dims = [r]
+            while sub_dims[-1] and len(sub_dims) <= steps:
+                sub_dims.append(_rank_int(images, F))
+                images = [_apply_shift(v, T, F) for v in images]
+            quot_dims = [m - r]
+            while quot_dims[-1] and len(quot_dims) <= steps:
+                j = len(quot_dims)
+                deep = [units[k] for k in range(m) if depth[k] >= j]
+                quot_dims.append(_rank_int(rows + deep, F) - r)
+            key = (_type_from_dims(quot_dims), _type_from_dims(sub_dims))
             census[key] = census.get(key, 0) + 1
     return census
-
-
-def _coordinates(vec, pivots, rows, F):
-    v = list(vec)
-    coords = []
-    for i, p in enumerate(pivots):
-        c = v[p]
-        coords.append(c)
-        if c:
-            row = rows[i]
-            v = [F.sub[a][F.mul[c][b]] for a, b in zip(v, row)]
-    if any(v):
-        raise IdentityMismatch("vector not in the subspace")
-    return coords
-
-
-def _quotient_type(lam, pivots, rows, T, F) -> tuple:
-    m = sum(lam)
-    r = len(rows)
-    kers = [0]
-    # basis images under t^j, reduced mod the subspace
-    cur = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    j = 0
-    while kers[-1] < m - r:
-        j += 1
-        cur = [_apply_shift(v, T, F) for v in cur]
-        reduced = [_reduce_vector(v, pivots, rows, F) for v in cur]
-        rk = _rank_int(reduced, F) if any(any(v) for v in reduced) else 0
-        kers.append(m - rk - r)
-        if j > m:
-            raise AssertionError("quotient type runaway")
-    cols = [kers[i + 1] - kers[i] for i in range(len(kers) - 1)]
-    return conjugate(tuple(sorted((c for c in cols if c), reverse=True)))
 
 
 def _subspace_count_estimate(m: int, q: int) -> int:
@@ -334,12 +269,27 @@ def _subspace_count_estimate(m: int, q: int) -> int:
     return total
 
 
-def hall_number(lam, mu, nu, q: int, budget: int = DEFAULT_SUBSPACE_BUDGET) -> int:
+def hall_number(lam, mu, nu, q: int) -> int:
     """Number of submodules N of I_lambda with N = I_nu and I_lambda/N = I_mu."""
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     if sum(mu) + sum(nu) != sum(lam):
         raise ValueError("sizes must satisfy |mu| + |nu| = |lambda|")
-    return submodule_census(lam, q, budget).get((mu, nu), 0)
+    return submodule_census(lam, q).get((mu, nu), 0)
+
+
+@lru_cache(maxsize=None)
+def hall_products(mu: tuple, nu: tuple, q: int) -> dict:
+    """{lam: g} with g = g^lam_{mu nu}(q) > 0: [I_mu][I_nu] = sum g [I_lam].
+
+    The one table of product structure constants, read off the census of
+    each lam; callers share the cached dict and must not change it.
+    """
+    out = {}
+    for lam in partitions(sum(mu) + sum(nu)):
+        g = submodule_census(lam, q).get((mu, nu))
+        if g:
+            out[lam] = g
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +303,12 @@ class DvrHallAlgebra:
     scalars live in Q(sqrt(q_loc)) and u_loc = 1/sqrt(q_loc).
     """
 
-    def __init__(self, q_loc: int, ring=None, u_loc=None,
-                 budget: int = DEFAULT_SUBSPACE_BUDGET):
+    def __init__(self, q_loc: int, ring=None, u_loc=None):
         self.q = q_loc
         self.ring = ring if ring is not None else get_curve_ring(q_loc, 1)
         self.u = u_loc if u_loc is not None else self.ring.nu
         if self.u ** -2 != self.ring.from_int(q_loc):
             raise IdentityMismatch("u_loc must square to 1/q_loc")
-        self.budget = budget
         self.one = DvrHallElement(self, {(): self.ring.one})
         self.zero = DvrHallElement(self, {})
         self._iso_cache: dict[int, dict] = {}
@@ -378,11 +326,9 @@ class DvrHallAlgebra:
         for mu, cm in A.terms.items():
             for nu, cn in B.terms.items():
                 c = cm * cn
-                for lam in partitions(sum(mu) + sum(nu)):
-                    g = hall_number(lam, mu, nu, self.q, self.budget)
-                    if g:
-                        v = c * g
-                        out[lam] = out[lam] + v if lam in out else v
+                for lam, g in hall_products(mu, nu, self.q).items():
+                    v = c * g
+                    out[lam] = out[lam] + v if lam in out else v
         return DvrHallElement(self, out)
 
     def coproduct(self, A: "DvrHallElement") -> dict:
@@ -390,7 +336,7 @@ class DvrHallAlgebra:
         out: dict = {}
         for lam, c in A.terms.items():
             a_lam = aut_count(lam, self.q)
-            for (mu, nu), g in submodule_census(lam, self.q, self.budget).items():
+            for (mu, nu), g in submodule_census(lam, self.q).items():
                 w = Fraction(g * aut_count(mu, self.q) * aut_count(nu, self.q), a_lam)
                 v = c * w
                 key = (mu, nu)
@@ -440,21 +386,21 @@ class DvrHallAlgebra:
 
     # -- bridge to symmetric functions ----------------------------------
 
+    def _e_product(self, mu) -> "DvrHallElement":
+        """E_mu = u^{-sum mu_i(mu_i - 1)} prod [I_(1^mu_i)], the image of e_mu."""
+        prod_elem = self.one
+        for part in mu:
+            prod_elem = self.multiply(prod_elem, self.basis_element((1,) * part))
+        return prod_elem.scale(self.u ** (-sum(p * (p - 1) for p in mu)))
+
     def _e_images(self, degree: int) -> dict:
         """For each partition lam of degree: expansion of [I_lam] over the
-        products E_mu = u^{-sum mu_i(mu_i - 1)} prod [I_(1^mu_i)]."""
+        products E_mu."""
         cached = self._iso_cache.get(degree)
         if cached is not None:
             return cached
         parts = list(partitions(degree))
-        e_products = {}
-        for mu in parts:
-            prod_elem = self.one
-            for part in mu:
-                prod_elem = self.multiply(
-                    prod_elem, self.basis_element((1,) * part))
-            scale = self.u ** (-sum(p * (p - 1) for p in mu))
-            e_products[mu] = prod_elem.scale(scale)
+        e_products = {mu: self._e_product(mu) for mu in parts}
         # matrix rows indexed by mu, columns by lam
         mat = [[e_products[mu].terms.get(lam, self.ring.zero) for lam in parts]
                for mu in parts]
@@ -484,12 +430,7 @@ class DvrHallAlgebra:
                 e_exp = _p_in_e(part)
                 piece = self.zero
                 for mu, w in e_exp.items():
-                    prod_elem = self.one
-                    for m in mu:
-                        prod_elem = self.multiply(
-                            prod_elem, self.basis_element((1,) * m))
-                    scale = self.u ** (-sum(p * (p - 1) for p in mu))
-                    piece = piece + prod_elem.scale(scale * w)
+                    piece = piece + self._e_product(mu).scale(w)
                 elem = self.multiply(elem, piece)
             total = total + elem.scale(c)
         return total

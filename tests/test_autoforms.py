@@ -38,7 +38,7 @@ class TestPointGenerators:
     def test_degree_two_coefficients(self, ctx, e1):
         x = e1.closed_points(1)[0]
         got = T0r_at_point(ctx, 2, x)
-        half = ctx.v_integer(2) * Fraction(1, 2)
+        half = ctx.ring.nu_integer(2) * Fraction(1, 2)
         want = (ctx.monomial([(x, (2,))], half)
                 + ctx.monomial([(x, (1, 1))], half * (1 - 2)))
         assert got == want
@@ -239,7 +239,7 @@ class TestT0NEigenvalue:
         rho = primitive_orbits(e1, 1)[0]
         assert hecke_T0N_eigenvalue(ctx, rho, rho.norm_to(1), 1) == ctx.ring.from_int(3)
         v2 = hecke_T0N_eigenvalue(ctx, rho, rho.norm_to(2), 2)
-        assert v2 == ctx.v_integer(2) * Fraction(9, 2)
+        assert v2 == ctx.ring.nu_integer(2) * Fraction(9, 2)
 
     def test_wrong_character_vanishes(self, ctx, e1):
         rho = primitive_orbits(e1, 1)[0]

@@ -117,11 +117,15 @@ class TestMainEntry:
         assert rc == 0
         assert "counts-match-trace-recursion" in out
 
-    def test_singular_exit_two(self, tmp_path):
-        p = tmp_path / "sing.curve"
-        p.write_text("q=2\n")
+    @pytest.mark.parametrize("text", ["q=2\n", "q=1000003\na3=1\n"],
+                             ids=["singular", "field-over-budget"])
+    def test_bad_curve_exit_two(self, tmp_path, text, capsys):
+        p = tmp_path / "bad.curve"
+        p.write_text(text)
         rc, _ = self.run_main(["--curve", str(p), "curve-info"])
         assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_file_exit_two(self):
         rc, _ = self.run_main(["--curve", "/nonexistent.curve", "curve-info"])

@@ -1,6 +1,8 @@
+import json
 import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,10 +10,12 @@ import pytest
 
 from ellhall.dvr_hall import (DvrHallAlgebra, _gf, aut_count,
                               aut_count_bruteforce, conjugate, e_monomial,
-                              hall_number, p_monomial, partitions,
-                              submodule_census)
+                              hall_number, hall_products, p_monomial,
+                              partitions, submodule_census)
+from ellhall.verification import check_hall_numbers, check_macdonald_bridge
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+DATA = Path(__file__).resolve().parent / "data"
 
 H2 = DvrHallAlgebra(2)
 H3 = DvrHallAlgebra(3)
@@ -42,7 +46,7 @@ class TestHallNumbers:
 
     def test_budget(self):
         with pytest.raises(ValueError):
-            submodule_census((1,) * 12, 4, budget=1000)
+            submodule_census((1,) * 12, 4)
 
     def test_census_symmetric(self):
         # g^lambda_{mu nu} = g^lambda_{nu mu} (commutative single point)
@@ -70,6 +74,62 @@ class TestHallNumbers:
                     total += w
                 return total
             assert predict(5) == vals[5], (lam, mu, nu, vals)
+
+
+def test_census_pinned():
+    # tests/data/census.json holds the census of every |lambda| <= 5 at
+    # q = 2, 3 and every |lambda| <= 3 at q = 4, as [mu, nu, count] rows
+    # sorted, from the earlier census that classified N by the nilpotent
+    # matrix of t on N and M/N by the kernels of t^j
+    cases = json.loads((DATA / "census.json").read_text())
+    assert len(cases) == 45
+    for case in cases:
+        census = submodule_census(tuple(case["lam"]), case["q"])
+        rows = sorted([list(mu), list(nu), g] for (mu, nu), g in census.items())
+        assert rows == case["census"], (case["lam"], case["q"])
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_hall_products_equal_scan(q):
+    # the table holds exactly the nonzero g^lam_{mu nu}, in partition order
+    for total in range(6):
+        for size in range(total + 1):
+            for mu in partitions(size):
+                for nu in partitions(total - size):
+                    scan = [(lam, hall_number(lam, mu, nu, q))
+                            for lam in partitions(total)]
+                    want = [(lam, g) for lam, g in scan if g]
+                    assert list(hall_products(mu, nu, q).items()) == want
+
+
+@contextmanager
+def _hall_number_off_by_one(lam, mu, nu, q):
+    """g^lam_{mu nu}(q) + 1 everywhere it is read, until the block exits."""
+    submodule_census(lam, q)[(mu, nu)] += 1
+    hall_products.cache_clear()
+    try:
+        yield
+    finally:
+        submodule_census.cache_clear()
+        hall_products.cache_clear()
+
+
+@pytest.mark.parametrize("fault, caught_by", [
+    (((1, 1), (1,), (1,), 2), "macdonald-bridge"),
+    (((2, 1), (1,), (2,), 2), "hall-number-oracle"),
+], ids=["g11_1_1", "g21_1_2"])
+def test_hall_number_fault_fails_a_check(fault, caught_by):
+    # which reduced-budget check catches which single wrong Hall number;
+    # the other check still passes at its reduced scale ("skip")
+    checks = (lambda: check_hall_numbers(max_total=3, qs=(2,), aut_max=1),
+              lambda: check_macdonald_bridge(rmax=3))
+    with _hall_number_off_by_one(*fault):
+        statuses = {r.name: r.status for r in (check() for check in checks)}
+    assert statuses == {name: "fail" if name == caught_by else "skip"
+                        for name in statuses}
+    # with the caches rebuilt both checks pass again
+    assert {check().status for check in checks} == {"skip"}
+    assert hall_number(*fault) == {(1, 1): 3, (2, 1): 2}[fault[0]]
 
 
 class TestAutCounts:

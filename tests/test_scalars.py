@@ -146,14 +146,17 @@ class TestCurveRing:
         x = E1_RING.one + z * E1_RING.u
         assert x * x.inverse() == E1_RING.one
 
-    def test_mixed_m_coercion(self):
-        small = get_curve_ring(2, 3, 0)
-        big = get_curve_ring(2, 9, 0)
-        a = small.zeta(3)
-        b = big.zeta(9)
-        prod = a * b
-        assert prod.ring.m == 9
-        assert prod == big.zeta(9, 4)
+    def test_mixed_m_rejected(self):
+        # zeta_3 in M = 3 and zeta_9^3 in M = 9 are the same number, but
+        # scalars of two rings never mix, so equality cannot disagree with
+        # hashing
+        a = get_curve_ring(2, 3, 0).zeta(3)
+        b = get_curve_ring(2, 9, 0).zeta(9, 3)
+        for op in (lambda: a * b, lambda: a + b, lambda: a - b,
+                   lambda: a / b, lambda: a == b):
+            with pytest.raises(ValueError):
+                op()
+        assert b not in {a}
 
     def test_square_q_degenerates(self):
         ring = get_curve_ring(4, 1)
