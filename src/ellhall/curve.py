@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from .cyclotomic import get_curve_ring
+from .cyclotomic import frobenius_trace, get_curve_ring
 from .finitefield import factor_prime_power, get_field
 from .scalars import TruncatedSeries
 
@@ -54,7 +54,6 @@ class CurveData:
         if self._discriminant(base).is_zero():
             raise ValueError("singular curve: discriminant vanishes")
         self.trace = q + 1 - len(base.points)
-        self._traces = [2, self.trace]  # t_n, extended by _trace_at
 
     @staticmethod
     def _discriminant(level):
@@ -89,15 +88,8 @@ class CurveData:
         """#X(F_{q^n}) by enumeration (cheap levels are cached)."""
         return len(self.points(n))
 
-    def _trace_at(self, n: int) -> int:
-        """t_n = a t_{n-1} - q t_{n-2} with t_0 = 2, t_1 = a, memoized."""
-        t = self._traces
-        while len(t) <= n:
-            t.append(self.trace * t[-1] - self.q * t[-2])
-        return t[n]
-
     def count_via_trace(self, n: int) -> int:
-        return self.q ** n + 1 - self._trace_at(n)
+        return self.q ** n + 1 - frobenius_trace(self.q, self.trace, n)
 
     # -- group law ----------------------------------------------------------
 
@@ -287,7 +279,7 @@ class CurveData:
     def zeta_series(self, n: int, order: int) -> list[Fraction]:
         """Coefficients of zeta_{X_n}(t) up to t^order, exactly."""
         qn = self.q ** n
-        num = [Fraction(1), Fraction(-self._trace_at(n)), Fraction(qn)]
+        num = [Fraction(1), Fraction(-frobenius_trace(self.q, self.trace, n)), Fraction(qn)]
 
         def geo(j):
             # 1/((1-t)(1-qn t)) = sum_j (qn^{j+1}-1)/(qn-1) t^j
@@ -299,7 +291,7 @@ class CurveData:
     def zeta_rational(self, n: int):
         """((1 - a_n t + q^n t^2), (1 - t)(1 - q^n t)) coefficient lists."""
         qn = self.q ** n
-        return [1, -self._trace_at(n), qn], [1, -(1 + qn), qn]
+        return [1, -frobenius_trace(self.q, self.trace, n), qn], [1, -(1 + qn), qn]
 
     def zeta_truncated(self, n: int, order: int) -> TruncatedSeries:
         return TruncatedSeries(

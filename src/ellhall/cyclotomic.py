@@ -23,6 +23,7 @@ is the same homomorphism applied to an exact value.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 
@@ -59,6 +60,16 @@ def _polydiv_exact(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None)
+def frobenius_trace(q: int, a: int, n: int) -> int:
+    """t_n = a t_{n-1} - q t_{n-2}, t_0 = 2, t_1 = a: the trace of the n-th
+    power of Frobenius on a curve over F_q of trace a."""
+    t0, t1 = 2, a
+    for _ in range(n):
+        t0, t1 = t1, a * t1 - q * t0
+    return t0
+
+
 _RING_CACHE: dict = {}
 
 
@@ -75,18 +86,15 @@ class _TraceRing:
     """Structure constants specialized at a curve, in ring arithmetic only.
 
     Shared by :class:`CurveRing` and its images :class:`FpRing`; a subclass
-    sets ``q``, ``trace``, ``nu``, ``from_fraction``, ``_trace_powers`` and
-    an empty dict ``_nu_integers``, the memo of :meth:`nu_integer`.
+    sets ``q``, ``trace``, ``nu``, ``from_fraction`` and an empty dict
+    ``_nu_integers``, the memo of :meth:`nu_integer`.
     """
 
     def point_count(self, i: int) -> int:
-        """#X(F_{q^i}) from the cached trace by the two-term recursion."""
+        """#X(F_{q^i}) from the attached trace by :func:`frobenius_trace`."""
         if self.trace is None:
             raise ValueError("ring has no Frobenius trace attached")
-        t = self._trace_powers
-        while len(t) <= i:
-            t.append(self.trace * t[-1] - self.q * t[-2])
-        return self.q ** i + 1 - t[i]
+        return self.q ** i + 1 - frobenius_trace(self.q, self.trace, i)
 
     def nu_integer(self, r: int) -> "CurveScalar | FpScalar":
         """The nu-integer [r] = (nu^r - nu^-r)/(nu - nu^-1); [1] = 1."""
@@ -163,7 +171,6 @@ class CurveRing(_TraceRing):
         self.nu = self.u.inverse()
         # conjugation matrix: zeta^k -> zeta^(-k)
         self._conj_rows = [self._zeta_powers[(m - k) % m] for k in range(self.degree)]
-        self._trace_powers = [2, trace] if trace is not None else None
         self._nu_integers = {}
 
     # -- constructors ---------------------------------------------------
@@ -436,7 +443,6 @@ class FpRing(_TraceRing):
         self.one = FpScalar(self, 1)
         self.u = FpScalar(self, u_img % p)
         self.nu = self.u.inverse()
-        self._trace_powers = [2, ring.trace] if ring.trace is not None else None
         self._nu_integers = {}
 
     def residue(self, x) -> int:

@@ -1,6 +1,6 @@
 """Small exact linear algebra helpers over the package's coefficient rings.
 
-Field elements only need +, -, *, inverse()/true division and is_zero().
+Field elements only need +, -, *, inverse() and is_zero().
 Also provides a fast rank certificate over F_p for independence proofs:
 full rank of an integer-reduced matrix mod p implies full rank over any
 characteristic-zero field the entries were reduced from.
@@ -24,8 +24,7 @@ def invert_matrix(rows, one):
         if piv is None:
             raise ValueError("matrix is singular")
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse() if hasattr(aug[col][col], "inverse") \
-            else 1 / aug[col][col]
+        inv = aug[col][col].inverse()
         aug[col] = [v * inv for v in aug[col]]
         for r in range(n):
             if r != col and not aug[r][col].is_zero():

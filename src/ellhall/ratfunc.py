@@ -10,120 +10,18 @@ with ``coef`` a Fraction, ``num``/``den`` primitive integer polynomials
 (integer content 1, positive leading coefficient under graded-lex, not
 divisible by s or sb) and gcd(num, den) = 1.
 
-Polynomials are sparse dicts {(i, j): int}.  GCDs are computed by a
-primitive subresultant-style PRS, recursing through Z[s][sb].
+Polynomials are sparse dicts {(i, j): int}, the coefficient of s^i sb^j.
+GCDs come from evaluating at integers and lifting the integer gcd back
+(``_gcd``), each candidate certified by exact division (``bdivexact``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, isqrt
 
-
-# ---------------------------------------------------------------------------
-# univariate integer polynomials: sparse dicts {exp: int}
-
-
-def _udeg(a):
-    return max(a) if a else -1
-
-
-def _uadd(a, b):
-    r = dict(a)
-    for e, c in b.items():
-        s = r.get(e, 0) + c
-        if s:
-            r[e] = s
-        else:
-            r.pop(e, None)
-    return r
-
-
-def _umul(a, b):
-    r = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            s = r.get(e, 0) + ca * cb
-            if s:
-                r[e] = s
-            else:
-                r.pop(e, None)
-    return r
-
-
-def _uscale(a, k):
-    if k == 0:
-        return {}
-    return {e: c * k for e, c in a.items()}
-
-
-def _ucontent(a):
-    g = 0
-    for c in a.values():
-        g = gcd(g, abs(c))
-        if g == 1:
-            break
-    return g
-
-
-def _uprim(a):
-    g = _ucontent(a)
-    if a and a[_udeg(a)] < 0:
-        g = -g
-    if g in (0, 1):
-        return dict(a)
-    return {e: c // g for e, c in a.items()}
-
-
-def _udivexact(a, b):
-    """Exact division of integer polynomials; raises if not exact."""
-    if not a:
-        return {}
-    a = dict(a)
-    db, lb = _udeg(b), b[_udeg(b)]
-    q = {}
-    while a:
-        da = _udeg(a)
-        if da < db:
-            raise ArithmeticError("inexact univariate division")
-        la = a[da]
-        if la % lb:
-            raise ArithmeticError("inexact univariate division")
-        c = la // lb
-        q[da - db] = c
-        for e, cb in b.items():
-            s = a.get(e + da - db, 0) - c * cb
-            if s:
-                a[e + da - db] = s
-            else:
-                a.pop(e + da - db, None)
-    return q
-
-
-def _ugcd(a, b):
-    """Primitive-PRS gcd over Z; result primitive with positive lead."""
-    a, b = _uprim(a), _uprim(b)
-    if not a:
-        return b
-    if not b:
-        return a
-    if _udeg(a) < _udeg(b):
-        a, b = b, a
-    while b:
-        # pseudo-remainder of a by b
-        r = dict(a)
-        db, lb = _udeg(b), b[_udeg(b)]
-        while r and _udeg(r) >= db:
-            dr = _udeg(r)
-            lr = r[dr]
-            r = _uadd(_uscale(r, lb), _uscale({e + dr - db: c for e, c in b.items()}, -lr))
-        a, b = b, _uprim(r)
-    return _uprim(a)
-
-
-# ---------------------------------------------------------------------------
-# bivariate integer polynomials: sparse dicts {(i, j): int}
+_ONE_POLY = {(0, 0): 1}
 
 
 def badd(a, b):
@@ -167,297 +65,162 @@ def _blead(a):
     return max(a, key=lambda m: (m[0] + m[1], m[0]))
 
 
-def _bcontent_int(a):
-    g = 0
-    for c in a.values():
-        g = gcd(g, abs(c))
-        if g == 1:
-            break
-    return g
-
-
-def _to_rec(a):
-    """View {(i,j): c} as {j: s-poly}."""
-    r = {}
-    for (i, j), c in a.items():
-        r.setdefault(j, {})[i] = c
-    return r
-
-
-def _from_rec(r):
-    a = {}
-    for j, p in r.items():
-        for i, c in p.items():
-            a[(i, j)] = c
-    return a
-
-
-def _rec_scale(r, upoly):
-    return {j: _umul(p, upoly) for j, p in r.items()}
-
-
-def _rec_divexact(r, upoly):
-    return {j: _udivexact(p, upoly) for j, p in r.items()}
-
-
-def _rec_add(r1, r2):
-    out = {j: dict(p) for j, p in r1.items()}
-    for j, p in r2.items():
-        s = _uadd(out.get(j, {}), p)
-        if s:
-            out[j] = s
-        else:
-            out.pop(j, None)
-    return out
-
-
-def _rec_content(r):
-    g = {}
-    for p in r.values():
-        g = _ugcd(g, p)
-        if _udeg(g) == 0 and g.get(0) == 1:
-            break
-    return g
-
-
-def _rec_prim(r):
-    g = _rec_content(r)
-    if _udeg(g) == 0 and g.get(0) == 1:
-        return r
-    return _rec_divexact(r, g)
-
-
-def _rec_prem(a, b):
-    """Pseudo-remainder in the sb variable with coefficients in Z[s]."""
-    db = max(b)
-    lb = b[db]
-    r = {j: dict(p) for j, p in a.items()}
-    while r and max(r) >= db:
-        dr = max(r)
-        lr = r[dr]
-        shifted = {j + dr - db: _umul(p, _uscale(lr, -1)) for j, p in b.items()}
-        r = _rec_add(_rec_scale(r, lb), shifted)
-    return r
-
-
-def _bgcd_prs(a, b):
-    """Primitive-PRS gcd (fallback path); inputs nonzero, non-monomial."""
-    ca, cb = _bcontent_int(a), _bcontent_int(b)
-    ra = _to_rec({m: c // ca for m, c in a.items()})
-    rb = _to_rec({m: c // cb for m, c in b.items()})
-    conta, contb = _rec_content(ra), _rec_content(rb)
-    ra, rb = _rec_divexact(ra, conta), _rec_divexact(rb, contb)
-    cont_g = _ugcd(conta, contb)
-    if max(ra) < max(rb):
-        ra, rb = rb, ra
-    while rb:
-        if max(rb) == 0:
-            # common divisor must divide an sb-free primitive part
-            rb = {}
-            ra = {0: {0: 1}}
-            break
-        r = _rec_prem(ra, rb)
-        ra, rb = rb, _rec_prim(r)
-    prim_g = _from_rec(ra)
-    g = bmul(prim_g, _from_rec({0: cont_g}))
-    ig = _bcontent_int(g)
-    if ig > 1:
-        g = {m: c // ig for m, c in g.items()}
-    return _bposlead(g)
-
-
-def _beval_sb(a, xi):
-    """Evaluate sb := xi, returning a univariate dict over s."""
-    r = {}
-    for (i, j), c in a.items():
-        r[i] = r.get(i, 0) + c * xi ** j
-    return {i: c for i, c in r.items() if c}
-
-
-def _ueval(a, eta):
-    v = 0
-    for e, c in a.items():
-        v += c * eta ** e
-    return v
-
-
-def _udigits(n, eta, maxexp):
-    """Symmetric base-eta digit expansion of an integer."""
-    digs = {}
-    e = 0
-    while n:
-        if e > maxexp:
-            return None
-        d = n % eta
-        if d > eta // 2:
-            d -= eta
-        if d:
-            digs[e] = d
-        n = (n - d) // eta
-        e += 1
-    return digs
-
-
-def _ugcd_heu(a, b):
-    """Heuristic univariate gcd over Z via integer evaluation; None on failure.
-
-    A candidate passing both exact divisions is a common divisor but may a
-    priori be non-maximal, so the caller recurses on the cofactors.
-    """
-    bound = max(max(abs(c) for c in a.values()), max(abs(c) for c in b.values()))
-    eta = 2 * bound + 29
-    dmax = min(_udeg(a), _udeg(b))
-    for _ in range(4):
-        g = gcd(_ueval(a, eta), _ueval(b, eta))
-        cand = _udigits(g, eta, dmax)
-        if cand is not None and cand:
-            cand = _uprim(cand)
-            try:
-                qa = _udivexact(a, cand)
-                qb = _udivexact(b, cand)
-            except ArithmeticError:
-                pass
-            else:
-                if _udeg(cand) > 0:
-                    extra = ugcd(qa, qb)
-                    if _udeg(extra) > 0:
-                        cand = _umul(cand, extra)
-                return cand
-        eta = eta * 3 + 7
-    return None
-
-
-def ugcd(a, b):
-    if not a:
-        return _uprim(b)
-    if not b:
-        return _uprim(a)
-    if len(a) == 1 or len(b) == 1:
-        return {min(_trail(a), _trail(b)): gcd(_ucontent(a), _ucontent(b))}
-    g = _ugcd_heu(a, b)
-    if g is not None:
-        return g
-    return _ugcd(a, b)
-
-
-def _trail(a):
-    return min(a)
-
-
-def _bgcd_heu(a, b):
-    """Heuristic bivariate gcd via sb := xi collapse; None on failure."""
-    bound = max(max(abs(c) for c in a.values()), max(abs(c) for c in b.values()))
-    xi = 2 * bound + 29
-    jmax = min(max(j for _, j in a), max(j for _, j in b))
-    for _ in range(4):
-        a1 = _beval_sb(a, xi)
-        b1 = _beval_sb(b, xi)
-        if not a1 or not b1:
-            xi = xi * 3 + 7
-            continue
-        g1 = ugcd(a1, b1) if (len(a1) > 1 and len(b1) > 1) else (
-            {min(_trail(a1), _trail(b1)): gcd(_ucontent(a1), _ucontent(b1))})
-        # lift the univariate gcd back through base-xi digits
-        cand = {}
-        p = dict(g1)
-        e = 0
-        ok = True
-        while p:
-            if e > jmax:
-                ok = False
-                break
-            rem = {}
-            nxt = {}
-            for i, c in p.items():
-                d = c % xi
-                if d > xi // 2:
-                    d -= xi
-                if d:
-                    rem[i] = d
-                q = (c - d) // xi
-                if q:
-                    nxt[i] = q
-            for i, d in rem.items():
-                cand[(i, e)] = d
-            p = nxt
-            e += 1
-        if ok and cand:
-            ig = _bcontent_int(cand)
-            if ig > 1:
-                cand = {m: c // ig for m, c in cand.items()}
-            cand = _bposlead(cand)
-            try:
-                qa = bdivexact(a, cand)
-                qb = bdivexact(b, cand)
-            except ArithmeticError:
-                pass
-            else:
-                if len(cand) > 1 or _blead(cand) != (0, 0):
-                    # certified common divisor; maximality via cofactors
-                    extra = bgcd(qa, qb)
-                    if len(extra) > 1 or _blead(extra) != (0, 0):
-                        cand = _bposlead(bmul(cand, extra))
-                return cand
-        xi = xi * 3 + 7
-    return None
-
-
-def bgcd(a, b):
-    """GCD of bivariate integer polynomials, primitive, positive lead."""
-    if not a:
-        return _bposlead(dict(b))
-    if not b:
-        return _bposlead(dict(a))
-    if len(a) == 1 or len(b) == 1:
-        # monomial fast path
-        mi = min(min(i for i, _ in a), min(i for i, _ in b))
-        mj = min(min(j for _, j in a), min(j for _, j in b))
-        g = gcd(_bcontent_int(a), _bcontent_int(b))
-        return {(mi, mj): g}
-    if a == b:
-        ig = _bcontent_int(a)
-        return _bposlead({m: c // ig for m, c in a.items()} if ig > 1 else dict(a))
-    g = _bgcd_heu(a, b)
-    if g is not None:
-        return g
-    return _bgcd_prs(a, b)
-
-
 def _bposlead(a):
     if a and a[_blead(a)] < 0:
         return bneg(a)
     return a
 
 
+def _content(a):
+    g = 0
+    for c in a.values():
+        g = gcd(g, c)
+        if g == 1:
+            break
+    return g
+
+
 def bdivexact(a, b):
-    """Exact bivariate division; raises ArithmeticError if not exact."""
-    if not a:
-        return {}
-    if len(b) == 1:
-        (bi, bj), bc = next(iter(b.items()))
-        out = {}
-        for (i, j), c in a.items():
-            if c % bc:
-                raise ArithmeticError("inexact bivariate division")
-            out[(i - bi, j - bj)] = c // bc
-        return out
-    ra = _to_rec(a)
-    rb = _to_rec(b)
-    db = max(rb)
-    lb = rb[db]
+    """The quotient a / b; ArithmeticError unless b divides a exactly.
+
+    Cancels the lex-leading term of the remainder (its monomials kept in a
+    heap) by the leading term of b, until nothing remains.
+    """
+    bm = max(b)
+    lb = b[bm]
+    rest = [(m, c) for m, c in b.items() if m != bm]
+    r = dict(a)
+    heap = [(-i, -j) for i, j in r]
+    heapify(heap)
     q = {}
-    while ra:
-        da = max(ra)
-        if da < db:
-            raise ArithmeticError("inexact bivariate division")
-        qc = _udivexact(ra[da], lb)
-        q[da - db] = qc
-        sub = {j + da - db: _umul(p, _uscale(qc, -1)) for j, p in rb.items()}
-        ra = _rec_add(ra, sub)
-    return _from_rec(q)
+    while heap:
+        i, j = heappop(heap)
+        c = r.pop((-i, -j), 0)
+        if not c:
+            continue
+        di, dj = -i - bm[0], -j - bm[1]
+        if di < 0 or dj < 0 or c % lb:
+            raise ArithmeticError("inexact polynomial division")
+        k = c // lb
+        q[(di, dj)] = k
+        for (bi, bj), cb in rest:
+            m = (bi + di, bj + dj)
+            v = r.get(m, 0) - k * cb
+            if not v:
+                del r[m]
+                continue
+            if m not in r:
+                heappush(heap, (-m[0], -m[1]))
+            r[m] = v
+    return q
 
 
-_ONE_POLY = {(0, 0): 1}
+def _divides(d, a):
+    try:
+        bdivexact(a, d)
+    except ArithmeticError:
+        return False
+    return True
+
+
+def _bound(a):
+    """A bound on every coefficient of every divisor of a in Z[s, sb].
+
+    Mahler: a divisor h has |h_ij| <= C(d, i) C(e, j) M(h) <= 2^(d+e) M(a),
+    d and e the partial degrees of a, and M(a) <= ||a||_2.
+    """
+    d = max(i for i, _ in a)
+    e = max(j for _, j in a)
+    return (isqrt(sum(c * c for c in a.values())) + 1) << (d + e)
+
+
+def _evaluate(a, v, xi):
+    """a with variable v (0: s, 1: sb) set to the integer xi."""
+    r = {}
+    for m, c in a.items():
+        k = (m[0], 0) if v else (0, m[1])
+        r[k] = r.get(k, 0) + c * xi ** m[v]
+    return {m: c for m, c in r.items() if c}
+
+
+def _lift(g, v, xi):
+    """The polynomial with balanced base-xi digits that _evaluate maps to g."""
+    half = xi // 2
+    out = {}
+    for m, c in g.items():
+        e = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[(m[0], e) if v else (e, m[1])] = d
+            c = (c - d) // xi
+            e += 1
+    return out
+
+
+def _gcd(a, b, v):
+    """The gcd in Z[s, sb], integer content included, of nonzero a and b in
+    which no variable above v occurs (v = 1: s and sb; v = 0: s alone).
+
+    The heuristic gcd of Char, Geddes and Gonnet (J. Symbolic Comput. 1989),
+    made exact.  With a and b primitive, v := xi maps them to polynomials
+    in the variables below v, whose gcd gamma comes from this function one
+    level down (integers at the bottom).  Its balanced base-xi digits are
+    lifted into powers of v; the primitive part G of the lift is accepted
+    once it divides a and b, and xi grows until one is.
+
+    An xi at which an image is 0 (v - xi divides a or b, so finitely many
+    xi) is skipped too.
+
+    An accepted G is the gcd g.  xi starts above 2N, where N (``_bound``)
+    bounds every coefficient of every common divisor of a and b.  Write
+    g = G H.  g(xi) divides gamma = k G(xi), k the integer content of the
+    lift, so H(xi) divides k: it is an integer, and |H(xi)| < xi/2 since k
+    divides the digits.  H and the constant H(xi) then both have balanced
+    digits and agree at xi, so H = H(xi), a constant dividing the
+    primitive g: H = +-1.
+
+    The loop ends.  Let A = a/g and B = b/g be the cofactors.  The gcd h of
+    A(xi) and B(xi) divides their resultant in v, a fixed nonzero
+    polynomial, so the coefficients of g h stay bounded as xi grows, and
+    past that bound the lift of gamma = g(xi) h is g h itself.  Its
+    primitive part is g whenever h is an integer, which fails only if xi
+    is the v-coordinate of one of the finitely many common zeros of A and B.
+    """
+    if len(a) == 1 or len(b) == 1:
+        # a monomial: the gcd is the largest monomial dividing both
+        mi = min(min(i for i, _ in a), min(i for i, _ in b))
+        mj = min(min(j for _, j in a), min(j for _, j in b))
+        return {(mi, mj): gcd(_content(a), _content(b))}
+    ca, cb = _content(a), _content(b)
+    a = {m: c // ca for m, c in a.items()}
+    b = {m: c // cb for m, c in b.items()}
+    xi = 2 * min(_bound(a), _bound(b)) + 1
+    while True:
+        ea, eb = _evaluate(a, v, xi), _evaluate(b, v, xi)
+        if ea and eb:
+            cand = _lift(_gcd(ea, eb, v - 1), v, xi)
+            k = _content(cand)
+            cand = {m: c // k for m, c in cand.items()}
+            if cand == _ONE_POLY or (_divides(cand, a) and _divides(cand, b)):
+                c = gcd(ca, cb)
+                return {m: c * x for m, x in cand.items()}
+        xi = 2 * xi + 1
+
+
+def bgcd(a, b):
+    """The gcd in Z[s, sb] of two polynomials, with positive graded-lex lead.
+
+    Its integer content is the gcd of theirs, so it is primitive when both
+    inputs are.
+    """
+    if not a or a == b:
+        return _bposlead(dict(b))
+    if not b:
+        return _bposlead(dict(a))
+    return _bposlead(_gcd(a, b, 1))
 
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -487,10 +250,10 @@ class FormalScalar:
             return _ZERO
         if not den:
             raise ZeroDivisionError("zero denominator")
-        cn = _bcontent_int(num)
+        cn = _content(num)
         if num[_blead(num)] < 0:
             cn = -cn
-        cd = _bcontent_int(den)
+        cd = _content(den)
         if den[_blead(den)] < 0:
             cd = -cd
         if cn != 1:

@@ -427,22 +427,6 @@ def check_theta_grouplike(ctx=None, d_max=3) -> CheckResult:
     return _result("theta-grouplike", ok, reduced, detail, t0)
 
 
-FULL_SUITE = [
-    ("point-counts-and-zeta", check_point_counts_and_zeta),
-    ("hall-number-oracle", check_hall_numbers),
-    ("macdonald-bridge", check_macdonald_bridge),
-    ("straightening-soundness", check_straightening),
-    ("functional-relations", check_functional_relations),
-    ("twisted-scalar-product", check_twisted_pairing),
-    ("hecke-action", check_hecke_action),
-    ("l-functions", check_l_functions),
-    ("cusp-form-census", check_cusp_census),
-    ("step2-cross-identity", check_step2_identity),
-    ("theta-grouplike", check_theta_grouplike),
-    ("twisted-average-independence", check_independence),
-]
-
-
 def run_verify_all(budget_degree=None, triples=None, seed=1234,
                    flip_relation_sign=False):
     """Run every check; budgets below full scale mark results as skip."""
