@@ -375,6 +375,9 @@ class CurveScalar:
         return x.a == y.a and x.b == y.b
 
     def __hash__(self):
+        if not any(self.b) and not any(self.a[1:]):
+            # a rational constant hashes as the Fraction it equals
+            return hash(self.a[0])
         return hash((self.ring.q, self.ring.m, self.a, self.b))
 
     def reduce_mod(self, p: int, zeta_img: int, u_img: int) -> int:
@@ -470,7 +473,12 @@ class FpRing(_TraceRing):
 
 
 class FpScalar:
-    """An element of an :class:`FpRing`, as its residue in [0, p)."""
+    """An element of an :class:`FpRing`, as its residue in [0, p).
+
+    It equals every int and Fraction with the same residue mod p, and those
+    hash differently, so hashing cannot agree with ``==`` on them: do not
+    look an FpScalar up in a dict keyed by ints, or the other way round.
+    """
 
     __slots__ = ("ring", "value")
 

@@ -13,6 +13,18 @@ divisible by s or sb) and gcd(num, den) = 1.
 Polynomials are sparse dicts {(i, j): int}, the coefficient of s^i sb^j.
 GCDs come from evaluating at integers and lifting the integer gcd back
 (``_gcd``), each candidate certified by exact division (``bdivexact``).
+``bcancel(a, b)`` returns the quotients of that certifying division,
+(a/g, b/g) with g = gcd(a, b) of positive lead, or None when g = 1, so a
+common factor is divided out once.
+
+A product of canonical fractions needs no reduction after the cross
+cancellation n1/d2 and n2/d1: by Gauss's lemma a product of primitive
+polynomials is primitive; graded-lex is a monomial order, so the lead of a
+product is the product of the leads, hence positive; s and sb are prime,
+so a product of factors free of them is free of them; and each of n1, n2
+is then coprime to each of d1, d2.  ``make`` finds the content, the sign
+of the lead and the least exponents of each input in one pass
+(``_canonical``).
 """
 
 from __future__ import annotations
@@ -22,17 +34,6 @@ from heapq import heapify, heappop, heappush
 from math import gcd, isqrt
 
 _ONE_POLY = {(0, 0): 1}
-
-
-def badd(a, b):
-    r = dict(a)
-    for m, c in b.items():
-        s = r.get(m, 0) + c
-        if s:
-            r[m] = s
-        else:
-            r.pop(m, None)
-    return r
 
 
 def bneg(a):
@@ -54,10 +55,19 @@ def bmul(a, b):
     return r
 
 
-def _bshift(a, di, dj):
-    if not di and not dj:
+def _bscale(a, k):
+    if k == 1:
         return a
-    return {(i + di, j + dj): c for (i, j), c in a.items()}
+    return {m: k * c for m, c in a.items()}
+
+
+def _bprod(a, b):
+    """bmul, handing back the other factor when one of them is 1."""
+    if a == _ONE_POLY:
+        return b
+    if b == _ONE_POLY:
+        return a
+    return bmul(a, b)
 
 
 def _blead(a):
@@ -78,6 +88,31 @@ def _content(a):
         if g == 1:
             break
     return g
+
+
+def _canonical(a):
+    """(p, k, i0, j0) with a = k s^i0 sb^j0 p and p canonical.
+
+    One pass over the terms of the Laurent polynomial a finds its integer
+    content k, signed as its graded-lex lead, and the least exponents i0, j0.
+    """
+    it = iter(a.items())
+    (i0, j0), lc = next(it)
+    li, ld, k = i0, i0 + j0, abs(lc)
+    for (i, j), c in it:
+        if k != 1:
+            k = gcd(k, c)
+        if i < i0:
+            i0 = i
+        if j < j0:
+            j0 = j
+        if i + j > ld or (i + j == ld and i > li):
+            ld, li, lc = i + j, i, c
+    if lc < 0:
+        k = -k
+    if k != 1 or i0 or j0:
+        a = {(i - i0, j - j0): c // k for (i, j), c in a.items()}
+    return a, k, i0, j0
 
 
 def bdivexact(a, b):
@@ -113,14 +148,6 @@ def bdivexact(a, b):
                 heappush(heap, (-m[0], -m[1]))
             r[m] = v
     return q
-
-
-def _divides(d, a):
-    try:
-        bdivexact(a, d)
-    except ArithmeticError:
-        return False
-    return True
 
 
 def _bound(a):
@@ -161,8 +188,9 @@ def _lift(g, v, xi):
 
 
 def _gcd(a, b, v):
-    """The gcd in Z[s, sb], integer content included, of nonzero a and b in
-    which no variable above v occurs (v = 1: s and sb; v = 0: s alone).
+    """(g, a/g, b/g) for the gcd g in Z[s, sb], integer content included, of
+    nonzero a and b in which no variable above v occurs (v = 1: s and sb;
+    v = 0: s alone).  The cofactors are the quotients that certify g.
 
     The heuristic gcd of Char, Geddes and Gonnet (J. Symbolic Comput. 1989),
     made exact.  With a and b primitive, v := xi maps them to polynomials
@@ -193,20 +221,29 @@ def _gcd(a, b, v):
         # a monomial: the gcd is the largest monomial dividing both
         mi = min(min(i for i, _ in a), min(i for i, _ in b))
         mj = min(min(j for _, j in a), min(j for _, j in b))
-        return {(mi, mj): gcd(_content(a), _content(b))}
+        k = gcd(_content(a), _content(b))
+        return ({(mi, mj): k},
+                {(i - mi, j - mj): c // k for (i, j), c in a.items()},
+                {(i - mi, j - mj): c // k for (i, j), c in b.items()})
     ca, cb = _content(a), _content(b)
+    k = gcd(ca, cb)
     a = {m: c // ca for m, c in a.items()}
     b = {m: c // cb for m, c in b.items()}
     xi = 2 * min(_bound(a), _bound(b)) + 1
     while True:
         ea, eb = _evaluate(a, v, xi), _evaluate(b, v, xi)
         if ea and eb:
-            cand = _lift(_gcd(ea, eb, v - 1), v, xi)
-            k = _content(cand)
-            cand = {m: c // k for m, c in cand.items()}
-            if cand == _ONE_POLY or (_divides(cand, a) and _divides(cand, b)):
-                c = gcd(ca, cb)
-                return {m: c * x for m, x in cand.items()}
+            cand = _lift(_gcd(ea, eb, v - 1)[0], v, xi)
+            if len(cand) == 1 and (0, 0) in cand:
+                return {(0, 0): k}, _bscale(a, ca // k), _bscale(b, cb // k)
+            kc = _content(cand)
+            cand = {m: c // kc for m, c in cand.items()}
+            try:
+                qa, qb = bdivexact(a, cand), bdivexact(b, cand)
+            except ArithmeticError:
+                pass
+            else:
+                return _bscale(cand, k), _bscale(qa, ca // k), _bscale(qb, cb // k)
         xi = 2 * xi + 1
 
 
@@ -220,12 +257,24 @@ def bgcd(a, b):
         return _bposlead(dict(b))
     if not b:
         return _bposlead(dict(a))
-    return _bposlead(_gcd(a, b, 1))
+    return _bposlead(_gcd(a, b, 1)[0])
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(gcd(a.numerator * b.denominator, b.numerator * a.denominator),
-                    a.denominator * b.denominator)
+def bcancel(a, b):
+    """(a/g, b/g) for g = bgcd(a, b) of nonzero a and b, or None if g = 1.
+
+    The cofactors come from the exact divisions that certify g, so no
+    division runs twice.
+    """
+    if a == b:
+        one = {(0, 0): -1} if a[_blead(a)] < 0 else _ONE_POLY
+        return one, one
+    g, qa, qb = _gcd(a, b, 1)
+    if g == _ONE_POLY:
+        return None
+    if g[_blead(g)] < 0:
+        return bneg(qa), bneg(qb)
+    return qa, qb
 
 
 class FormalScalar:
@@ -245,36 +294,20 @@ class FormalScalar:
     # -- construction -------------------------------------------------
 
     @staticmethod
-    def make(coef: Fraction, shift, num, den, coprime=False):
+    def make(coef: Fraction, shift, num, den):
         if not num or coef == 0:
             return _ZERO
         if not den:
             raise ZeroDivisionError("zero denominator")
-        cn = _content(num)
-        if num[_blead(num)] < 0:
-            cn = -cn
-        cd = _content(den)
-        if den[_blead(den)] < 0:
-            cd = -cd
-        if cn != 1:
-            num = {m: c // cn for m, c in num.items()}
-        if cd != 1:
-            den = {m: c // cd for m, c in den.items()}
-        coef = coef * Fraction(cn, cd)
-        ni = min(i for i, _ in num)
-        nj = min(j for _, j in num)
-        di = min(i for i, _ in den)
-        dj = min(j for _, j in den)
-        if ni or nj:
-            num = _bshift(num, -ni, -nj)
-        if di or dj:
-            den = _bshift(den, -di, -dj)
+        num, cn, ni, nj = _canonical(num)
+        den, cd, di, dj = _canonical(den)
+        if cn != 1 or cd != 1:
+            coef = coef * Fraction(cn, cd)
         shift = (shift[0] + ni - di, shift[1] + nj - dj)
-        if not coprime and len(num) > 0 and den != _ONE_POLY:
-            g = bgcd(num, den)
-            if g != _ONE_POLY:
-                num = bdivexact(num, g)
-                den = bdivexact(den, g)
+        if den != _ONE_POLY:
+            q = bcancel(num, den)
+            if q is not None:
+                num, den = q
         return FormalScalar(coef, shift, num, den, _normalized=True)
 
     # -- predicates ---------------------------------------------------
@@ -295,22 +328,29 @@ class FormalScalar:
             return other
         if other.coef == 0:
             return self
-        g = bgcd(self.den, other.den) if self.den != _ONE_POLY or other.den != _ONE_POLY else _ONE_POLY
-        d1p = bdivexact(self.den, g) if g != _ONE_POLY else self.den
-        d2p = bdivexact(other.den, g) if g != _ONE_POLY else other.den
-        c = _frac_gcd(self.coef, other.coef)
-        t1 = self.coef / c
-        t2 = other.coef / c
-        if t1.denominator != 1 or t2.denominator != 1:
-            raise ArithmeticError("coefficient gcd does not divide both coefficients")
-        t1, t2 = t1.numerator, t2.numerator
+        # n1/d1 + n2/d2 = (n1 d2' + n2 d1') / (d1 d2') with di = g di'
+        d1, d2 = self.den, other.den
+        q = None if d1 == _ONE_POLY or d2 == _ONE_POLY else bcancel(d1, d2)
+        d1p, d2p = q or (d1, d2)
+        # a x + b y = g / (da db) * (c1 x + c2 y) with integers c1, c2
+        a, b = self.coef, other.coef
+        c1, c2 = a.numerator * b.denominator, b.numerator * a.denominator
+        g = gcd(c1, c2)
+        c1, c2 = c1 // g, c2 // g
         mi = min(self.shift[0], other.shift[0])
         mj = min(self.shift[1], other.shift[1])
-        p1 = _bshift(bmul(self.num, d2p), self.shift[0] - mi, self.shift[1] - mj)
-        p2 = _bshift(bmul(other.num, d1p), other.shift[0] - mi, other.shift[1] - mj)
-        n = badd({m: t1 * v for m, v in p1.items()}, {m: t2 * v for m, v in p2.items()})
-        d = bmul(bmul(g, d1p), d2p)
-        return FormalScalar.make(c, (mi, mj), n, d)
+        di, dj = self.shift[0] - mi, self.shift[1] - mj
+        n = {(i + di, j + dj): c1 * c for (i, j), c in _bprod(self.num, d2p).items()}
+        di, dj = other.shift[0] - mi, other.shift[1] - mj
+        for (i, j), c in _bprod(other.num, d1p).items():
+            m = (i + di, j + dj)
+            c = n.get(m, 0) + c2 * c
+            if c:
+                n[m] = c
+            else:
+                del n[m]
+        return FormalScalar.make(Fraction(g, a.denominator * b.denominator), (mi, mj),
+                                 n, _bprod(d1, d2p))
 
     __radd__ = __add__
 
@@ -337,31 +377,27 @@ class FormalScalar:
             return NotImplemented
         if self.coef == 0 or other.coef == 0:
             return _ZERO
-        coef = self.coef * other.coef
-        shift = (self.shift[0] + other.shift[0], self.shift[1] + other.shift[1])
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        # a monomial factor leaves the other's reduced num/den as they are
-        if n2 == _ONE_POLY and d2 == _ONE_POLY:
-            return FormalScalar(coef, shift, n1, d1, _normalized=True)
-        if n1 == _ONE_POLY and d1 == _ONE_POLY:
-            return FormalScalar(coef, shift, n2, d2, _normalized=True)
         if d2 != _ONE_POLY and n1 != _ONE_POLY:
-            g = bgcd(n1, d2)
-            if g != _ONE_POLY:
-                n1, d2 = bdivexact(n1, g), bdivexact(d2, g)
+            q = bcancel(n1, d2)
+            if q is not None:
+                n1, d2 = q
         if d1 != _ONE_POLY and n2 != _ONE_POLY:
-            g = bgcd(n2, d1)
-            if g != _ONE_POLY:
-                n2, d1 = bdivexact(n2, g), bdivexact(d1, g)
-        return FormalScalar.make(coef, shift, bmul(n1, n2), bmul(d1, d2), coprime=True)
+            q = bcancel(n2, d1)
+            if q is not None:
+                n2, d1 = q
+        # canonical already: see the module docstring
+        return FormalScalar(self.coef * other.coef,
+                            (self.shift[0] + other.shift[0], self.shift[1] + other.shift[1]),
+                            _bprod(n1, n2), _bprod(d1, d2), _normalized=True)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.coef == 0:
             raise ZeroDivisionError("inverse of zero")
-        return FormalScalar.make(1 / self.coef, (-self.shift[0], -self.shift[1]),
-                                 self.den, self.num, coprime=True)
+        return FormalScalar(1 / self.coef, (-self.shift[0], -self.shift[1]),
+                            self.den, self.num, _normalized=True)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -400,8 +436,12 @@ class FormalScalar:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.coef, self.shift,
-                               frozenset(self.num.items()), frozenset(self.den.items())))
+            if self.shift == (0, 0) and self.num == _ONE_POLY and self.den == _ONE_POLY:
+                # a rational constant hashes as the Fraction it equals
+                self._hash = hash(self.coef)
+            else:
+                self._hash = hash((self.coef, self.shift, frozenset(self.num.items()),
+                                   frozenset(self.den.items())))
         return self._hash
 
     # -- views ----------------------------------------------------------

@@ -1,11 +1,13 @@
-"""The polynomial layer of Q(s, sb): gcd and exact division in Z[s, sb]."""
+"""Q(s, sb): gcd, cancellation and exact division in Z[s, sb], and the
+products and sums of FormalScalar against the generic reduction."""
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from ellhall.ratfunc import FORMAL, bdivexact, bgcd, bmul
+from ellhall.ratfunc import FORMAL, FormalScalar, bcancel, bdivexact, bgcd, bmul
 
 R = FORMAL
 ONE = {(0, 0): 1}
@@ -131,3 +133,165 @@ class TestDivExact:
     def test_inexact_raises(self, a, b):
         with pytest.raises(ArithmeticError):
             bdivexact(a, b)
+
+
+class TestCancel:
+    """bcancel(a, b) is (a/g, b/g) for g = bgcd(a, b), or None when g = 1."""
+
+    @staticmethod
+    def quotients(a, b):
+        g = bgcd(a, b)
+        return None if g == ONE else (bdivexact(a, g), bdivexact(b, g))
+
+    @given(polys(), polys(), factors())
+    def test_matches_bgcd(self, a, b, g):
+        ga, gb = bmul(g, a), bmul(g, b)
+        assert bcancel(ga, gb) == self.quotients(ga, gb)
+
+    def test_monomial_gcd(self):
+        a, b = {(2, 1): 6}, {(1, 3): 4, (3, 1): 2}
+        assert bcancel(a, b) == ({(1, 0): 3}, {(0, 2): 2, (2, 0): 1})
+        assert bcancel(a, b) == self.quotients(a, b)
+
+    def test_negative_lead(self):
+        # the lift makes the gcd positive where s dominates, s - sb^2, whose
+        # graded-lex lead -sb^2 is negative; the cofactors flip sign with it
+        g = {(1, 0): 1, (0, 2): -1}
+        a = bmul(g, {(0, 1): 1, (0, 0): 3})
+        b = bmul(g, {(1, 0): 1, (0, 0): 5})
+        assert bgcd(a, b) == {(0, 2): 1, (1, 0): -1}
+        assert bcancel(a, b) == ({(0, 1): -1, (0, 0): -3}, {(1, 0): -1, (0, 0): -5})
+        assert bcancel(a, b) == self.quotients(a, b)
+
+    def test_coprime(self):
+        assert bcancel({(1, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 2}) is None
+        assert bcancel({(0, 2): 1, (0, 1): 1}, {(0, 2): 1, (0, 1): 1, (0, 0): 2}) is None
+
+    @pytest.mark.parametrize("a", [
+        {(1, 1): 1, (0, 0): 3}, {(1, 1): -2, (0, 0): 4}, {(2, 0): -5}], ids=repr)
+    def test_equal_inputs(self, a):
+        assert bcancel(a, a) == self.quotients(a, a)
+
+
+def fields(x):
+    return x.coef, x.shift, x.num, x.den
+
+
+def binomial_values():
+    """k0 + k1 s^i sb^j, a Laurent binomial of Q(s, sb)."""
+    nz = st.integers(-3, 3).filter(bool)
+    e = st.integers(-2, 2)
+    return st.builds(lambda k0, k1, i, j: k0 + R.monomial(i, j, k1), nz, nz, e, e)
+
+
+@st.composite
+def values(draw, laurent=False):
+    """c s^i sb^j times a product of binomials, each to the power +-1 or 2
+    (only positive powers when laurent)."""
+    c = draw(st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool))
+    x = R.monomial(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)), c)
+    for b in draw(st.lists(binomial_values(), max_size=3)):
+        if not b:
+            continue
+        x = x * b ** draw(st.sampled_from((1, 2) if laurent else (1, 2, -1)))
+    return x
+
+
+def laurent_sum(x, y):
+    """x + y for den = 1: both over the common coefficient denominator."""
+    d = x.coef.denominator * y.coef.denominator
+    mi, mj = min(x.shift[0], y.shift[0]), min(x.shift[1], y.shift[1])
+    n = {}
+    for z in (x, y):
+        k = z.coef * d
+        for (i, j), c in z.num.items():
+            m = (i + z.shift[0] - mi, j + z.shift[1] - mj)
+            n[m] = n.get(m, 0) + int(k * c)
+    return FormalScalar.make(Fraction(1, d), (mi, mj), {m: c for m, c in n.items() if c},
+                             ONE)
+
+
+class TestFastPaths:
+    """Each shortcut of FormalScalar equals the generic reduction, field for field."""
+
+    @given(values(), values())
+    def test_product(self, x, y):
+        want = FormalScalar.make(x.coef * y.coef,
+                                 (x.shift[0] + y.shift[0], x.shift[1] + y.shift[1]),
+                                 bmul(x.num, y.num), bmul(x.den, y.den))
+        assert fields(x * y) == fields(want)
+        assert fields(y * x) == fields(want)
+
+    @given(values(laurent=True), values(laurent=True))
+    def test_laurent_sum(self, x, y):
+        assert x.den == ONE and y.den == ONE
+        assert fields(x + y) == fields(laurent_sum(x, y))
+        assert fields(x - x) == fields(R.zero)
+
+    @given(values(), values())
+    def test_sum(self, x, y):
+        d = x.coef.denominator * y.coef.denominator
+        mi, mj = min(x.shift[0], y.shift[0]), min(x.shift[1], y.shift[1])
+        n = {}
+        for z, w in ((x, y), (y, x)):
+            k = int(z.coef * d)
+            for (i, j), c in bmul(z.num, w.den).items():
+                m = (i + z.shift[0] - mi, j + z.shift[1] - mj)
+                n[m] = n.get(m, 0) + k * c
+        want = FormalScalar.make(Fraction(1, d), (mi, mj), {m: c for m, c in n.items() if c},
+                                 bmul(x.den, y.den))
+        assert fields(x + y) == fields(want)
+
+    @given(values())
+    def test_inverse(self, x):
+        want = FormalScalar.make(1 / x.coef, (-x.shift[0], -x.shift[1]), x.den, x.num)
+        assert fields(x.inverse()) == fields(want)
+
+
+def old_make(coef, shift, num, den):
+    """make by the scans it used before the one-pass reduction."""
+    def content(a):
+        g = 0
+        for c in a.values():
+            g = gcd(g, c)
+        return g
+
+    def lead(a):
+        return max(a, key=lambda m: (m[0] + m[1], m[0]))
+
+    cn, cd = content(num), content(den)
+    cn, cd = (-cn if num[lead(num)] < 0 else cn), (-cd if den[lead(den)] < 0 else cd)
+    ni, nj = min(i for i, _ in num), min(j for _, j in num)
+    di, dj = min(i for i, _ in den), min(j for _, j in den)
+    num = {(i - ni, j - nj): c // cn for (i, j), c in num.items()}
+    den = {(i - di, j - dj): c // cd for (i, j), c in den.items()}
+    g = bgcd(num, den)
+    return (coef * Fraction(cn, cd), (shift[0] + ni - di, shift[1] + nj - dj),
+            bdivexact(num, g), bdivexact(den, g))
+
+
+def laurent(max_terms=5):
+    coef = st.integers(-12, 12).filter(bool)
+    mono = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    return st.dictionaries(mono, coef, min_size=1, max_size=max_terms)
+
+
+class TestMake:
+    @given(laurent(), laurent(max_terms=3), st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    def test_matches_old_scans(self, num, den, shift):
+        coef = Fraction(3, 4)
+        assert fields(FormalScalar.make(coef, shift, num, den)) == \
+            old_make(coef, shift, num, den)
+
+    @pytest.mark.parametrize("num", [
+        # negative exponents and a negative graded-lex lead
+        {(-2, 1): -6, (1, -3): 4, (0, 0): 2},
+        {(-1, -1): -3},
+        {(0, -2): 5, (-3, 0): -10},
+        # the lead is decided by the s-degree among terms of top total degree
+        {(0, 2): 1, (2, 0): -1, (0, 0): 3},
+        {(-1, 2): 2, (1, 0): -4},
+    ], ids=repr)
+    def test_laurent_numerator(self, num):
+        assert fields(FormalScalar.make(Fraction(1), (0, 0), num, ONE)) == \
+            old_make(Fraction(1), (0, 0), num, ONE)

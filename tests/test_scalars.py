@@ -307,6 +307,19 @@ def test_monomial_product_is_canonical(f, m):
             (want.coef, want.shift, want.num, want.den)
 
 
+@pytest.mark.parametrize("ring", [FORMAL, get_curve_ring(2, 3), E1_RING], ids=repr)
+@pytest.mark.parametrize("x", [0, 1, -1, 7, Fraction(1, 2), Fraction(-3, 4)], ids=repr)
+def test_rational_constant_hashes_as_its_value(ring, x):
+    # x == y must imply hash(x) == hash(y), also against int and Fraction
+    for y in (ring.from_fraction(x), ring.one * x, (ring.nu * x) / ring.nu):
+        assert y == x
+        assert hash(y) == hash(x) == hash(Fraction(x))
+        assert {x: "hit"}.get(y) == "hit"
+        assert {Fraction(x): "hit"}.get(y) == "hit"
+        assert y in {x} and x in {y}
+    assert {1: "one"}.get(ring.one) == "one"
+
+
 @pytest.mark.parametrize("ring", [
     FORMAL, E1_RING, FpRing(get_curve_ring(2, 1, 0), 7, 1, 3)], ids=repr)
 @pytest.mark.parametrize("n", [1, 2, 3])
