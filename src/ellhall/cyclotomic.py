@@ -1,10 +1,14 @@
 """Curve-mode coefficient ring: Q(zeta_M)[u] / (u^2 - q).
 
-One ring instance per (q, M, trace).  Elements are coordinate vectors over
-the power basis of the cyclotomic field tensored with {1, u}; everything is
-kept reduced modulo the M-th cyclotomic polynomial and u^2 = q, so equality
-is plain coordinate comparison.  The loop weight nu := 1/u = u/q is the
-standard square root of 1/q (the curve-side v).
+One ring instance per (q, M, trace).  An element is (a + b u) / d: a and
+b integer coordinate vectors over the power basis of the cyclotomic field,
+d > 0 one common denominator and gcd(d, a, b) = 1.  Everything is kept
+reduced modulo the M-th cyclotomic polynomial and u^2 = q, so equality is
+plain coordinate comparison.  Arithmetic is on integers: a product takes
+three cyclotomic products (Karatsuba for the u-part), fewer when a factor
+has no u-part, and only inversion runs over Fractions (extended Euclid).
+The loop weight nu := 1/u = u/q is the standard square root of 1/q (the
+curve-side v).
 
 When q is a perfect square the tower degenerates (u is the literal integer
 root); elements then carry no u-component.
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 
 def cyclotomic_polynomial(m: int) -> list[int]:
@@ -138,47 +142,37 @@ class CurveRing(_TraceRing):
         r = isqrt(q)
         self.sqrt_q = r if r * r == q else None
         phi = cyclotomic_polynomial(m)
-        self.degree = len(phi) - 1
-        # reduction rows for x^k, deg <= k <= 2 deg - 2 (phi is monic)
-        self._red = []
-        cur = [-c for c in phi[:-1]]
-        self._red.append(tuple(cur))
-        for _ in range(self.degree - 2):
-            cur = [0] + cur
-            top = cur[self.degree]
-            cur = cur[:self.degree]
-            if top:
-                row0 = self._red[0]
-                cur = [cur[i] + top * row0[i] for i in range(self.degree)]
-            self._red.append(tuple(cur))
-        zero_vec = (Fraction(0),) * self.degree
-        one_vec = (Fraction(1),) + (Fraction(0),) * (self.degree - 1)
+        self.degree = d = len(phi) - 1
+        # x^d = sum of c x^k over the nonzero (k, c) here (phi is monic)
+        self._red = tuple((k, -c) for k, c in enumerate(phi[:-1]) if c)
+        self._zero_vec = zero_vec = (0,) * d
+        one_vec = (1,) + (0,) * (d - 1)
         # coordinates of zeta^k, 0 <= k < M: multiply by x, reduce on overflow
         powers = [one_vec]
         for _ in range(m - 1):
-            top = powers[-1][-1]
-            vec = (Fraction(0),) + powers[-1][:-1]
-            if top:
-                vec = tuple(v + top * r for v, r in zip(vec, self._red[0]))
-            powers.append(vec)
+            vec = [0] + list(powers[-1])
+            top = vec.pop()
+            for k, c in self._red:
+                vec[k] += top * c
+            powers.append(tuple(vec))
         self._zeta_powers = tuple(powers)
-        self.zero = CurveScalar(self, zero_vec, zero_vec)
-        self.one = CurveScalar(self, one_vec, zero_vec)
+        self.zero = CurveScalar(self, zero_vec, zero_vec, 1)
+        self.one = CurveScalar(self, one_vec, zero_vec, 1)
         if self.sqrt_q is not None:
             self.u = self.from_fraction(self.sqrt_q)
         else:
-            self.u = CurveScalar(self, zero_vec, one_vec)
+            self.u = CurveScalar(self, zero_vec, one_vec, 1)
         self.nu = self.u.inverse()
         # conjugation matrix: zeta^k -> zeta^(-k)
-        self._conj_rows = [self._zeta_powers[(m - k) % m] for k in range(self.degree)]
+        self._conj_rows = [self._zeta_powers[(m - k) % m] for k in range(d)]
         self._nu_integers = {}
 
     # -- constructors ---------------------------------------------------
 
     def from_fraction(self, x) -> "CurveScalar":
         x = Fraction(x)
-        vec = (x,) + (Fraction(0),) * (self.degree - 1)
-        return CurveScalar(self, vec, (Fraction(0),) * self.degree)
+        vec = (x.numerator,) + (0,) * (self.degree - 1)
+        return CurveScalar(self, vec, self._zero_vec, x.denominator)
 
     from_int = from_fraction
 
@@ -187,32 +181,44 @@ class CurveRing(_TraceRing):
         if order <= 0 or self.m % order:
             raise ValueError(f"root of unity order {order} not available at M={self.m}")
         k = (self.m // order) * (power % order)
-        return CurveScalar(self, self._zeta_powers[k], (Fraction(0),) * self.degree)
+        return CurveScalar(self, self._zeta_powers[k], self._zero_vec, 1)
 
-    # -- cyclotomic helpers ------------------------------------------------
+    def _scalar(self, a, b, d) -> "CurveScalar":
+        """(a + b u) / d over integer vectors a, b and d > 0, in lowest terms."""
+        if d != 1:
+            g = gcd(d, *a, *b)
+            if g != 1:
+                a = tuple(c // g for c in a)
+                b = tuple(c // g for c in b)
+                d //= g
+        return CurveScalar(self, a, b, d)
+
+    # -- cyclotomic helpers on integer vectors -------------------------------
 
     def _cyc_mul(self, a, b):
         d = self.degree
-        prod = [Fraction(0)] * (2 * d - 1)
+        prod = [0] * (2 * d - 1)
         for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] += ai * bj
-        vec = prod[:d]
-        for k in range(d, 2 * d - 1):
+            if ai:
+                for k, bj in enumerate(b, i):
+                    prod[k] += ai * bj
+        # x^k = x^(k-d) x^d, from the top down
+        for k in range(2 * d - 2, d - 1, -1):
             c = prod[k]
             if c:
-                row = self._red[k - d]
-                vec = [vec[i] + c * row[i] for i in range(d)]
-        return tuple(vec)
+                for j, r in self._red:
+                    prod[k - d + j] += c * r
+        return tuple(prod[:d])
 
     def _cyc_inv(self, a):
-        """Inverse modulo the cyclotomic polynomial (extended Euclid over Q)."""
+        """(c, e) with c / e the inverse of a modulo the cyclotomic polynomial.
+
+        Extended Euclid over Q; e > 0 is the common denominator of its
+        coordinates.
+        """
         d = self.degree
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.m)]
-        r0, r1 = phi, list(a) + [Fraction(0)]
+        r0, r1 = phi, [Fraction(c) for c in a] + [Fraction(0)]
         s0, s1 = [Fraction(0)], [Fraction(1)]
 
         def deg(p):
@@ -238,17 +244,17 @@ class CurveRing(_TraceRing):
         if d1 < 0:
             raise ZeroDivisionError("element not invertible in cyclotomic field")
         inv_c = 1 / r1[d1]
-        inv = [inv_c * c for c in s1]
-        inv = (inv + [Fraction(0)] * d)[:d]
-        return tuple(inv)
+        inv = ([inv_c * c for c in s1] + [Fraction(0)] * d)[:d]
+        e = lcm(*(c.denominator for c in inv))
+        return tuple(c.numerator * (e // c.denominator) for c in inv), e
 
     def _cyc_conj(self, a):
         d = self.degree
-        vec = [Fraction(0)] * d
+        vec = [0] * d
         for k, c in enumerate(a):
             if c:
-                row = self._conj_rows[k]
-                vec = [vec[i] + c * row[i] for i in range(d)]
+                for i, r in enumerate(self._conj_rows[k]):
+                    vec[i] += c * r
         return tuple(vec)
 
     def __repr__(self):
@@ -257,12 +263,17 @@ class CurveRing(_TraceRing):
 
 
 class CurveScalar:
-    __slots__ = ("ring", "a", "b")
+    """(a + b u) / d: integer coordinate vectors a, b over the power basis
+    of Q(zeta_M), one denominator d > 0 and gcd(d, a, b) = 1, so equal
+    scalars have equal coordinates."""
 
-    def __init__(self, ring, a, b):
+    __slots__ = ("ring", "a", "b", "d")
+
+    def __init__(self, ring, a, b, d):
         self.ring = ring
         self.a = a
         self.b = b
+        self.d = d
 
     def is_zero(self):
         return not any(self.a) and not any(self.b)
@@ -285,14 +296,20 @@ class CurveScalar:
         if pair is None:
             return NotImplemented
         x, y = pair
-        return CurveScalar(x.ring,
-                           tuple(p + q for p, q in zip(x.a, y.a)),
-                           tuple(p + q for p, q in zip(x.b, y.b)))
+        if x.d == y.d:
+            return x.ring._scalar(tuple(p + r for p, r in zip(x.a, y.a)),
+                                  tuple(p + r for p, r in zip(x.b, y.b)), x.d)
+        g = gcd(x.d, y.d)
+        kx, ky = y.d // g, x.d // g
+        return x.ring._scalar(tuple(kx * p + ky * r for p, r in zip(x.a, y.a)),
+                              tuple(kx * p + ky * r for p, r in zip(x.b, y.b)),
+                              kx * x.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CurveScalar(self.ring, tuple(-p for p in self.a), tuple(-p for p in self.b))
+        return CurveScalar(self.ring, tuple(-p for p in self.a),
+                           tuple(-p for p in self.b), self.d)
 
     def __sub__(self, other):
         pair = self._coerce(other)
@@ -310,14 +327,21 @@ class CurveScalar:
             return NotImplemented
         x, y = pair
         ring = x.ring
-        aa = ring._cyc_mul(x.a, y.a)
-        bb = ring._cyc_mul(x.b, y.b)
-        ab = ring._cyc_mul(x.a, y.b)
-        ba = ring._cyc_mul(x.b, y.a)
-        q = ring.q
-        return CurveScalar(ring,
-                           tuple(p + q * r for p, r in zip(aa, bb)),
-                           tuple(p + r for p, r in zip(ab, ba)))
+        mul = ring._cyc_mul
+        a1, b1, a2, b2 = x.a, x.b, y.a, y.b
+        a = mul(a1, a2)
+        if not any(b1):
+            b = mul(a1, b2) if any(b2) else b2
+        elif not any(b2):
+            b = mul(b1, a2)
+        else:
+            # Karatsuba: a1 b2 + b1 a2 = (a1 + b1)(a2 + b2) - a1 a2 - b1 b2
+            bb = mul(b1, b2)
+            cross = mul(tuple(p + r for p, r in zip(a1, b1)),
+                        tuple(p + r for p, r in zip(a2, b2)))
+            b = tuple(c - p - r for c, p, r in zip(cross, a, bb))
+            a = tuple(p + ring.q * r for p, r in zip(a, bb))
+        return ring._scalar(a, b, x.d * y.d)
 
     __rmul__ = __mul__
 
@@ -325,17 +349,19 @@ class CurveScalar:
         ring = self.ring
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
+        d = self.d
         if not any(self.b):
-            return CurveScalar(ring, ring._cyc_inv(self.a), self.b)
-        # (a + b u)^-1 = (a - b u) / (a^2 - q b^2)
-        norm = ring._cyc_mul(self.a, self.a)
-        qb2 = ring._cyc_mul(self.b, self.b)
-        norm = tuple(p - ring.q * r for p, r in zip(norm, qb2))
+            c, e = ring._cyc_inv(self.a)
+            return ring._scalar(tuple(d * x for x in c), self.b, e)
+        # (a + b u)^-1 = (a - b u) / (a^2 - q b^2), the d's cancel to one d
+        mul = ring._cyc_mul
+        norm = tuple(p - ring.q * r
+                     for p, r in zip(mul(self.a, self.a), mul(self.b, self.b)))
         if not any(norm):
             raise ZeroDivisionError("zero divisor: sqrt(q) lies in Q(zeta_M)")
-        ninv = ring._cyc_inv(norm)
-        return CurveScalar(ring, ring._cyc_mul(self.a, ninv),
-                           tuple(-c for c in ring._cyc_mul(self.b, ninv)))
+        c, e = ring._cyc_inv(norm)
+        c = tuple(d * x for x in c)
+        return ring._scalar(mul(self.a, c), tuple(-x for x in mul(self.b, c)), e)
 
     def __truediv__(self, other):
         pair = self._coerce(other)
@@ -365,45 +391,45 @@ class CurveScalar:
     def conjugate(self):
         """Complex conjugation: inverts roots of unity, fixes u."""
         ring = self.ring
-        return CurveScalar(ring, ring._cyc_conj(self.a), ring._cyc_conj(self.b))
+        return CurveScalar(ring, ring._cyc_conj(self.a), ring._cyc_conj(self.b), self.d)
 
     def __eq__(self, other):
         pair = self._coerce(other)
         if pair is None:
             return NotImplemented
         x, y = pair
-        return x.a == y.a and x.b == y.b
+        return x.a == y.a and x.b == y.b and x.d == y.d
 
     def __hash__(self):
         if not any(self.b) and not any(self.a[1:]):
             # a rational constant hashes as the Fraction it equals
-            return hash(self.a[0])
-        return hash((self.ring.q, self.ring.m, self.a, self.b))
+            return hash(Fraction(self.a[0], self.d))
+        return hash((self.ring.q, self.ring.m, self.a, self.b, self.d))
 
     def reduce_mod(self, p: int, zeta_img: int, u_img: int) -> int:
         """Image under Q(zeta_M)[u] -> F_p, zeta -> zeta_img, u -> u_img.
 
-        Exactness certificate helper for rank computations; requires all
-        coordinate denominators prime to p and valid images
-        (zeta_img of order M, u_img^2 = q mod p).
+        Exactness certificate helper for rank computations; requires the
+        denominator prime to p (d is the lcm of the coordinate
+        denominators) and valid images (zeta_img of order M,
+        u_img^2 = q mod p).
         """
+        if self.d % p == 0:
+            raise ValueError("denominator divisible by p")
         acc = 0
         zp = 1
-        for k in range(self.ring.degree):
-            ca, cb = self.a[k], self.b[k]
-            for c, extra in ((ca, 1), (cb, u_img)):
-                if c:
-                    d = c.denominator % p
-                    if d == 0:
-                        raise ValueError("denominator divisible by p")
-                    acc += c.numerator * pow(d, p - 2, p) * zp * extra
+        for ca, cb in zip(self.a, self.b):
+            acc += (ca + cb * u_img) * zp
             zp = (zp * zeta_img) % p
-        return acc % p
+        return acc * pow(self.d, -1, p) % p
+
+    def _coordinates(self, vec):
+        return [Fraction(c, self.d) for c in vec]
 
     def __repr__(self):
         def side(vec, suffix):
             terms = []
-            for k, c in enumerate(vec):
+            for k, c in enumerate(self._coordinates(vec)):
                 if c:
                     z = f"z{self.ring.m}^{k}" if k else ""
                     body = "*".join(t for t in (str(c), z) if t) or "1"
@@ -416,7 +442,8 @@ class CurveScalar:
     def serialize(self) -> str:
         """Exact string form with explicit q and M."""
         return (f"q={self.ring.q};M={self.ring.m};"
-                f"a={[str(c) for c in self.a]};b={[str(c) for c in self.b]}")
+                f"a={[str(c) for c in self._coordinates(self.a)]};"
+                f"b={[str(c) for c in self._coordinates(self.b)]}")
 
 
 class FpRing(_TraceRing):

@@ -3,12 +3,15 @@
 Each field is built as F_p[T]/(f) for a deterministically chosen monic
 irreducible f.  Building a field creates every element once, in the
 ``itertools.product`` order of its coefficient tuples (the iteration
-order), and the arithmetic returns those shared objects: a sum looks up
-its coefficient tuple, while products, inverses, quotients and powers are
-index arithmetic mod p^n - 1 on discrete logs to the first primitive
-element g in iteration order (``exp[k]`` is g^k; zero has no log).
-Square roots halve the log.  Every field, prime or not, takes this one
-path; it costs O(p^n) memory per field built, the same order as
+order), and the arithmetic returns those shared objects by index
+arithmetic mod p^n - 1 on discrete logs to the first primitive element g
+in iteration order (``exp[k]`` is g^k; zero has no log).  Products,
+inverses, quotients and powers add or scale logs; sums, differences and
+negations go through the Zech table ``zech[k] = log(1 + g^k)``, since
+g^a + g^b = g^(a + zech[b - a]), and -1 = g^((p^n - 1)/2) for odd p.
+Square roots halve the log.  The power table steps x -> x g by one
+F_p-linear map on coefficient tuples.  Every field, prime or not, takes
+this one path; it costs O(p^n) memory per field built, the same order as
 enumerating the field once.
 
 Fields are cached per (p, n); embeddings between fields of the same
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from operator import mul
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
@@ -151,7 +155,9 @@ class FiniteField:
     """F_{p^n} as a table of interned elements with discrete logs.
 
     Every element is built once, in iteration order; ``exp[k]`` is g^k for
-    the primitive element g, and each element stores its log.
+    the primitive element g, ``zech[k]`` is the log of 1 + g^k (None
+    where that is 0), ``neg_log`` is the log of -1, and each element
+    stores its log.
     """
 
     def __init__(self, p: int, n: int):
@@ -166,25 +172,40 @@ class FiniteField:
         self.zero = self._elements[0]
         self.one = self.element([1])
         self.exp = self._power_table()
+        self.zech = self._zech_table()
+        # log(-1): g^(units/2) for odd p, and -1 = 1 for p = 2
+        self.neg_log = self.units // 2 if p % 2 else 0
         self._embeddings: dict[tuple[int, int], dict] = {}
 
     def _power_table(self) -> list:
-        """Powers of the first primitive element; sets each element's log."""
-        p, f, m = self.p, self.modulus, self.units
+        """Powers of the first primitive element; sets each element's log.
+
+        Steps x -> x g by the F_p-linear map whose columns are T^i g.
+        """
+        p, n, f, m = self.p, self.n, self.modulus, self.units
         ells = _prime_divisors(m)
         g = next(list(e.coeffs) for e in self._elements[1:]
                  if all(_trim(_ppowmod(list(e.coeffs), m // ell, f, p)) != [1]
                         for ell in ells))
+        cols = [self.element(_pmod(_pmul([0] * i + [1], g, p), f, p)).coeffs
+                for i in range(n)]
+        rows = tuple(zip(*cols))
+        by_coeffs = self._by_coeffs
         exp = []
-        power = [1]
+        power = self.one.coeffs
         for k in range(m):
-            e = self.element(power)
+            e = by_coeffs[power]
             if e.log is not None:
                 raise ArithmeticError(f"g^{k} repeats g^{e.log}: g is not primitive")
             e.log = k
             exp.append(e)
-            power = _pmod(_pmul(power, g, p), f, p)
+            power = tuple(sum(map(mul, power, row)) % p for row in rows)
         return exp
+
+    def _zech_table(self) -> list:
+        """zech[k] = log(1 + g^k), None where 1 + g^k = 0."""
+        p, by_coeffs = self.p, self._by_coeffs
+        return [by_coeffs[((e.coeffs[0] + 1) % p,) + e.coeffs[1:]].log for e in self.exp]
 
     def element(self, coeffs) -> "FFElement":
         coeffs = list(coeffs)[: self.n]
@@ -270,21 +291,25 @@ class FFElement:
         return self.log is None
 
     def __add__(self, other):
+        # g^a + g^b = g^a (1 + g^(b - a)) = g^(a + zech[b - a])
+        a, b = self.log, other.log
+        if a is None:
+            return other
+        if b is None:
+            return self
         f = self.field
-        p = f.p
-        return f._by_coeffs[tuple((a + b) % p
-                                  for a, b in zip(self.coeffs, other.coeffs))]
+        m = f.units
+        z = f.zech[(b - a) % m]
+        return f.zero if z is None else f.exp[(a + z) % m]
 
     def __sub__(self, other):
-        f = self.field
-        p = f.p
-        return f._by_coeffs[tuple((a - b) % p
-                                  for a, b in zip(self.coeffs, other.coeffs))]
+        return self + (-other)
 
     def __neg__(self):
+        if self.log is None:
+            return self
         f = self.field
-        p = f.p
-        return f._by_coeffs[tuple((-a) % p for a in self.coeffs)]
+        return f.exp[(self.log + f.neg_log) % f.units]
 
     def __mul__(self, other):
         f = self.field

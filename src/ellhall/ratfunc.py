@@ -15,7 +15,8 @@ GCDs come from evaluating at integers and lifting the integer gcd back
 (``_gcd``), each candidate certified by exact division (``bdivexact``).
 ``bcancel(a, b)`` returns the quotients of that certifying division,
 (a/g, b/g) with g = gcd(a, b) of positive lead, or None when g = 1, so a
-common factor is divided out once.
+common factor is divided out once; when b divides a it returns a/b from
+one exact division, with no gcd.
 
 A product of canonical fractions needs no reduction after the cross
 cancellation n1/d2 and n2/d1: by Gauss's lemma a product of primitive
@@ -263,12 +264,23 @@ def bgcd(a, b):
 def bcancel(a, b):
     """(a/g, b/g) for g = bgcd(a, b) of nonzero a and b, or None if g = 1.
 
-    The cofactors come from the exact divisions that certify g, so no
-    division runs twice.
+    When b divides a, g is b up to sign, so an exact division by a b of
+    two or more terms is tried first (every caller passes a canonical b,
+    and most of them a multiple of it); otherwise the cofactors come from
+    the exact divisions that certify g, so no division runs twice.
     """
     if a == b:
         one = {(0, 0): -1} if a[_blead(a)] < 0 else _ONE_POLY
         return one, one
+    if len(b) > 1:
+        try:
+            qa = bdivexact(a, b)
+        except ArithmeticError:
+            pass
+        else:
+            if b[_blead(b)] < 0:
+                return bneg(qa), {(0, 0): -1}
+            return qa, _ONE_POLY
     g, qa, qb = _gcd(a, b, 1)
     if g == _ONE_POLY:
         return None

@@ -1,8 +1,10 @@
+from contextlib import contextmanager
 from itertools import product
 
 import pytest
 
 from ellhall.finitefield import _pmod, _pmul, get_field
+from ellhall.verification import check_point_counts_and_zeta
 
 FIELDS = ([(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 5)]
           + [(5, n) for n in range(1, 4)] + [(7, n) for n in range(1, 3)])
@@ -117,3 +119,61 @@ def test_sqrt_is_first_root_in_iteration_order(field):
     else:
         squares = sum(1 for a in elems if field.sqrt(a) is not None)
         assert squares == (field.size + 1) // 2
+
+
+@pytest.mark.parametrize("pn", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)],
+                         ids=lambda pn: f"F{pn[0]**pn[1]}")
+def test_zech_sums_match_coordinates(pn):
+    # every pair: log arithmetic through the Zech table equals
+    # coefficient-wise arithmetic mod p
+    field = get_field(*pn)
+    p = field.p
+    for a in field:
+        assert (-a).coeffs == tuple(-x % p for x in a.coeffs)
+        for b in field:
+            assert (a + b).coeffs == tuple((x + y) % p for x, y in zip(a.coeffs, b.coeffs))
+            assert (a - b).coeffs == tuple((x - y) % p for x, y in zip(a.coeffs, b.coeffs))
+
+
+def test_zech_table(field):
+    minus_one = field.element([-1])
+    for k, e in enumerate(field.exp):
+        s = field.element([e.coeffs[0] + 1] + list(e.coeffs[1:]))
+        assert field.zech[k] == s.log
+        assert (field.zech[k] is None) == (e is minus_one)
+    assert field.exp[field.neg_log] is minus_one
+
+
+def test_exp_table_equals_dense_walk(field):
+    # the linear step x -> x g against the dense _pmul/_pmod walk of g's powers
+    g = list(field.exp[1 % len(field.exp)].coeffs)
+    power = [1]
+    for e in field.exp:
+        assert e.coeffs == padded(field, power)
+        power = _pmod(_pmul(power, g, field.p), field.modulus, field.p)
+    assert padded(field, power) == field.one.coeffs
+
+
+@contextmanager
+def _zech_entries_swapped(field, i, j):
+    """zech[i] and zech[j] of field exchanged until the block exits; the
+    embeddings into field computed meanwhile are dropped."""
+    embeddings = dict(field._embeddings)
+    field.zech[i], field.zech[j] = field.zech[j], field.zech[i]
+    try:
+        yield
+    finally:
+        field.zech[i], field.zech[j] = field.zech[j], field.zech[i]
+        field._embeddings = embeddings
+
+
+def test_zech_fault_fails_point_counts():
+    # two swapped Zech logs of F_8 make sums wrong in F_8 only: the
+    # enumerated N_3 of y^2 + y = x^3 over F_2 leaves the trace recursion
+    field = get_field(2, 3)
+    with _zech_entries_swapped(field, 1, 2):
+        result = check_point_counts_and_zeta(nmax=3, order=3)
+    assert result.status == "fail"
+    assert result.detail["q=2 N_3 mismatch"] == "11 != 9"
+    assert not any("mismatch" in key for key in result.detail if "N_3" not in key)
+    assert check_point_counts_and_zeta(nmax=3, order=3).status == "skip"

@@ -3,10 +3,12 @@ products and sums of FormalScalar against the generic reduction."""
 
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from ellhall import ratfunc
 from ellhall.ratfunc import FORMAL, FormalScalar, bcancel, bdivexact, bgcd, bmul
 
 R = FORMAL
@@ -173,6 +175,40 @@ class TestCancel:
         assert bcancel(a, a) == self.quotients(a, a)
 
 
+def gcd_route(a, b):
+    """bcancel without the exact-division shortcut: always through _gcd."""
+    if a == b:
+        one = {(0, 0): -1} if a[ratfunc._blead(a)] < 0 else ONE
+        return one, one
+    g, qa, qb = ratfunc._gcd(a, b, 1)
+    if g == ONE:
+        return None
+    if g[ratfunc._blead(g)] < 0:
+        return ratfunc.bneg(qa), ratfunc.bneg(qb)
+    return qa, qb
+
+
+class TestDivisionShortcut:
+    """bcancel tries a / b before the gcd; both routes agree field for field."""
+
+    @given(polys(), polys(), factors(), st.sampled_from((1, -1, 2, -3)))
+    def test_multiple_of_b(self, a, b, g, k):
+        # a multiple of b, b canonical or not, and a pair sharing only g
+        for x, y in ((bmul(a, b), b), (bmul(a, b), {m: k * c for m, c in b.items()}),
+                     (bmul(g, a), bmul(g, b)), (a, b)):
+            assert bcancel(x, y) == gcd_route(x, y)
+
+    @given(polys(), polys())
+    def test_canonical_b(self, a, b):
+        b = prim(b)
+        if b[ratfunc._blead(b)] < 0:
+            b = ratfunc.bneg(b)
+        got = bcancel(bmul(a, b), b)
+        assert got == gcd_route(bmul(a, b), b)
+        if len(b) > 1:
+            assert got == (bmul(a, ONE), ONE)
+
+
 def fields(x):
     return x.coef, x.shift, x.num, x.den
 
@@ -246,6 +282,21 @@ class TestFastPaths:
     def test_inverse(self, x):
         want = FormalScalar.make(1 / x.coef, (-x.shift[0], -x.shift[1]), x.den, x.num)
         assert fields(x.inverse()) == fields(want)
+
+
+class TestScalarsOnGcdRoute:
+    """FormalScalar products and sums equal those made with bcancel on the
+    gcd route alone, field for field."""
+
+    @given(values(), values(), binomial_values())
+    def test_products_and_sums(self, x, y, b):
+        # x b and y b share the factor b: the shortcut divides it out
+        assume(b)
+        pairs = ((x, y), (x * b, y), (x, y / b), (x / b, y / b))
+        fast = [(fields(u * v), fields(u + v), fields(u - v)) for u, v in pairs]
+        with mock.patch.object(ratfunc, "bcancel", gcd_route):
+            slow = [(fields(u * v), fields(u + v), fields(u - v)) for u, v in pairs]
+        assert fast == slow
 
 
 def old_make(coef, shift, num, den):
