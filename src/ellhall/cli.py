@@ -226,10 +226,7 @@ def cmd_straighten(config: RunConfig, expression: str) -> dict:
 
 
 def cmd_verify_all(config: RunConfig) -> dict:
-    checks = run_verify_all(budget_degree=config.budget_degree,
-                            triples=None if config.budget_degree is None else
-                            min(200, 10 * config.budget_degree),
-                            seed=config.seed,
+    checks = run_verify_all(budget_degree=config.budget_degree, seed=config.seed,
                             flip_relation_sign=config.inject_sign_flip)
     return make_report("verify-all", config, checks)
 

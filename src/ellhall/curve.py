@@ -240,14 +240,8 @@ class CurveData:
         d = gcd(f, n)
         big = lcm(f, n)
         y = self.embed_point(f, big, x.rep)
-        out = []
-        for i in range(d):
-            yi = self.frobenius(big, y, i)
-            acc = None
-            for j in range(f // d):
-                acc = self.add(big, acc, self.frobenius(big, yi, n * j))
-            out.append(self.restrict_point(big, n, acc))
-        self._above[key] = cached = tuple(out)
+        self._above[key] = cached = tuple(
+            self.norm_points(n, big, self.frobenius(big, y, i)) for i in range(d))
         return cached
 
     def norm_points(self, m: int, n: int, P):
@@ -554,7 +548,7 @@ def all_characters(curve, n: int) -> list[Character]:
 class CharacterOrbit:
     """Frobenius orbit of a character; the twisted average rho~ lives here."""
 
-    __slots__ = ("rep", "size")
+    __slots__ = ("rep", "size", "_orbit")
 
     def __init__(self, chi: Character):
         orbit = [chi]
@@ -562,6 +556,7 @@ class CharacterOrbit:
         while cur != chi:
             orbit.append(cur)
             cur = cur.frobenius()
+        self._orbit = orbit
         self.size = len(orbit)
         self.rep = min(orbit, key=lambda c: c.exps)
 
@@ -574,12 +569,9 @@ class CharacterOrbit:
         return self.rep.level
 
     def members(self) -> list[Character]:
-        out = [self.rep]
-        cur = self.rep.frobenius()
-        while cur != self.rep:
-            out.append(cur)
-            cur = cur.frobenius()
-        return out
+        """The orbit in Frobenius order, starting at rep."""
+        i = self._orbit.index(self.rep)
+        return self._orbit[i:] + self._orbit[:i]
 
     def is_primitive(self) -> bool:
         return self.size == self.level

@@ -1,13 +1,18 @@
 """The desk-scale verification suite.
 
-Each check returns a CheckResult; the CLI aggregates them into a report
-and the acceptance tests assert them individually.  A check run below its
-full-scale budget is marked "skip" (it still ran, at reduced scale).
+Each check is the mathematics of one criterion, returning ``(ok, detail)``;
+``_check`` turns it into a function returning a CheckResult, which the CLI
+aggregates into a report and the acceptance tests assert individually.
+A check run at budgets other than its full scale (its keyword defaults) is
+marked "skip": it still ran, at that scale, and only "fail" is an error.
+A check whose computation raises is marked "fail", with an ``error`` detail.
 Failures carry both sides of the violated identity as exact strings.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import random
 import time
 from dataclasses import dataclass, field
@@ -21,6 +26,7 @@ from .autoforms import (AutoformContext, character_l_function,
                         theta_coproduct_coefficients, zeta_xn_series)
 from .curve import (CurveData, all_characters, character_orbits,
                     primitive_orbits)
+from .cyclotomic import get_curve_ring
 from .dvr_hall import (DvrHallAlgebra, aut_count, aut_count_bruteforce,
                        p_monomial, partitions)
 from .elliptic_hall import EllipticHallAlgebra
@@ -37,19 +43,47 @@ class CheckResult:
     elapsed: float = 0.0
 
 
-def _result(name, ok, reduced, detail, t0):
-    status = "fail" if not ok else ("skip" if reduced else "pass")
-    return CheckResult(name, status, detail, round(time.perf_counter() - t0, 3))
+def _key(value):
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _check(name, *budget):
+    """Run the decorated body, returning ``(ok, detail)``, as check `name`.
+
+    The result is "skip" when a budget argument differs from its keyword
+    default, the full scale (exposed as ``full_scale``); an Exception
+    escaping the body is a "fail" with an ``error`` detail.
+    """
+    def wrap(body):
+        signature = inspect.signature(body)
+        full_scale = {p: signature.parameters[p].default for p in budget}
+
+        @functools.wraps(body)
+        def check(*args, **kwargs):
+            given = signature.bind(*args, **kwargs).arguments
+            at_full_scale = all(_key(given.get(p, full)) == full
+                                for p, full in full_scale.items())
+            t0 = time.perf_counter()
+            try:
+                ok, detail = body(*args, **kwargs)
+            except Exception as exc:
+                ok, detail = False, {"error": f"{type(exc).__name__}: {exc}"}
+            status = "fail" if not ok else ("pass" if at_full_scale else "skip")
+            return CheckResult(name, status, detail,
+                               round(time.perf_counter() - t0, 3))
+
+        check.full_scale = full_scale
+        return check
+    return wrap
 
 
 def make_test_curves():
     return (CurveData(2, a3=1), CurveData(5, a4=1, a6=1))
 
 
-def check_point_counts_and_zeta(curves=None, nmax=6, order=8) -> CheckResult:
-    t0 = time.perf_counter()
+@_check("point-counts-and-zeta", "nmax", "order")
+def check_point_counts_and_zeta(curves=None, nmax=6, order=8):
     curves = curves if curves is not None else make_test_curves()
-    reduced = nmax < 6 or order < 8
     detail = {}
     ok = True
     for curve in curves:
@@ -66,12 +100,11 @@ def check_point_counts_and_zeta(curves=None, nmax=6, order=8) -> CheckResult:
         if series_exp(logs) != curve.zeta_truncated(1, order):
             ok = False
             detail[f"q={curve.q} zeta"] = "exp(sum N_k t^k/k) != rational expansion"
-    return _result("point-counts-and-zeta", ok, reduced, detail, t0)
+    return ok, detail
 
 
-def check_hall_numbers(max_total=5, qs=(2, 3), aut_max=3) -> CheckResult:
-    t0 = time.perf_counter()
-    reduced = max_total < 5 or tuple(qs) != (2, 3) or aut_max < 3
+@_check("hall-number-oracle", "max_total", "qs", "aut_max")
+def check_hall_numbers(max_total=5, qs=(2, 3), aut_max=3):
     ok = True
     detail = {}
     triples = comms = 0
@@ -110,12 +143,11 @@ def check_hall_numbers(max_total=5, qs=(2, 3), aut_max=3) -> CheckResult:
                     detail["aut"] = f"q={q} {lam}: {formula} != {brute}"
     detail["associativity triples"] = str(triples)
     detail["commutativity pairs"] = str(comms)
-    return _result("hall-number-oracle", ok, reduced, detail, t0)
+    return ok, detail
 
 
-def check_macdonald_bridge(rmax=4, samples=12, seed=0) -> CheckResult:
-    t0 = time.perf_counter()
-    reduced = rmax < 4
+@_check("macdonald-bridge", "rmax")
+def check_macdonald_bridge(rmax=4, samples=12, seed=0):
     alg = DvrHallAlgebra(2)
     ring = alg.ring
     u = alg.u
@@ -145,13 +177,12 @@ def check_macdonald_bridge(rmax=4, samples=12, seed=0) -> CheckResult:
             ok = False
             detail["hom"] = f"{lam} * {mu}"
     detail["pair values checked"] = str(rmax * rmax)
-    return _result("macdonald-bridge", ok, reduced, detail, t0)
+    return ok, detail
 
 
+@_check("straightening-soundness", "coord_bound", "triples")
 def check_straightening(coord_bound=5, triples=200, twists=(1, 2), seed=1234,
-                        sl2_samples=10, flip_relation_sign=False) -> CheckResult:
-    t0 = time.perf_counter()
-    reduced = coord_bound < 5 or triples < 200
+                        sl2_samples=10, flip_relation_sign=False):
     ok = True
     detail = {}
     done_total = 0
@@ -169,23 +200,18 @@ def check_straightening(coord_bound=5, triples=200, twists=(1, 2), seed=1234,
                         y = (yq, yp)
                         if y == (0, 0):
                             continue
-                        try:
-                            if det(x, y) == 0:
-                                if not (alg.from_word([x, y])
-                                        - alg.from_word([y, x])).is_zero():
-                                    ok = False
-                                    detail["relation1"] = f"n={n} {x},{y}"
-                                continue
-                            if interior_points(x, y) != 0:
-                                continue
-                            lhs = alg.from_word([y, x]) - alg.from_word([x, y])
-                            if (lhs - alg.commutator_basic(x, y)).terms:
+                        if det(x, y) == 0:
+                            if not (alg.from_word([x, y])
+                                    - alg.from_word([y, x])).is_zero():
                                 ok = False
-                                detail["relation2"] = f"n={n} {x},{y}"
-                        except Exception as exc:
-                            ok = False
-                            detail["relation-error"] = f"n={n} {x},{y}: {exc}"
+                                detail["relation1"] = f"n={n} {x},{y}"
                             continue
+                        if interior_points(x, y) != 0:
+                            continue
+                        lhs = alg.from_word([y, x]) - alg.from_word([x, y])
+                        if (lhs - alg.commutator_basic(x, y)).terms:
+                            ok = False
+                            detail["relation2"] = f"n={n} {x},{y}"
                         rel += 1
         detail[f"n={n} relation pairs"] = str(rel)
         rng = random.Random(seed + n)
@@ -195,14 +221,8 @@ def check_straightening(coord_bound=5, triples=200, twists=(1, 2), seed=1234,
             vs = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3)]
             if (0, 0) in vs:
                 continue
-            try:
-                a, b, c = (alg.generator(v) for v in vs)
-                associative = (a * b) * c == a * (b * c)
-            except Exception as exc:  # engine diagnostics count as failures
-                ok = False
-                detail["associativity"] = f"n={n} {vs}: {exc}"
-                break
-            if not associative:
+            a, b, c = (alg.generator(v) for v in vs)
+            if (a * b) * c != a * (b * c):
                 ok = False
                 detail["associativity"] = f"n={n} {vs}"
                 break
@@ -219,12 +239,11 @@ def check_straightening(coord_bound=5, triples=200, twists=(1, 2), seed=1234,
                 ok = False
                 detail["sl2"] = f"n={n} {va},{vb}"
     detail["associativity triples"] = str(done_total)
-    return _result("straightening-soundness", ok, reduced, detail, t0)
+    return ok, detail
 
 
-def check_functional_relations(window=4, m_bound=3, twists=(1, 2)) -> CheckResult:
-    t0 = time.perf_counter()
-    reduced = window < 4 or m_bound < 3
+@_check("functional-relations", "window", "m_bound")
+def check_functional_relations(window=4, m_bound=3, twists=(1, 2)):
     ok = True
     detail = {}
     for n in twists:
@@ -240,12 +259,11 @@ def check_functional_relations(window=4, m_bound=3, twists=(1, 2)) -> CheckResul
                 ok = False
                 detail[f"n={n} cubic m={m}"] = "nonzero residue"
         detail[f"n={n} cubic m range"] = f"[-{m_bound},{m_bound}]"
-    return _result("functional-relations", ok, reduced, detail, t0)
+    return ok, detail
 
 
-def check_twisted_pairing(ctx=None, nmax=3) -> CheckResult:
-    t0 = time.perf_counter()
-    reduced = nmax < 3
+@_check("twisted-scalar-product", "nmax")
+def check_twisted_pairing(ctx=None, nmax=3):
     if ctx is None:
         ctx = AutoformContext(make_test_curves()[0], char_levels=tuple(range(1, nmax + 1)))
     ok = True
@@ -254,45 +272,31 @@ def check_twisted_pairing(ctx=None, nmax=3) -> CheckResult:
         prim = primitive_orbits(ctx.curve, n)
         for r in prim:
             for s in character_orbits(ctx.curve, n):
-                try:
-                    val = green_pair_twisted(ctx, r, s, n)
-                except AssertionError as exc:
-                    ok = False
-                    detail[f"n={n}"] = f"{exc}"
-                    continue
+                val = green_pair_twisted(ctx, r, s, n)
                 if s == r and val.is_zero():
                     ok = False
                     detail[f"n={n} diagonal zero"] = str(r)
         detail[f"n={n} primitive orbits"] = str(len(prim))
-    return _result("twisted-scalar-product", ok, reduced, detail, t0)
+    return ok, detail
 
 
-def check_hecke_action(ctx=None, nmax=2, Nmax=4) -> CheckResult:
-    t0 = time.perf_counter()
-    reduced = nmax < 2 or Nmax < 4
+@_check("hecke-action", "nmax", "Nmax")
+def check_hecke_action(ctx=None, nmax=2, Nmax=4):
     if ctx is None:
         ctx = AutoformContext(make_test_curves()[0],
                               char_levels=tuple(range(1, Nmax + 1)))
-    ok = True
-    detail = {}
     checked = 0
     for n in range(1, nmax + 1):
         for rho in primitive_orbits(ctx.curve, n):
             for N in range(n, Nmax + 1, n):
                 for sigma in character_orbits(ctx.curve, N):
-                    try:
-                        hecke_T0N_eigenvalue(ctx, rho, sigma, N)
-                    except AssertionError as exc:
-                        ok = False
-                        detail[f"n={n} N={N}"] = str(exc)
+                    hecke_T0N_eigenvalue(ctx, rho, sigma, N)  # raises on a mismatch
                     checked += 1
-    detail["eigenvalue identities"] = str(checked)
-    return _result("hecke-action", ok, reduced, detail, t0)
+    return True, {"eigenvalue identities": str(checked)}
 
 
-def check_l_functions(ctx=None, order=8, char_order=6) -> CheckResult:
-    t0 = time.perf_counter()
-    reduced = order < 8 or char_order < 6
+@_check("l-functions", "order", "char_order")
+def check_l_functions(ctx=None, order=8, char_order=6):
     curve = make_test_curves()[0] if ctx is None else ctx.curve
     if ctx is None:
         ctx = AutoformContext(curve, char_levels=(1, 2))
@@ -321,37 +325,29 @@ def check_l_functions(ctx=None, order=8, char_order=6) -> CheckResult:
         if any(not series.coefficient(k).is_zero() for k in range(1, char_order + 1)):
             ok = False
             detail[f"character L {chi}"] = "not identically 1"
-    return _result("l-functions", ok, reduced, detail, t0)
+    return ok, detail
 
 
-def check_cusp_census(curve=None, nmax=3) -> CheckResult:
-    t0 = time.perf_counter()
-    reduced = nmax < 3
+@_check("cusp-form-census", "nmax")
+def check_cusp_census(curve=None, nmax=3):
     curve = curve if curve is not None else make_test_curves()[0]
     ok = True
     detail = {}
     for n in range(1, nmax + 1):
         # primitive_orbits cross-validates orbit size against norm exclusion
-        try:
-            dim = cusp_dimension(curve, n)
-        except AssertionError as exc:
-            ok = False
-            detail[f"n={n}"] = str(exc)
-            continue
+        dim = cusp_dimension(curve, n)
         detail[f"dim rank {n}, degree 0"] = str(dim)
         for d in range(1, n):
             if cusp_dimension_component(curve, n, d) != 0:
                 ok = False
                 detail[f"n={n} d={d}"] = "nonzero off the lattice n | d"
-    return _result("cusp-form-census", ok, reduced, detail, t0)
+    return ok, detail
 
 
-def check_step2_identity(curve=None, Nmax=6) -> CheckResult:
+@_check("step2-cross-identity", "Nmax")
+def check_step2_identity(curve=None, Nmax=6):
     """Structure constant of the loop algebra = curve-side eigenvalue."""
-    t0 = time.perf_counter()
-    reduced = Nmax < 6
     curve = curve if curve is not None else make_test_curves()[0]
-    from .cyclotomic import get_curve_ring
     ring = get_curve_ring(curve.q, 1, curve.trace)
     ok = True
     detail = {}
@@ -386,23 +382,19 @@ def check_step2_identity(curve=None, Nmax=6) -> CheckResult:
             if cm != want:
                 ok = False
                 detail[f"n={n} d={d}"] = "engine commutator mismatch"
-    return _result("step2-cross-identity", ok, reduced, detail, t0)
+    return ok, detail
 
 
-def check_independence(ctx=None, levels=(1, 2, 3), degree=6) -> CheckResult:
-    t0 = time.perf_counter()
-    reduced = tuple(levels) != (1, 2, 3) or degree < 6
+@_check("twisted-average-independence", "levels", "degree")
+def check_independence(ctx=None, levels=(1, 2, 3), degree=6):
     if ctx is None:
         ctx = AutoformContext(make_test_curves()[0], char_levels=tuple(levels))
     count, rk = monomial_independence_rank(ctx, levels, degree)
-    ok = count == rk
-    detail = {"monomials": str(count), "rank": str(rk)}
-    return _result("twisted-average-independence", ok, reduced, detail, t0)
+    return count == rk, {"monomials": str(count), "rank": str(rk)}
 
 
-def check_theta_grouplike(ctx=None, d_max=3) -> CheckResult:
-    t0 = time.perf_counter()
-    reduced = d_max < 3
+@_check("theta-grouplike", "d_max")
+def check_theta_grouplike(ctx=None, d_max=3):
     if ctx is None:
         ctx = AutoformContext(make_test_curves()[0],
                               char_levels=tuple(range(1, d_max + 1)))
@@ -424,36 +416,39 @@ def check_theta_grouplike(ctx=None, d_max=3) -> CheckResult:
             ok = False
             detail[f"d={d}"] = "coproduct not grouplike"
     detail["orders checked"] = str(d_max)
-    return _result("theta-grouplike", ok, reduced, detail, t0)
+    return ok, detail
 
 
-def run_verify_all(budget_degree=None, triples=None, seed=1234,
-                   flip_relation_sign=False):
-    """Run every check; budgets below full scale mark results as skip."""
-    coord = 5 if budget_degree is None else min(5, budget_degree)
-    nmax_curve = 6 if budget_degree is None else min(6, budget_degree)
-    trip = 200 if triples is None else triples
-    window = 4 if budget_degree is None else min(4, budget_degree)
-    lfun_order = 8 if budget_degree is None else min(8, budget_degree + 2)
-    nmax_tw = 3 if budget_degree is None else min(3, max(1, budget_degree // 2))
-    nmax_N = 4 if budget_degree is None else min(4, budget_degree)
-    ind_levels = (1, 2, 3) if budget_degree is None else tuple(
-        range(1, min(3, max(1, budget_degree // 2)) + 1))
-    ind_degree = 6 if budget_degree is None else min(6, budget_degree)
-    results = [
-        check_point_counts_and_zeta(nmax=nmax_curve, order=lfun_order),
-        check_hall_numbers(max_total=min(5, 5 if budget_degree is None else budget_degree)),
-        check_macdonald_bridge(rmax=4 if budget_degree is None else min(4, budget_degree)),
-        check_straightening(coord_bound=coord, triples=trip, seed=seed,
-                            flip_relation_sign=flip_relation_sign),
-        check_functional_relations(window=window,
-                                   m_bound=3 if budget_degree is None else min(3, budget_degree)),
-        check_twisted_pairing(nmax=nmax_tw),
-        check_hecke_action(nmax=min(2, nmax_N), Nmax=nmax_N),
-        check_l_functions(order=lfun_order, char_order=min(6, lfun_order)),
-        check_cusp_census(nmax=nmax_tw),
-        check_step2_identity(Nmax=nmax_curve),
-        check_theta_grouplike(d_max=min(3, nmax_tw)),
-        check_independence(levels=ind_levels, degree=ind_degree),
-    ]
+# How each check's budgets grow with the budget degree b.  run_verify_all
+# caps every value at the check's full scale; a sequence budget is given
+# as a length and cut from the front of its full-scale value.
+_SCALING = (
+    (check_point_counts_and_zeta, lambda b: dict(nmax=b, order=b + 2)),
+    (check_hall_numbers, lambda b: dict(max_total=b)),
+    (check_macdonald_bridge, lambda b: dict(rmax=b)),
+    (check_straightening, lambda b: dict(coord_bound=b, triples=10 * b)),
+    (check_functional_relations, lambda b: dict(window=b, m_bound=b)),
+    (check_twisted_pairing, lambda b: dict(nmax=max(1, b // 2))),
+    (check_hecke_action, lambda b: dict(nmax=b, Nmax=b)),
+    (check_l_functions, lambda b: dict(order=b + 2, char_order=b + 2)),
+    (check_cusp_census, lambda b: dict(nmax=max(1, b // 2))),
+    (check_step2_identity, lambda b: dict(Nmax=b)),
+    (check_theta_grouplike, lambda b: dict(d_max=max(1, b // 2))),
+    (check_independence, lambda b: dict(levels=max(1, b // 2), degree=b)),
+)
+
+
+def _cap(full, value):
+    return full[:value] if isinstance(full, tuple) else min(full, value)
+
+
+def run_verify_all(budget_degree=None, seed=1234, flip_relation_sign=False):
+    """Run every check, at full scale or at the budgets of `budget_degree`."""
+    results = []
+    for check, scaling in _SCALING:
+        kwargs = {} if budget_degree is None else {
+            p: _cap(check.full_scale[p], v) for p, v in scaling(budget_degree).items()}
+        if check is check_straightening:
+            kwargs.update(seed=seed, flip_relation_sign=flip_relation_sign)
+        results.append(check(**kwargs))
     return results

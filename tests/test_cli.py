@@ -10,6 +10,9 @@ import pytest
 from ellhall.cli import (ConfigError, RunConfig, cmd_characters,
                          cmd_curve_info, cmd_straighten, load_curve_file,
                          main)
+from ellhall.curve import IdentityMismatch
+from ellhall.elliptic_hall import StraighteningError
+from ellhall.verification import _check
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -179,6 +182,44 @@ class TestMainEntry:
         assert "straightening-soundness" in failed
 
 
+class TestCheckRunner:
+    @pytest.fixture()
+    def toy(self):
+        @_check("toy", "size", "levels")
+        def toy_check(size=3, levels=(1, 2), ok=True, raises=None):
+            if raises is not None:
+                raise raises
+            return ok, {"size": str(size)}
+        return toy_check
+
+    def test_full_scale_passes(self, toy):
+        result = toy()
+        assert (result.name, result.status, result.detail) == ("toy", "pass", {"size": "3"})
+        assert toy.full_scale == {"size": 3, "levels": (1, 2)}
+
+    @pytest.mark.parametrize("kwargs", [{"size": 2}, {"levels": (1,)}], ids=["size", "levels"])
+    def test_lowered_budget_skips(self, toy, kwargs):
+        assert toy(**kwargs).status == "skip"
+
+    def test_list_equal_to_tuple_default_passes(self, toy):
+        assert toy(3, [1, 2]).status == "pass"
+
+    def test_not_ok_at_reduced_scale_fails(self, toy):
+        assert toy(size=1, ok=False).status == "fail"
+
+    @pytest.mark.parametrize("exc", [IdentityMismatch("u_loc must square to 1/q_loc"),
+                                     StraighteningError("no normal form")],
+                             ids=["identity-mismatch", "straightening-error"])
+    def test_exception_fails_with_detail(self, toy, exc):
+        result = toy(size=1, raises=exc)
+        assert result.status == "fail"
+        assert result.detail == {"error": f"{type(exc).__name__}: {exc}"}
+
+    def test_keyboard_interrupt_propagates(self, toy):
+        with pytest.raises(KeyboardInterrupt):
+            toy(raises=KeyboardInterrupt())
+
+
 def test_console_entry_point(e1_file):
     proc = subprocess.run(
         [sys.executable, "-m", "ellhall", "--curve", e1_file, "curve-info"],
@@ -214,7 +255,8 @@ GOLDEN_WORDS = ["t(2,-1)*t(-1,2)*t(0,1)", "t(1,1)*t(0,-1)*t(-1,0)",
                 "t(0,1)*t(1,0)*t(-1,-1)*t(1,0)"]
 
 GOLDEN = {
-    "verify_all_budget2.json": ["--budget-degree", "2", "--format", "json", "verify-all"],
+    **{f"verify_all_budget{b}.json": ["--budget-degree", str(b), "--format", "json", "verify-all"]
+       for b in (2, 4)},
     **{f"straighten_n{n}_w{i}.json": ["--n", str(n), "--format", "json", "straighten", word]
        for i, word in enumerate(GOLDEN_WORDS, 1) for n in (1, 2)},
 }

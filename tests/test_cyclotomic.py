@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 
 from ellhall.cyclotomic import _RING_CACHE, CurveScalar, cyclotomic_polynomial, get_curve_ring
 from ellhall.verification import (check_hecke_action, check_l_functions,
-                                  check_step2_identity, check_twisted_pairing)
+                                  check_step2_identity, check_theta_grouplike,
+                                  check_twisted_pairing)
 
 RINGS = {"E1": get_curve_ring(2, 9, 0), "q2M3": get_curve_ring(2, 3),
          "q4M3": get_curve_ring(4, 3)}
@@ -246,8 +247,9 @@ def test_u_squared_fault_fails_curve_checks():
     checks = (lambda: check_twisted_pairing(nmax=2),
               lambda: check_step2_identity(Nmax=2),
               lambda: check_hecke_action(nmax=1, Nmax=2),
-              lambda: check_l_functions(order=4, char_order=4))
-    caught_by = {"twisted-scalar-product", "step2-cross-identity"}
+              lambda: check_l_functions(order=4, char_order=4),
+              lambda: check_theta_grouplike(d_max=2))
+    caught_by = {"twisted-scalar-product", "step2-cross-identity", "theta-grouplike"}
     with _u_squared_is_q_plus_one():
         statuses = {r.name: r.status for r in (check() for check in checks)}
     assert statuses == {name: "fail" if name in caught_by else "skip" for name in statuses}
