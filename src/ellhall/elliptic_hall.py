@@ -16,9 +16,11 @@ the downward ray, equal-slope runs by decreasing length).  Products are
 computed by a straightening rewrite: adjacent out-of-order generators are
 swapped against their commutator; commutators outside the defining
 relations are resolved recursively by splitting a factor z = x + (z - x)
-at the lattice point closest to the segment [o, z] on the positively
-oriented side, which re-expresses t_z through an interior-free commutator
-plus lower theta corrections.
+at a lattice point on the positively oriented side of the segment [o, z],
+which re-expresses t_z through an interior-free commutator plus lower
+theta corrections.  The best admissible split (smallest determinants in
+the Jacobi brackets, then x closest to [o, z]) is chosen once per
+commutator; the PBW basis is unique, so no other choice is ever tried.
 
 An SL_2(Z) action permutes the generators through the linear action on
 the lattice.
@@ -78,9 +80,6 @@ class EllipticHallAlgebra:
             self._c_cache[i] = v
         return v
 
-    def alpha(self, i: int):
-        return self.ring.alpha_coefficient(i)
-
     # -- basic elements ---------------------------------------------------
 
     def generator(self, x) -> "AlgebraElement":
@@ -89,25 +88,10 @@ class EllipticHallAlgebra:
             raise ValueError("no generator at the origin")
         return AlgebraElement(self, {(x,): self.ring.one})
 
-    def element(self, terms: dict) -> "AlgebraElement":
-        out = {}
-        for path, c in terms.items():
-            p = canonical_path(path)
-            out[p] = out[p] + c if p in out else c
-        return AlgebraElement(self, out)
-
-    def from_word(self, word, coeff=None) -> "AlgebraElement":
+    def from_word(self, word) -> "AlgebraElement":
         """Straighten a single product of generators."""
-        coeff = self.ring.one if coeff is None else coeff
         out = {}
-        self._accumulate_word(tuple(tuple(v) for v in word), coeff, out)
-        return AlgebraElement(self, out)
-
-    def straighten(self, terms) -> "AlgebraElement":
-        """Straighten a list of (coefficient, word) pairs."""
-        out = {}
-        for coeff, word in terms:
-            self._accumulate_word(tuple(tuple(v) for v in word), coeff, out)
+        self._accumulate_word(tuple(tuple(v) for v in word), self.ring.one, out)
         return AlgebraElement(self, out)
 
     # -- theta series -----------------------------------------------------
@@ -190,12 +174,14 @@ class EllipticHallAlgebra:
         # Resolve one factor through an interior-free split z = x + y and
         # Jacobi.  A candidate split is admissible against the other factor
         # o when det(x,o) and det(y,o) do not have opposite signs (so the
-        # child triangles split the original area).  Among admissible
-        # candidates, prefer those whose Jacobi brackets can only produce
-        # pairs with strictly smaller determinant; cycles encountered down
-        # a branch are unwound and the next candidate is tried.
+        # child triangles split the original area).  The best admissible
+        # split is chosen once, by the least key: splits whose Jacobi
+        # brackets can only produce pairs with strictly smaller determinant
+        # first, then the least such largest determinant, then x closest to
+        # [o, z].  The PBW basis is unique, so any sound resolution gives
+        # the same normal form.
         d0 = abs(det(a, b))
-        candidates = []
+        best = None
         for z, o, flip in ((a, b, False), (b, a, True)):
             for dist2, x, y in self._splits(z):
                 dxo, dyo = det(x, o), det(y, o)
@@ -204,20 +190,14 @@ class EllipticHallAlgebra:
                 worst = max(abs(dxo), abs(dyo),
                             abs(det(y, (x[0] + o[0], x[1] + o[1]))),
                             abs(det(x, (y[0] + o[0], y[1] + o[1]))))
-                candidates.append(((0 if worst < d0 else 1, worst, dist2,
-                                    delta(z), z, x), (z, o, flip, x, y)))
-        candidates.sort(key=lambda t: t[0])
-        if not candidates:
+                key = (worst >= d0, worst, dist2, delta(z), z, x)
+                if best is None or key < best[0]:
+                    best = (key, z, o, flip, x, y)
+        if best is None:
             raise StraighteningError(f"no admissible resolution for {(a, b)}")
-        last_err = None
-        for _, (z, o, flip, x, y) in candidates:
-            try:
-                res = self._resolve_through(z, o, x, y)
-            except StraighteningError as err:
-                last_err = err
-                continue
-            return -res if flip else res
-        raise last_err
+        _, z, o, flip, x, y = best
+        res = self._resolve_through(z, o, x, y)
+        return -res if flip else res
 
     def _resolve_through(self, z, o, x, y):
         """[t_z, t_o] via t_z = c^-1 [t_y, t_x] - theta corrections."""
@@ -237,7 +217,7 @@ class EllipticHallAlgebra:
 
     def _splits(self, z):
         """All interior-free decompositions z = x + y with det(x, z) > 0 and
-        delta(x) = 1, sorted by distance of x to the segment [o, z].
+        delta(x) = 1, each with the squared distance of x to [o, z].
         """
         cached = self._split_cache.get(z)
         if cached is not None:
@@ -270,7 +250,6 @@ class EllipticHallAlgebra:
                 out.append((d2, x, y))
         if not out:
             raise StraighteningError(f"no admissible split found for {z}")
-        out.sort(key=lambda t: (t[0], t[1]))
         self._split_cache[z] = out
         return out
 

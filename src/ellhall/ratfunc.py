@@ -352,7 +352,10 @@ class FormalScalar:
         mi = min(self.shift[0], other.shift[0])
         mj = min(self.shift[1], other.shift[1])
         di, dj = self.shift[0] - mi, self.shift[1] - mj
-        n = {(i + di, j + dj): c1 * c for (i, j), c in _bprod(self.num, d2p).items()}
+        if c1 == 1 and di == dj == 0:
+            n = dict(_bprod(self.num, d2p))
+        else:
+            n = {(i + di, j + dj): c1 * c for (i, j), c in _bprod(self.num, d2p).items()}
         di, dj = other.shift[0] - mi, other.shift[1] - mj
         for (i, j), c in _bprod(other.num, d1p).items():
             m = (i + di, j + dj)

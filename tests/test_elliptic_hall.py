@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from ellhall.cyclotomic import get_curve_ring
-from ellhall.elliptic_hall import EllipticHallAlgebra
-from ellhall.lattice import delta, det, enumerate_convex_paths, epsilon, path_class
+from ellhall.elliptic_hall import EllipticHallAlgebra, StraighteningError
+from ellhall.lattice import (delta, det, enumerate_convex_paths, epsilon, interior_points,
+                             path_class)
 from ellhall.ratfunc import FORMAL
+from ellhall.verification import check_straightening
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +194,54 @@ class TestStraightening:
             budget = sum(abs(c) for v in vs for c in v)
             allowed = set(enumerate_convex_paths(cls, "all", budget))
             assert set(prod.terms) <= allowed, (vs, prod.support())
+
+
+class TestResolution:
+    """Each non-basic commutator is resolved through one chosen split."""
+
+    @staticmethod
+    def _is_basic(a, b):
+        return ((delta(b) == 1 and interior_points(b, a) == 0)
+                or (delta(a) == 1 and interior_points(a, b) == 0))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_resolution_per_commutator(self, n, monkeypatch):
+        alg = EllipticHallAlgebra(n, FORMAL)
+        impl, resolve = alg._commutator_impl, alg._resolve_through
+        open_calls, seen = [], []
+
+        def counted_impl(a, b):
+            open_calls.append(0)
+            res = impl(a, b)
+            seen.append(((a, b), open_calls.pop()))
+            return res
+
+        def counted_resolve(*args):
+            open_calls[-1] += 1
+            return resolve(*args)
+
+        monkeypatch.setattr(alg, "_commutator_impl", counted_impl)
+        monkeypatch.setattr(alg, "_resolve_through", counted_resolve)
+        for a, b in [((2, 0), (0, 2)), ((3, -1), (-1, 3)), ((1, -3), (-3, -3)),
+                     ((2, 1), (-3, 2))]:
+            alg.commutator(a, b)
+        assert any(not self._is_basic(*pair) for pair, _ in seen)
+        for pair, calls in seen:
+            assert calls == (0 if self._is_basic(*pair) else 1), pair
+
+    def test_resolution_error_propagates(self, monkeypatch):
+        def boom(self, z, o, x, y):
+            raise StraighteningError("boom")
+
+        monkeypatch.setattr(EllipticHallAlgebra, "_resolve_through", boom)
+        alg = EllipticHallAlgebra(1, FORMAL)
+        for _ in range(2):  # the second call is not a "commutator cycle"
+            with pytest.raises(StraighteningError, match="^boom$"):
+                alg.commutator((2, 0), (0, 2))
+        assert ((2, 0), (0, 2)) not in alg._comm_cache
+        res = check_straightening(coord_bound=1, triples=2)
+        assert res.status == "fail"
+        assert res.detail == {"error": "StraighteningError: boom"}
 
 
 class TestSL2Action:
