@@ -16,6 +16,7 @@ sum.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -66,9 +67,17 @@ def time_triple(n, vs):
 
 
 def describe_commit(src):
+    """``git describe --always --dirty`` of the checkout holding src; a dirty
+    tree also gets a short SHA-256 of ``git diff HEAD`` (tracked files), so
+    benches of two uncommitted edits of one commit stay apart."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=src, capture_output=True,
+                              check=True).stdout
     try:
-        return subprocess.run(["git", "describe", "--always", "--dirty"], cwd=src,
-                              capture_output=True, text=True, check=True).stdout.strip()
+        described = git("describe", "--always", "--dirty").decode().strip()
+        if described.endswith("-dirty"):
+            described += "-" + hashlib.sha256(git("diff", "HEAD")).hexdigest()[:12]
+        return described
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
 

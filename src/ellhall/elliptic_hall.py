@@ -14,23 +14,31 @@ nonzero lattice point, subject to:
 Normal forms live on canonical convex paths (angle weakly decreasing from
 the downward ray, equal-slope runs by decreasing length).  Products are
 computed by a straightening rewrite: adjacent out-of-order generators are
-swapped against their commutator; commutators outside the defining
-relations are resolved recursively by splitting a factor z = x + (z - x)
-at a lattice point on the positively oriented side of the segment [o, z],
-which re-expresses t_z through an interior-free commutator plus lower
-theta corrections.  The best admissible split (smallest determinants in
-the Jacobi brackets, then x closest to [o, z]) is chosen once per
-commutator; the PBW basis is unique, so no other choice is ever tried.
+swapped against their commutator.
 
 An SL_2(Z) action permutes the generators through the linear action on
-the lattice.
+the lattice; it is an automorphism fixing both relations, so commutators
+outside the defining relations are resolved once per orbit of pairs
+(a, b) with det(a, b) > 0 (the reversed pairs are negated).  The orbit's
+representative ((delta(a), 0), (r, b2)), 0 <= r < b2, is resolved
+recursively by splitting a factor z = x + (z - x) at a lattice point on
+the positively oriented side of the segment [o, z], which re-expresses
+t_z through an interior-free commutator plus lower theta corrections.
+The best admissible split (smallest determinants in the Jacobi brackets,
+then x closest to [o, z]) is chosen once; the PBW basis is unique, so no
+other choice is ever tried.  Every other pair of the orbit is the image
+of the representative: its normal form with each segment relabelled,
+straightened again only where a relabelled path leaves the canonical
+order (a path crossing the cut ray L0).  Likewise the theta series is
+expanded only on the ray of (1, 0), and theta_{k z0} relabels it.
 
 Each algebra memoizes, in tables confined to the instance: the theta
 elements per (direction, index), the commutators [t_a, t_b] per ordered
-pair, the basic commutators of relation (2) per (x + y, delta(y)) without
-their sign eps(x, y), the straightened products of pairs of normal-form
-paths, and the interior-free splits of each lattice point.  Elements are
-immutable values, so share algebras read-mostly or keep one per worker.
+pair (orbit representatives and their images alike), the basic
+commutators of relation (2) per (x + y, delta(y)) without their sign
+eps(x, y), the straightened products of pairs of normal-form paths, and
+the interior-free splits of each lattice point.  Elements are immutable
+values, so share algebras read-mostly or keep one per worker.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .lattice import (angle_key, canonical_path, delta, det, epsilon,
-                      interior_points, path_class, primitive, sl2_apply)
+                      interior_points, path_class, primitive)
 from .ratfunc import FormalRing
 from .scalars import LinearCombination, TruncatedSeries, series_exp
 
@@ -50,6 +58,27 @@ class StraighteningError(RuntimeError):
 _IN_PROGRESS = object()
 
 _WORD_GUARD = 2_000_000
+
+
+def _orbit_frame(a, b):
+    """(g, a', b'): g in SL_2(Z) with g a' = a and g b' = b, where (a', b')
+    represents the SL_2(Z)-orbit of a pair with det(a, b) > 0.
+
+    With a0 = a / delta(a) and b = b1 a0 + b2 u, det(a0, u) = 1: a' =
+    (delta(a), 0) and b' = (r, b2), where r is the invariant b1 mod b2 in
+    [0, b2).  Both lie in the closed upper half-plane, off L0.
+    """
+    d = delta(a)
+    aq, ap = a[0] // d, a[1] // d
+    # u = (uq, up) with det((aq, ap), u) = 1
+    if ap == 0:
+        uq, up = 0, aq
+    else:
+        up = pow(aq, -1, abs(ap))
+        uq = (aq * up - 1) // ap
+    b2 = aq * b[1] - ap * b[0]
+    r = (b[0] * up - b[1] * uq) % b2
+    return ((aq, (b[0] - r * aq) // b2), (ap, (b[1] - r * ap) // b2)), (d, 0), (r, b2)
 
 
 class EllipticHallAlgebra:
@@ -109,12 +138,17 @@ class EllipticHallAlgebra:
             return cached
         if k == 0:
             val = self.one
-        else:
+        elif z0 == (1, 0):
             inner = TruncatedSeries(
-                {i: self.generator((i * z0[0], i * z0[1])).scale(self.kappa)
-                 for i in range(1, k + 1)},
+                {i: self.generator((i, 0)).scale(self.kappa) for i in range(1, k + 1)},
                 k, self.one)
             val = series_exp(inner).coefficient(k)
+        else:
+            # theta_{k z0} is theta_{k (1,0)} with each segment (m, 0) read
+            # as m z0: a path on one ray stays canonical when relabelled.
+            q, p = z0
+            val = AlgebraElement(self, {tuple((m * q, m * p) for m, _ in path): c
+                                        for path, c in self.theta_ray((1, 0), k).terms.items()})
         self._theta_cache[key] = val
         return val
 
@@ -171,6 +205,19 @@ class EllipticHallAlgebra:
             return self.commutator_basic(b, a)
         if delta(a) == 1 and interior_points(a, b) == 0:
             return -self.commutator_basic(a, b)
+        # one resolution per SL_2(Z)-orbit: [t_a, t_b] = g [t_a', t_b']
+        if det(a, b) < 0:
+            return -self.commutator(b, a)
+        g, ra, rb = _orbit_frame(a, b)
+        if (ra, rb) != (a, b):
+            return self.sl2_act(g, self.commutator(ra, rb))
+        return self.jacobi_step(a, b)
+
+    def jacobi_step(self, a, b):
+        """[t_a, t_b] by one Jacobi step, through the best admissible split.
+
+        The brackets of the step are read from ``commutator``.
+        """
         # Resolve one factor through an interior-free split z = x + y and
         # Jacobi.  A candidate split is admissible against the other factor
         # o when det(x,o) and det(y,o) do not have opposite signs (so the
@@ -320,7 +367,14 @@ class EllipticHallAlgebra:
             raise ValueError("matrix must have determinant 1")
         out = {}
         for path, c in A.terms.items():
-            self._accumulate_word(tuple(sl2_apply(g, s) for s in path), c, out)
+            w = tuple((ga * q + gb * p, gc * q + gd * p) for q, p in path)
+            keys = [angle_key(s) for s in w]
+            if all(k1 >= k2 for k1, k2 in zip(keys, keys[1:])):
+                # g keeps each ray and each length, so a canonical path
+                # whose image is in angle order maps to a canonical path
+                out[w] = out[w] + c if w in out else c
+            else:
+                self._accumulate_word(w, c, out)
         return AlgebraElement(self, out)
 
     # -- relation verification ----------------------------------------------

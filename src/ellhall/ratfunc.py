@@ -390,6 +390,11 @@ class FormalScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # the engine's coefficients are mostly the ring's one
+        if self is _ONE:
+            return other
+        if other is _ONE:
+            return self
         if self.coef == 0 or other.coef == 0:
             return _ZERO
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den

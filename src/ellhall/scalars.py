@@ -30,14 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .cyclotomic import CurveRing, CurveScalar, get_curve_ring
-from .ratfunc import FORMAL, FormalRing, FormalScalar
-
-__all__ = [
-    "FORMAL", "FormalRing", "FormalScalar", "CurveRing", "CurveScalar",
-    "get_curve_ring", "LinearCombination", "TruncatedSeries", "series_exp",
-    "series_log",
-]
+__all__ = ["LinearCombination", "TruncatedSeries", "series_exp", "series_log"]
 
 
 class LinearCombination:

@@ -238,6 +238,13 @@ def check_straightening(coord_bound=5, triples=200, twists=(1, 2), seed=1234,
             if alg.sl2_act(g, a * b) != alg.sl2_act(g, a) * alg.sl2_act(g, b):
                 ok = False
                 detail["sl2"] = f"n={n} {va},{vb}"
+            # the engine transports commutators along SL_2(Z) orbits; check
+            # the stored value against one Jacobi step through its split
+            if (det(va, vb) and not any(delta(x) == 1 and interior_points(x, y) == 0
+                                        for x, y in ((va, vb), (vb, va)))
+                    and alg.commutator(va, vb) != alg.jacobi_step(va, vb)):
+                ok = False
+                detail["jacobi"] = f"n={n} {va},{vb}"
     detail["associativity triples"] = str(done_total)
     return ok, detail
 

@@ -8,6 +8,7 @@ ACCEPTANCE line so a verbose run doubles as the sign-off report.
 import pytest
 
 from ellhall.autoforms import AutoformContext
+from ellhall.elliptic_hall import EllipticHallAlgebra
 from ellhall.verification import (check_cusp_census, check_functional_relations,
                                   check_hall_numbers, check_hecke_action,
                                   check_independence, check_l_functions,
@@ -46,9 +47,18 @@ def test_criterion_03_macdonald_bridge():
     _report(3, check_macdonald_bridge(rmax=4))
 
 
-def test_criterion_04_straightening_soundness():
+def test_criterion_04_straightening_soundness(monkeypatch):
+    # commutators resolved by recursion: one per orbit, not one per pair
+    resolve, resolved = EllipticHallAlgebra._resolve_through, []
+
+    def counted(self, *args):
+        resolved.append(args)
+        return resolve(self, *args)
+
+    monkeypatch.setattr(EllipticHallAlgebra, "_resolve_through", counted)
     _report(4, check_straightening(coord_bound=5, triples=200, twists=(1, 2),
                                    seed=1234))
+    assert len(resolved) <= 400, len(resolved)
 
 
 def test_criterion_05_functional_relations():

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from ellhall import elliptic_hall
 from ellhall.cyclotomic import get_curve_ring
-from ellhall.elliptic_hall import EllipticHallAlgebra, StraighteningError
+from ellhall.elliptic_hall import EllipticHallAlgebra, StraighteningError, _orbit_frame
 from ellhall.lattice import (delta, det, enumerate_convex_paths, epsilon, interior_points,
                              path_class)
 from ellhall.ratfunc import FORMAL
+from ellhall.scalars import TruncatedSeries, series_exp
 from ellhall.verification import check_straightening
 
 
@@ -64,6 +66,15 @@ class TestTheta:
     def test_homogeneous(self, alg1):
         th3 = alg1.theta_ray((1, 1), 3)
         assert set(th3.homogeneous_components()) == {(3, 3)}
+
+    @pytest.mark.parametrize("z0", [(1, 0), (0, 1), (1, 1), (-1, 2), (0, -1), (-3, -2)])
+    def test_relabelled_equals_direct_series(self, alg2, z0):
+        # theta_ray relabels the series of ray (1, 0); build each one directly
+        for k in range(1, 5):
+            inner = TruncatedSeries(
+                {i: alg2.generator((i * z0[0], i * z0[1])).scale(alg2.kappa)
+                 for i in range(1, k + 1)}, k, alg2.one)
+            assert alg2.theta_ray(z0, k) == series_exp(inner).coefficient(k), (z0, k)
 
 
 class TestBasicCommutators:
@@ -197,7 +208,8 @@ class TestStraightening:
 
 
 class TestResolution:
-    """Each non-basic commutator is resolved through one chosen split."""
+    """Each orbit representative is resolved through one chosen split;
+    every other non-basic commutator is transported from it."""
 
     @staticmethod
     def _is_basic(a, b):
@@ -225,9 +237,47 @@ class TestResolution:
         for a, b in [((2, 0), (0, 2)), ((3, -1), (-1, 3)), ((1, -3), (-3, -3)),
                      ((2, 1), (-3, 2))]:
             alg.commutator(a, b)
-        assert any(not self._is_basic(*pair) for pair, _ in seen)
+        kinds = set()
         for pair, calls in seen:
-            assert calls == (0 if self._is_basic(*pair) else 1), pair
+            if self._is_basic(*pair):
+                kind = "basic"
+            elif det(*pair) < 0:
+                kind = "reversed"
+            elif _orbit_frame(*pair)[1:] == pair:
+                kind = "representative"
+            else:
+                kind = "transported"
+            kinds.add(kind)
+            assert calls == (1 if kind == "representative" else 0), (pair, kind)
+        assert kinds == {"basic", "reversed", "representative", "transported"}
+        resolved = [pair for pair, calls in seen if calls]
+        assert len(resolved) == len(set(resolved))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_transport_equals_recursion(self, n, monkeypatch):
+        box = [(q, p) for q in range(-3, 4) for p in range(-3, 4) if (q, p) != (0, 0)]
+        pairs = [(a, b) for a in box for b in box
+                 if det(a, b) != 0 and not self._is_basic(a, b)]
+        alg = EllipticHallAlgebra(n, FORMAL)
+        got = {pair: alg.commutator(*pair).terms for pair in pairs}
+        # every pair its own representative: the plain recursion
+        monkeypatch.setattr(elliptic_hall, "_orbit_frame",
+                            lambda a, b: (((1, 0), (0, 1)), a, b))
+        ref = EllipticHallAlgebra(n, FORMAL)
+        for pair in pairs:
+            assert ref.commutator(*pair).terms == got[pair], pair
+
+    def test_scaled_representative_fails_criterion_4(self, monkeypatch):
+        impl = EllipticHallAlgebra._commutator_impl
+
+        def faulty(self, a, b):
+            res = impl(self, a, b)
+            return res.scale(2) if (a, b) == ((1, 0), (2, 4)) else res
+
+        monkeypatch.setattr(EllipticHallAlgebra, "_commutator_impl", faulty)
+        res = check_straightening(coord_bound=1, triples=2)
+        assert res.status == "fail"
+        assert "jacobi" in res.detail
 
     def test_resolution_error_propagates(self, monkeypatch):
         def boom(self, z, o, x, y):
