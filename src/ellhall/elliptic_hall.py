@@ -34,11 +34,15 @@ expanded only on the ray of (1, 0), and theta_{k z0} relabels it.
 
 Each algebra memoizes, in tables confined to the instance: the theta
 elements per (direction, index), the commutators [t_a, t_b] per ordered
-pair (orbit representatives and their images alike), the basic
-commutators of relation (2) per (x + y, delta(y)) without their sign
-eps(x, y), the straightened products of pairs of normal-form paths, and
-the interior-free splits of each lattice point.  Elements are immutable
-values, so share algebras read-mostly or keep one per worker.
+pair (orbit representatives and their images alike), the straightened
+products of pairs of normal-form paths, and the interior-free splits of
+each lattice point.  Relation (2) depends on a basic pair only through
+k = delta(x + y), delta(y) and its sign, so one scaled series
++-theta_{k (1,0)} c_{n delta(y)} / kappa is kept per (k, delta(y), sign),
+and its relabelling onto the ray of x + y per (x + y, delta(y), sign):
+values are stored with their sign, so no lookup negates an element.
+Elements are immutable values, so share algebras read-mostly or keep one
+per worker.
 """
 
 from __future__ import annotations
@@ -97,6 +101,7 @@ class EllipticHallAlgebra:
         self._theta_cache: dict[tuple, "AlgebraElement"] = {}
         self._comm_cache: dict[tuple, "AlgebraElement"] = {}
         self._basic_cache: dict[tuple, "AlgebraElement"] = {}
+        self._ray_cache: dict[tuple, "AlgebraElement"] = {}
         self._pair_cache: dict[tuple, dict] = {}
         self._split_cache: dict[tuple, tuple] = {}
 
@@ -144,13 +149,16 @@ class EllipticHallAlgebra:
                 k, self.one)
             val = series_exp(inner).coefficient(k)
         else:
-            # theta_{k z0} is theta_{k (1,0)} with each segment (m, 0) read
-            # as m z0: a path on one ray stays canonical when relabelled.
-            q, p = z0
-            val = AlgebraElement(self, {tuple((m * q, m * p) for m, _ in path): c
-                                        for path, c in self.theta_ray((1, 0), k).terms.items()})
+            val = self._relabel(self.theta_ray((1, 0), k), z0)
         self._theta_cache[key] = val
         return val
+
+    def _relabel(self, A, z0):
+        """A, supported on the ray of (1, 0), with each segment (m, 0) read
+        as m z0: a path on one ray stays canonical when relabelled."""
+        q, p = z0
+        return AlgebraElement(self, {tuple((m * q, m * p) for m, _ in path): c
+                                     for path, c in A.terms.items()})
 
     def theta(self, z) -> "AlgebraElement":
         """theta_z for arbitrary nonzero z (class-z homogeneous)."""
@@ -168,13 +176,37 @@ class EllipticHallAlgebra:
             raise ValueError("proportional pair: use relation (1)")
         if interior_points(x, y) != 0:
             raise ValueError("triangle has interior points: not a basic case")
+        return self._basic(x, y, 1)
+
+    def _basic(self, x, y, sign):
+        """sign [t_y, t_x] for a basic pair (x, y), by relation (2).
+
+        The value depends on the pair only through delta(x + y), delta(y)
+        and its sign: it is the per-ray series of (delta(x + y), delta(y))
+        relabelled onto the ray of x + y.
+        """
         z = (x[0] + y[0], x[1] + y[1])
         dy = delta(y)
-        val = self._basic_cache.get((z, dy))
+        sign *= self._sign * epsilon(x, y)
+        key = (z, dy, sign)
+        val = self._basic_cache.get(key)
         if val is None:
-            val = self.theta(z).scale(self.c(self.n * dy) * self.kappa_inv)
-            self._basic_cache[(z, dy)] = val
-        return -val if self._sign * epsilon(x, y) < 0 else val
+            k = delta(z)
+            val = self._relabel(self._ray_basic(k, dy, sign), (z[0] // k, z[1] // k))
+            self._basic_cache[key] = val
+        return val
+
+    def _ray_basic(self, k, dy, sign):
+        """sign theta_{k (1,0)} c_{n dy} / kappa, built once per algebra."""
+        key = (k, dy, sign)
+        val = self._ray_cache.get(key)
+        if val is None:
+            if sign > 0:
+                val = self.theta_ray((1, 0), k).scale(self.c(self.n * dy) * self.kappa_inv)
+            else:
+                val = -self._ray_basic(k, dy, 1)
+            self._ray_cache[key] = val
+        return val
 
     def commutator(self, a, b) -> "AlgebraElement":
         """[t_a, t_b] in normal form."""
@@ -202,9 +234,9 @@ class EllipticHallAlgebra:
 
     def _commutator_impl(self, a, b):
         if delta(b) == 1 and interior_points(b, a) == 0:
-            return self.commutator_basic(b, a)
+            return self._basic(b, a, 1)
         if delta(a) == 1 and interior_points(a, b) == 0:
-            return -self.commutator_basic(a, b)
+            return self._basic(a, b, -1)
         # one resolution per SL_2(Z)-orbit: [t_a, t_b] = g [t_a', t_b']
         if det(a, b) < 0:
             return -self.commutator(b, a)

@@ -26,6 +26,10 @@ so a product of factors free of them is free of them; and each of n1, n2
 is then coprime to each of d1, d2.  ``make`` finds the content, the sign
 of the lead and the least exponents of each input in one pass
 (``_canonical``).
+
+Like terms (equal shift, num and den) add and subtract by their Fraction
+coefficients alone: the sum keeps the summands' canonical shift, num and
+den, or is zero, so it needs no merge and no ``make``.
 """
 
 from __future__ import annotations
@@ -340,6 +344,8 @@ class FormalScalar:
             return other
         if other.coef == 0:
             return self
+        if self._like(other):
+            return self._with_coef(self.coef + other.coef)
         # n1/d1 + n2/d2 = (n1 d2' + n2 d1') / (d1 d2') with di = g di'
         d1, d2 = self.den, other.den
         q = None if d1 == _ONE_POLY or d2 == _ONE_POLY else bcancel(d1, d2)
@@ -369,15 +375,23 @@ class FormalScalar:
 
     __radd__ = __add__
 
+    def _like(self, other):
+        """Like terms: equal shift, numerator and denominator."""
+        return self.shift == other.shift and self.num == other.num and self.den == other.den
+
+    def _with_coef(self, c):
+        """c s^shift num / den: canonical as it stands, or _ZERO."""
+        return FormalScalar(c, self.shift, self.num, self.den, _normalized=True) if c else _ZERO
+
     def __neg__(self):
-        if self.coef == 0:
-            return self
-        return FormalScalar(-self.coef, self.shift, self.num, self.den, _normalized=True)
+        return self._with_coef(-self.coef)
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self._like(other):
+            return self._with_coef(self.coef - other.coef)
         return self + (-other)
 
     def __rsub__(self, other):

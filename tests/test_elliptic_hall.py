@@ -126,6 +126,43 @@ class TestBasicCommutators:
                 assert alg.commutator_basic(a, b).terms == want.terms
                 assert flipped.commutator_basic(a, b).terms == (-want).terms
 
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_relabelled_equals_ray_series(self, n):
+        # every basic pair in [-4, 4]^2 against exp(kappa sum_i t_{i z0} s^i)
+        # expanded on the ray of z0 = primitive(x + y) itself
+        box = [(q, p) for q in range(-4, 5) for p in range(-4, 5) if (q, p) != (0, 0)]
+        pairs = [(x, y) for x in box if delta(x) == 1 for y in box
+                 if det(x, y) != 0 and interior_points(x, y) == 0]
+        ref = EllipticHallAlgebra(n, FORMAL)
+        top = {}
+        for x, y in pairs:
+            z = (x[0] + y[0], x[1] + y[1])
+            z0 = (z[0] // delta(z), z[1] // delta(z))
+            top[z0] = max(top.get(z0, 0), delta(z))
+        series = {}
+        for z0, k in top.items():
+            inner = TruncatedSeries(
+                {i: ref.generator((i * z0[0], i * z0[1])).scale(ref.kappa)
+                 for i in range(1, k + 1)}, k, ref.one)
+            series[z0] = series_exp(inner)
+        want = {}
+        for x, y in pairs:
+            z = (x[0] + y[0], x[1] + y[1])
+            k = delta(z)
+            val = series[(z[0] // k, z[1] // k)].coefficient(k).scale(
+                ref.c(n * delta(y)) * ref.kappa_inv)
+            want[(x, y)] = (val if epsilon(x, y) > 0 else -val).terms
+        for order in (pairs, pairs[::-1]):
+            alg = EllipticHallAlgebra(n, FORMAL)
+            flipped = EllipticHallAlgebra(n, FORMAL, flip_relation_sign=True)
+            for x, y in order:
+                w = want[(x, y)]
+                assert alg.commutator_basic(x, y).terms == w, (x, y)
+                assert alg.commutator(y, x).terms == w, (x, y)
+                assert (-alg.commutator(x, y)).terms == w, (x, y)
+                assert (-flipped.commutator_basic(x, y)).terms == w, (x, y)
+                assert (-flipped.commutator(y, x)).terms == w, (x, y)
+
 
 class TestStraightening:
     def test_single_swap_example(self, alg1):
@@ -278,6 +315,20 @@ class TestResolution:
         res = check_straightening(coord_bound=1, triples=2)
         assert res.status == "fail"
         assert "jacobi" in res.detail
+
+    def test_scaled_ray_series_fails_criterion_4(self, monkeypatch):
+        # relation (2) pairs read the scaled series of their ray on both
+        # sides, so only associativity can see one of them scaled
+        ray = EllipticHallAlgebra._ray_basic
+
+        def faulty(self, k, dy, sign):
+            res = ray(self, k, dy, sign)
+            return res.scale(2) if (k, dy) == (2, 1) and sign > 0 else res
+
+        monkeypatch.setattr(EllipticHallAlgebra, "_ray_basic", faulty)
+        res = check_straightening(coord_bound=1, triples=6, sl2_samples=0)
+        assert res.status == "fail"
+        assert "associativity" in res.detail
 
     def test_resolution_error_propagates(self, monkeypatch):
         def boom(self, z, o, x, y):

@@ -299,6 +299,84 @@ class TestScalarsOnGcdRoute:
         assert fast == slow
 
 
+def merged(x, y, sign):
+    """x + sign y by the general route: both numerators merged over the
+    common coefficient denominator, reduced by make."""
+    d = x.coef.denominator * y.coef.denominator
+    n = {}
+    for z, k in ((x, int(x.coef * d)), (y, sign * int(y.coef * d))):
+        for m, c in z.num.items():
+            n[m] = n.get(m, 0) + k * c
+    return FormalScalar.make(Fraction(1, d), x.shift, {m: c for m, c in n.items() if c},
+                             x.den)
+
+
+def like_cases(x, y):
+    """(result, want, general-route result) of x + y, y + x, x - y, y - x."""
+    ops = (lambda u, v: u + v, lambda u, v: u - v)
+    cases = [(x, y, 0), (y, x, 0), (x, y, 1), (y, x, 1)]
+    with mock.patch.object(FormalScalar, "_like", lambda self, other: False):
+        slow = [ops[k](u, v) for u, v, k in cases]
+    return [(ops[k](u, v), merged(u, v, -1 if k else 1), w)
+            for (u, v, k), w in zip(cases, slow)]
+
+
+def check_like(x, y):
+    for got, want, slow in like_cases(x, y):
+        assert fields(got) == fields(want) == fields(slow)
+        assert got == want and hash(got) == hash(want)
+        assert got.is_zero() == want.is_zero()
+        if want.is_zero():
+            assert got is ratfunc._ZERO
+
+
+class TestLikeTerms:
+    """Like terms (equal shift, num and den) combine by their Fraction
+    coefficients alone, with the fields, equality, hash and zero test of
+    the general route and no call of make."""
+
+    @given(values(), st.fractions(min_value=-4, max_value=4, max_denominator=6))
+    def test_matches_general_route(self, x, c):
+        assume(c)
+        y = x * c
+        assert (y.shift, y.num, y.den) == (x.shift, x.num, x.den)
+        check_like(x, y)
+
+    @pytest.mark.parametrize("base", [R.one, R.s, R.nu * R.s ** 3 / (R.s - R.sb),
+                                      (1 + R.s * R.sb) ** 2 / (2 - R.sb)], ids=repr)
+    @pytest.mark.parametrize("a, b", [(Fraction(1, 2), Fraction(1, 2)),
+                                      (Fraction(1, 3), Fraction(-1, 3)),
+                                      (Fraction(2, 3), Fraction(5, 6)),
+                                      (Fraction(-7, 4), Fraction(7, 4)),
+                                      (Fraction(3), Fraction(3))], ids=str)
+    def test_fractions_and_cancellation(self, base, a, b):
+        x, y = base * a, base * b
+        check_like(x, y)
+        with mock.patch.object(FormalScalar, "make", side_effect=AssertionError):
+            assert x + y == base * (a + b)
+            assert x - y == base * (a - b)
+            assert (x - x) is ratfunc._ZERO and (x + (-x)) is ratfunc._ZERO
+
+    @pytest.mark.parametrize("x, y, equal", [
+        (R.s / (1 - R.sb), R.s / (2 - R.sb), ("shift", "num")),
+        (R.s * (1 + R.sb), R.s * (2 + R.sb), ("shift", "den")),
+        (R.s * (1 + R.sb), R.sb * (1 + R.sb), ("num", "den")),
+    ], ids=repr)
+    def test_unlike_terms_take_general_route(self, x, y, equal):
+        assert [f for f in ("shift", "num", "den")
+                if getattr(x, f) == getattr(y, f)] == list(equal)
+        got = [x + y, x - y, y - x]
+        with mock.patch.object(FormalScalar, "_like", lambda self, other: False):
+            slow = [x + y, x - y, y - x]
+        assert [fields(g) for g in got] == [fields(w) for w in slow]
+
+    def test_half_plus_half_is_one(self):
+        half = R.from_fraction(Fraction(1, 2))
+        one = half + half
+        assert one == R.one and one == 1 and hash(one) == hash(R.one) == hash(1)
+        assert fields(one) == fields(R.one)
+
+
 def old_make(coef, shift, num, den):
     """make by the scans it used before the one-pass reduction."""
     def content(a):
