@@ -29,13 +29,41 @@ of the lead and the least exponents of each input in one pass
 
 Like terms (equal shift, num and den) add and subtract by their Fraction
 coefficients alone: the sum keeps the summands' canonical shift, num and
-den, or is zero, so it needs no merge and no ``make``.
+den, or is zero, so it needs no merge and no ``make``.  Zero tests read the
+integer numerator of ``coef``.
+
+``bmul`` multiplies small operands term by term (``_bmul_dict``, also the
+oracle of the tests) and large ones by Kronecker substitution
+(``_kronecker``; D. Harvey, arXiv 0712.4046): each operand becomes one
+integer, the two are multiplied once in C, and the product's digits are
+read back.  The exponents of each variable are offset by their least value
+in each operand and divided by the gcd g of all these offsets (g = 1 when
+they are all 0; the engine's polynomials live in s^2 and sb^2, so g is 2 or
+4 there).  A term with compressed exponents (u, v) goes to slot u W + v of
+w bytes, W being one more than the largest compressed sb-exponent of the
+product.  A product coefficient is a sum of at most min(len a, len b)
+products of one coefficient of each side, so its absolute value is at most
+B = max|a| max|b| min(len a, len b); w in {1, 2, 4, 8} is the least width
+with B < 2^(8w-1), and a B of 2^63 or more goes to the dict loop, as does a
+product with more than two slots per term pair.
+
+The packed product is exact.  Its compressed sb-exponents stay below W, so
+distinct monomials get distinct slots.  Adding h = 2^(8w-1) to every slot
+puts each digit c + h in [1, 2^8w), so no carry or borrow crosses a slot and
+the base-2^8w digits of the biased product are exactly the c + h.  Flipping
+the top bit of each digit (xor with the bias) leaves c in w-byte two's
+complement, which a signed memoryview reads back; a slot that reads 0 holds
+no term and is dropped.  An operand is packed the same way in reverse: its
+coefficients are written as signed slots, and xor then subtraction of the
+bias turn the unsigned reading into the operand's value at X = 2^8w.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import compress, product
 from math import gcd, isqrt
 
 _ONE_POLY = {(0, 0): 1}
@@ -48,6 +76,15 @@ def bneg(a):
 def bmul(a, b):
     if len(a) > len(b):
         a, b = b, a
+    if len(a) * len(b) >= _KRONECKER_MIN_PAIRS:
+        r = _kronecker(a, b)
+        if r is not None:
+            return r
+    return _bmul_dict(a, b)
+
+
+def _bmul_dict(a, b):
+    """a b term by term: the oracle, and the path of small products."""
     r = {}
     for (ia, ja), ca in a.items():
         for (ib, jb), cb in b.items():
@@ -58,6 +95,77 @@ def bmul(a, b):
             else:
                 r.pop(m, None)
     return r
+
+
+# Smallest product (term pairs) sent to _kronecker.  scripts/bench_bmul.py
+# replays the products of one cold pass (seed 1234, 2-vCPU VM, Python 3.11;
+# BENCH_7_bmul.json): on assoc-triples the packed product takes 28%, 9% and
+# 13% longer than the dict loop at 96-112, 112-128 and 128-144 term pairs,
+# and 4%, 7% and 29% less at 160-192, 192-256 and 256-512 (144-160 read -12%
+# there and +1% in another run); on relation-sweep it breaks even at 160-192
+# and wins from 192 on.
+_KRONECKER_MIN_PAIRS = 160
+
+# Slots per term pair above which a product stays on the dict loop: a slot
+# costs about half a term pair to unpack.  Replayed by slots per term pair,
+# products of 160 or more term pairs with 2 to 3 slots took 37% (assoc-triples)
+# and 60% (relation-sweep) longer packed; most have at most one and run 2.6x
+# and 2.2x faster packed.  It also bounds the memory of a packed product.
+_KRONECKER_MAX_FILL = 2
+
+# Native signed slot format of each slot width in bytes.
+_SLOT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _kronecker(a, b):
+    """a b by Kronecker substitution, with len(a) <= len(b), or None when a
+    coefficient could need 64 bits or the packed form would be too sparse.
+
+    See the module docstring for the packing and why the result is exact.
+    """
+    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * len(a)
+    for w in (1, 2, 4, 8):
+        half = 1 << (8 * w - 1)
+        if bound < half:
+            break
+    else:
+        return None
+    ia, ja = zip(*a)
+    ib, jb = zip(*b)
+    ia0, ja0, ib0, jb0 = min(ia), min(ja), min(ib), min(jb)
+    gi = gcd(*[i - ia0 for i in set(ia)], *[i - ib0 for i in set(ib)]) or 1
+    gj = gcd(*[j - ja0 for j in set(ja)], *[j - jb0 for j in set(jb)]) or 1
+    width = (max(ja) - ja0 + max(jb) - jb0) // gj + 1
+    ra, rb = (max(ia) - ia0) // gi + 1, (max(ib) - ib0) // gi + 1
+    rows = ra + rb - 1
+    n = rows * width
+    if n > _KRONECKER_MAX_FILL * len(a) * len(b):
+        return None
+    c = (_pack(a, ia0, ja0, gi, gj, width, ra * width, w)
+         * _pack(b, ib0, jb0, gi, gj, width, rb * width, w))
+    bias = _bias(w, n)
+    coefs = memoryview(((c + bias) ^ bias).to_bytes(n * w, sys.byteorder)).cast(
+        _SLOT_FORMATS[w]).tolist()
+    i0, j0 = ia0 + ib0, ja0 + jb0
+    monos = product(range(i0, i0 + gi * rows, gi), range(j0, j0 + gj * width, gj))
+    return dict(compress(zip(monos, coefs), coefs))
+
+
+def _bias(w, n):
+    """2^(8w-1) in each of n slots of w bytes."""
+    return int.from_bytes((1 << (8 * w - 1)).to_bytes(w, sys.byteorder) * n, sys.byteorder)
+
+
+def _pack(a, i0, j0, gi, gj, width, n, w):
+    """The integer a(X^width, X) in the compressed exponents, X = 2^8w, as n
+    slots of w bytes."""
+    buf = bytearray(n * w)
+    slots = memoryview(buf).cast(_SLOT_FORMATS[w])
+    for (i, j), c in a.items():
+        slots[(i - i0) // gi * width + (j - j0) // gj] = c
+    slots.release()
+    bias = _bias(w, n)
+    return (int.from_bytes(buf, sys.byteorder) ^ bias) - bias
 
 
 def _bscale(a, k):
@@ -311,7 +419,7 @@ class FormalScalar:
 
     @staticmethod
     def make(coef: Fraction, shift, num, den):
-        if not num or coef == 0:
+        if not num or not coef.numerator:
             return _ZERO
         if not den:
             raise ZeroDivisionError("zero denominator")
@@ -329,10 +437,10 @@ class FormalScalar:
     # -- predicates ---------------------------------------------------
 
     def is_zero(self):
-        return self.coef == 0
+        return not self.coef.numerator
 
     def __bool__(self):
-        return self.coef != 0
+        return self.coef.numerator != 0
 
     # -- ring operations ----------------------------------------------
 
@@ -340,9 +448,9 @@ class FormalScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.coef == 0:
+        if not self.coef.numerator:
             return other
-        if other.coef == 0:
+        if not other.coef.numerator:
             return self
         if self._like(other):
             return self._with_coef(self.coef + other.coef)
@@ -381,7 +489,9 @@ class FormalScalar:
 
     def _with_coef(self, c):
         """c s^shift num / den: canonical as it stands, or _ZERO."""
-        return FormalScalar(c, self.shift, self.num, self.den, _normalized=True) if c else _ZERO
+        if not c.numerator:
+            return _ZERO
+        return FormalScalar(c, self.shift, self.num, self.den, _normalized=True)
 
     def __neg__(self):
         return self._with_coef(-self.coef)
@@ -409,7 +519,7 @@ class FormalScalar:
             return other
         if other is _ONE:
             return self
-        if self.coef == 0 or other.coef == 0:
+        if not self.coef.numerator or not other.coef.numerator:
             return _ZERO
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if d2 != _ONE_POLY and n1 != _ONE_POLY:
@@ -428,7 +538,7 @@ class FormalScalar:
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.coef == 0:
+        if not self.coef.numerator:
             raise ZeroDivisionError("inverse of zero")
         return FormalScalar(1 / self.coef, (-self.shift[0], -self.shift[1]),
                             self.den, self.num, _normalized=True)
@@ -498,7 +608,7 @@ class FormalScalar:
         return self.coef * s_val ** self.shift[0] * sb_val ** self.shift[1] * num / den
 
     def __repr__(self):
-        if self.coef == 0:
+        if not self.coef.numerator:
             return "0"
         parts = []
         if self.coef != 1 or (self.num == _ONE_POLY and self.den == _ONE_POLY

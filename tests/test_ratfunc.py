@@ -424,3 +424,97 @@ class TestMake:
     def test_laurent_numerator(self, num):
         assert fields(FormalScalar.make(Fraction(1), (0, 0), num, ONE)) == \
             old_make(Fraction(1), (0, 0), num, ONE)
+
+
+@st.composite
+def stepped(draw, steps=(0, 1, 2, 3), max_terms=14, max_coef=2 ** 20):
+    """Laurent polynomials whose exponents of each variable are an offset plus
+    multiples of a step: step 0 gives one exponent value (gcd 0)."""
+    si, sj = draw(st.sampled_from(steps)), draw(st.sampled_from(steps))
+    oi, oj = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+    mono = st.tuples(st.integers(0, 5), st.integers(0, 5)).map(
+        lambda k: (oi + si * k[0], oj + sj * k[1]))
+    coef = st.integers(-max_coef, max_coef).filter(bool)
+    return draw(st.dictionaries(mono, coef, min_size=1, max_size=max_terms))
+
+
+def shorter_first(a, b):
+    return (a, b) if len(a) <= len(b) else (b, a)
+
+
+def same_product(a, b):
+    """The Kronecker product of a and b, or None where it declines, after
+    checking it and bmul against the dict loop, field for field."""
+    a, b = shorter_first(a, b)
+    want = ratfunc._bmul_dict(a, b)
+    got = ratfunc._kronecker(a, b)
+    for r in (got, bmul(a, b), bmul(b, a)):
+        if r is not None:
+            assert r == want
+            assert all(type(c) is int and c for c in r.values())
+    return got
+
+
+class TestKronecker:
+    """The packed product of bmul against the term-by-term dict loop."""
+
+    @pytest.mark.parametrize("step", [0, 1, 2, 3])
+    @given(data=st.data())
+    def test_equals_dict_loop(self, step, data):
+        # negative and mixed exponents, a shared gcd of the step, or none
+        a = data.draw(stepped(steps=(step,)))
+        b = data.draw(stepped())
+        same_product(a, b)
+
+    @pytest.mark.parametrize("edge", [2 ** 7, 2 ** 15, 2 ** 31, 2 ** 63])
+    @pytest.mark.parametrize("below", [True, False], ids=["below", "at"])
+    @given(la=st.sampled_from((1, 2, 4)), lb=st.integers(4, 40), flip=st.booleans(),
+           gap=st.sampled_from((1, 2, 3)))
+    def test_coefficient_bound_edges(self, edge, below, la, lb, flip, gap):
+        # a = x sb^-1 (1 + t + ... + t^(la-1)), b = +-y sb^2 (1 + ... + t^(lb-1))
+        # with t = s^gap: the middle coefficients reach the bound la x y
+        bound = edge - 1 if below else edge
+        if below:
+            la = 1
+        x, y = 1, bound // la
+        a = {(gap * k, -1): x for k in range(la)}
+        b = {(gap * k, 2): -y if flip else y for k in range(lb)}
+        got = same_product(a, b)
+        assert max(map(abs, ratfunc._bmul_dict(a, b).values())) == la * x * y == bound
+        # a bound of 2^63 or more goes to the dict loop
+        assert (got is None) == (bound >= 2 ** 63)
+
+    @given(stepped(max_terms=8), st.sampled_from((1, 2, 3)), st.integers(8, 40))
+    def test_exact_cancellation(self, p, g, n):
+        # p (1 - s^g) times 1 + s^g + ... + s^(g(n-1)) is p (1 - s^(gn))
+        a = ratfunc._bmul_dict(p, {(0, 0): 1, (g, 0): -1})
+        b = {(g * k, 0): 1 for k in range(n)}
+        got = same_product(a, b)
+        assert got == ratfunc._bmul_dict(p, {(0, 0): 1, (g * n, 0): -1})
+
+    @given(st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+           st.integers(-2 ** 40, 2 ** 40).filter(bool), stepped(max_terms=36))
+    def test_one_term_operand(self, m, c, b):
+        same_product({m: c}, b)
+        same_product({m: c}, {m: c})
+        assert bmul({m: c}, b) == {(m[0] + i, m[1] + j): c * v for (i, j), v in b.items()}
+        assert bmul({m: c}, {m: c}) == {(2 * m[0], 2 * m[1]): c * c}
+
+    @pytest.mark.parametrize("pairs", [ratfunc._KRONECKER_MIN_PAIRS - 1,
+                                       ratfunc._KRONECKER_MIN_PAIRS])
+    @given(data=st.data())
+    def test_size_threshold(self, pairs, data):
+        # lb = pairs is a one-term a; other splits when pairs has a divisor
+        la = data.draw(st.sampled_from([d for d in range(1, 13) if pairs % d == 0]))
+        coef = st.integers(-50, 50).filter(bool)
+        a = {(k, 2 * k): data.draw(coef) for k in range(la)}
+        b = {(3 * k, -k): data.draw(coef) for k in range(pairs // la)}
+        with mock.patch.object(ratfunc, "_kronecker", wraps=ratfunc._kronecker) as kron:
+            assert bmul(a, b) == ratfunc._bmul_dict(a, b)
+        assert kron.called == (pairs >= ratfunc._KRONECKER_MIN_PAIRS)
+
+    def test_sparse_operands_go_to_the_dict_loop(self):
+        # far-apart exponents: the packed form would hold millions of slots
+        a = {(1000 * k, 7 * k * k): k + 1 for k in range(16)}
+        b = {(k * k, 999 * k): 2 - k for k in range(16)}
+        assert same_product(a, b) is None
