@@ -47,11 +47,9 @@ class RunConfig:
     n: int = 1
     order: int = 8
     budget_degree: int | None = None
-    max_field_size: int = 10 ** 6
     seed: int = 1234
     out_format: str = "text"
     with_timings: bool = False
-    inject_sign_flip: bool = False
 
     def validate(self):
         if self.n < 1:
@@ -89,7 +87,7 @@ def build_curve(config: RunConfig) -> CurveData:
     params = dict(config.curve_params)
     q = params.pop("q")
     try:
-        return CurveData(q, max_field_size=config.max_field_size, **params)
+        return CurveData(q, **params)
     except (ValueError, BudgetExceeded) as exc:
         raise ConfigError(str(exc))
 
@@ -226,8 +224,7 @@ def cmd_straighten(config: RunConfig, expression: str) -> dict:
 
 
 def cmd_verify_all(config: RunConfig) -> dict:
-    checks = run_verify_all(budget_degree=config.budget_degree, seed=config.seed,
-                            flip_relation_sign=config.inject_sign_flip)
+    checks = run_verify_all(budget_degree=config.budget_degree, seed=config.seed)
     return make_report("verify-all", config, checks)
 
 
@@ -249,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", dest="out_format", choices=("json", "csv", "text"))
     common.add_argument("--with-timings", action="store_true",
                         help="include elapsed times (reports stop being byte-stable)")
-    common.add_argument("--inject-sign-flip", action="store_true",
-                        help=argparse.SUPPRESS)  # fault-injection hook for tests
     parser = argparse.ArgumentParser(
         prog="ellhall", parents=[common],
         description="Exact loop-algebra and curve-side verification toolkit")

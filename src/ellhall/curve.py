@@ -394,6 +394,8 @@ class PicardGroup:
             k = 1
             acc = P
             while acc is not None:
+                if k == N:
+                    raise IdentityMismatch(f"a point of order above the group order {N}")
                 acc = curve.add(n, acc, P)
                 k += 1
             orders[_key_of(P)] = k if P is not None else 1

@@ -86,13 +86,11 @@ def _orbit_frame(a, b):
 
 
 class EllipticHallAlgebra:
-    def __init__(self, n: int, ring, flip_relation_sign: bool = False):
+    def __init__(self, n: int, ring):
         if n < 1:
             raise ValueError("twist level n must be >= 1")
         self.n = n
         self.ring = ring
-        # flip_relation_sign is a fault-injection hook for mutation tests
-        self._sign = -1 if flip_relation_sign else 1
         self.kappa = ring.kappa(n)
         self.kappa_inv = self.kappa.inverse()
         self.one = AlgebraElement(self, {(): ring.one})
@@ -187,7 +185,7 @@ class EllipticHallAlgebra:
         """
         z = (x[0] + y[0], x[1] + y[1])
         dy = delta(y)
-        sign *= self._sign * epsilon(x, y)
+        sign *= epsilon(x, y)
         key = (z, dy, sign)
         val = self._basic_cache.get(key)
         if val is None:

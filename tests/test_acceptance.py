@@ -56,13 +56,12 @@ def test_criterion_04_straightening_soundness(monkeypatch):
         return resolve(self, *args)
 
     monkeypatch.setattr(EllipticHallAlgebra, "_resolve_through", counted)
-    _report(4, check_straightening(coord_bound=5, triples=200, twists=(1, 2),
-                                   seed=1234))
+    _report(4, check_straightening(coord_bound=5, triples=200, seed=1234))
     assert len(resolved) <= 400, len(resolved)
 
 
 def test_criterion_05_functional_relations():
-    _report(5, check_functional_relations(window=4, m_bound=3, twists=(1, 2)))
+    _report(5, check_functional_relations(window=4, m_bound=3))
 
 
 def test_criterion_06_twisted_scalar_product(ctx):

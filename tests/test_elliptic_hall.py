@@ -116,7 +116,6 @@ class TestBasicCommutators:
         unsigned = fresh.theta((x[0] + y[0], x[1] + y[1])).scale(
             fresh.c(n * delta(y)) * fresh.kappa_inv)
         alg = EllipticHallAlgebra(n, FORMAL)
-        flipped = EllipticHallAlgebra(n, FORMAL, flip_relation_sign=True)
         orientations = [(x, y, epsilon(x, y))]
         if delta(y) == 1:
             orientations.append((y, x, epsilon(y, x)))
@@ -124,7 +123,6 @@ class TestBasicCommutators:
             for a, b, eps in orientations:
                 want = unsigned if eps > 0 else -unsigned
                 assert alg.commutator_basic(a, b).terms == want.terms
-                assert flipped.commutator_basic(a, b).terms == (-want).terms
 
     @pytest.mark.parametrize("n", (1, 2))
     def test_relabelled_equals_ray_series(self, n):
@@ -154,14 +152,11 @@ class TestBasicCommutators:
             want[(x, y)] = (val if epsilon(x, y) > 0 else -val).terms
         for order in (pairs, pairs[::-1]):
             alg = EllipticHallAlgebra(n, FORMAL)
-            flipped = EllipticHallAlgebra(n, FORMAL, flip_relation_sign=True)
             for x, y in order:
                 w = want[(x, y)]
                 assert alg.commutator_basic(x, y).terms == w, (x, y)
                 assert alg.commutator(y, x).terms == w, (x, y)
                 assert (-alg.commutator(x, y)).terms == w, (x, y)
-                assert (-flipped.commutator_basic(x, y)).terms == w, (x, y)
-                assert (-flipped.commutator(y, x)).terms == w, (x, y)
 
 
 class TestStraightening:
@@ -304,32 +299,6 @@ class TestResolution:
         for pair in pairs:
             assert ref.commutator(*pair).terms == got[pair], pair
 
-    def test_scaled_representative_fails_criterion_4(self, monkeypatch):
-        impl = EllipticHallAlgebra._commutator_impl
-
-        def faulty(self, a, b):
-            res = impl(self, a, b)
-            return res.scale(2) if (a, b) == ((1, 0), (2, 4)) else res
-
-        monkeypatch.setattr(EllipticHallAlgebra, "_commutator_impl", faulty)
-        res = check_straightening(coord_bound=1, triples=2)
-        assert res.status == "fail"
-        assert "jacobi" in res.detail
-
-    def test_scaled_ray_series_fails_criterion_4(self, monkeypatch):
-        # relation (2) pairs read the scaled series of their ray on both
-        # sides, so only associativity can see one of them scaled
-        ray = EllipticHallAlgebra._ray_basic
-
-        def faulty(self, k, dy, sign):
-            res = ray(self, k, dy, sign)
-            return res.scale(2) if (k, dy) == (2, 1) and sign > 0 else res
-
-        monkeypatch.setattr(EllipticHallAlgebra, "_ray_basic", faulty)
-        res = check_straightening(coord_bound=1, triples=6, sl2_samples=0)
-        assert res.status == "fail"
-        assert "associativity" in res.detail
-
     def test_resolution_error_propagates(self, monkeypatch):
         def boom(self, z, o, x, y):
             raise StraighteningError("boom")
@@ -380,21 +349,6 @@ class TestFunctionalRelations:
 
     def test_cubic_m0(self, alg1):
         assert alg1.verify_cubic_relation(0)
-
-    def test_cubic_needs_zero_not_tautology(self):
-        # the flipped-sign algebra violates associativity instead
-        bad = EllipticHallAlgebra(1, FORMAL, flip_relation_sign=True)
-        rng = random.Random(1)
-        broken = False
-        for _ in range(30):
-            vs = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(3)]
-            if (0, 0) in vs:
-                continue
-            a, b, c = (bad.generator(v) for v in vs)
-            if (a * b) * c != a * (b * c):
-                broken = True
-                break
-        assert broken
 
     def test_curve_backend_rejected_for_chi(self):
         ring = get_curve_ring(2, 1, 0)
