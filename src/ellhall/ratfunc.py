@@ -382,6 +382,8 @@ def bcancel(a, b):
     the exact divisions that certify g, so no division runs twice.
     """
     if a == b:
+        if len(a) == 1 and a.get((0, 0)) in (1, -1):
+            return None
         one = {(0, 0): -1} if a[_blead(a)] < 0 else _ONE_POLY
         return one, one
     if len(b) > 1:

@@ -170,14 +170,17 @@ class TestCancel:
         assert bcancel({(0, 2): 1, (0, 1): 1}, {(0, 2): 1, (0, 1): 1, (0, 0): 2}) is None
 
     @pytest.mark.parametrize("a", [
-        {(1, 1): 1, (0, 0): 3}, {(1, 1): -2, (0, 0): 4}, {(2, 0): -5}], ids=repr)
+        {(1, 1): 1, (0, 0): 3}, {(1, 1): -2, (0, 0): 4}, {(2, 0): -5},
+        # g = 1: no cancellation
+        {(0, 0): 1}, {(0, 0): -1}], ids=repr)
     def test_equal_inputs(self, a):
         assert bcancel(a, a) == self.quotients(a, a)
 
 
 def gcd_route(a, b):
-    """bcancel without the exact-division shortcut: always through _gcd."""
-    if a == b:
+    """bcancel without the exact-division shortcut: always through _gcd,
+    but for equal inputs other than +-1."""
+    if a == b and a not in ({(0, 0): 1}, {(0, 0): -1}):
         one = {(0, 0): -1} if a[ratfunc._blead(a)] < 0 else ONE
         return one, one
     g, qa, qb = ratfunc._gcd(a, b, 1)
@@ -427,10 +430,12 @@ class TestMake:
 
 
 @st.composite
-def stepped(draw, steps=(0, 1, 2, 3), max_terms=14, max_coef=2 ** 20):
+def stepped(draw, steps=(0, 1, 2, 3), max_terms=14, max_coef=2 ** 20, s_steps=None):
     """Laurent polynomials whose exponents of each variable are an offset plus
-    multiples of a step: step 0 gives one exponent value (gcd 0)."""
-    si, sj = draw(st.sampled_from(steps)), draw(st.sampled_from(steps))
+    multiples of a step: step 0 gives one exponent value (gcd 0).  The step
+    of s is drawn from s_steps when given."""
+    si = draw(st.sampled_from(steps if s_steps is None else s_steps))
+    sj = draw(st.sampled_from(steps))
     oi, oj = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
     mono = st.tuples(st.integers(0, 5), st.integers(0, 5)).map(
         lambda k: (oi + si * k[0], oj + sj * k[1]))
@@ -484,9 +489,13 @@ class TestKronecker:
         # a bound of 2^63 or more goes to the dict loop
         assert (got is None) == (bound >= 2 ** 63)
 
-    @given(stepped(max_terms=8), st.sampled_from((1, 2, 3)), st.integers(8, 40))
-    def test_exact_cancellation(self, p, g, n):
-        # p (1 - s^g) times 1 + s^g + ... + s^(g(n-1)) is p (1 - s^(gn))
+    @given(st.data(), st.sampled_from((1, 2, 3)), st.integers(8, 40))
+    def test_exact_cancellation(self, data, g, n):
+        # p (1 - s^g) times 1 + s^g + ... + s^(g(n-1)) is p (1 - s^(gn)); the
+        # s-exponents of p step by g, so the packing has at most
+        # _KRONECKER_MAX_FILL slots per term pair and is taken (a p with
+        # s-exponents off that step may be declined, as the fill bound means)
+        p = data.draw(stepped(max_terms=8, s_steps=(0, g)))
         a = ratfunc._bmul_dict(p, {(0, 0): 1, (g, 0): -1})
         b = {(g * k, 0): 1 for k in range(n)}
         got = same_product(a, b)
