@@ -3,8 +3,9 @@
 Subpackages:
 
 * scalars / ratfunc / cyclotomic: exact coefficient arithmetic in the
-  formal two-parameter field and in the curve-specialized cyclotomic tower,
-  the sparse linear-combination base of every algebra, truncated series
+  formal two-parameter Laurent ring and in the curve-specialized cyclotomic
+  tower, the sparse linear-combination base of every algebra, truncated
+  series
 * lattice: rank-2 integer lattice geometry and convex paths
 * dvr_hall: the classical Hall algebra of torsion modules with brute-force
   Hall numbers and the symmetric-function bridge

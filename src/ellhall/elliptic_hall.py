@@ -41,6 +41,9 @@ k = delta(x + y), delta(y) and its sign, so one scaled series
 +-theta_{k (1,0)} c_{n delta(y)} / kappa is kept per (k, delta(y), sign),
 and its relabelling onto the ray of x + y per (x + y, delta(y), sign):
 values are stored with their sign, so no lookup negates an element.
+Relation (2) and the splits divide by c_{n delta(y)} and kappa, element by
+element; over the formal backend these are exact divisions, which raise
+ArithmeticError where a wrong constant leaves a remainder.
 Elements are immutable values, so share algebras read-mostly or keep one
 per worker.
 """
@@ -92,7 +95,6 @@ class EllipticHallAlgebra:
         self.n = n
         self.ring = ring
         self.kappa = ring.kappa(n)
-        self.kappa_inv = self.kappa.inverse()
         self.one = AlgebraElement(self, {(): ring.one})
         self.zero = AlgebraElement(self, {})
         self._c_cache: dict[int, object] = {}
@@ -200,7 +202,7 @@ class EllipticHallAlgebra:
         val = self._ray_cache.get(key)
         if val is None:
             if sign > 0:
-                val = self.theta_ray((1, 0), k).scale(self.c(self.n * dy) * self.kappa_inv)
+                val = self.theta_ray((1, 0), k).scale(self.c(self.n * dy)) / self.kappa
             else:
                 val = -self._ray_basic(k, dy, 1)
             self._ray_cache[key] = val
@@ -277,16 +279,15 @@ class EllipticHallAlgebra:
         return -res if flip else res
 
     def _resolve_through(self, z, o, x, y):
-        """[t_z, t_o] via t_z = c^-1 [t_y, t_x] - theta corrections."""
-        c_inv = self.c(self.n * delta(y)).inverse()
+        """[t_z, t_o] via t_z = [t_y, t_x] / c - theta corrections."""
         e1 = self.commutator(x, o)
         e2 = self.commutator(y, o)
         term1 = self._bracket(self.generator(y), e1)
         term2 = self._bracket(self.generator(x), e2)
-        res = (term1 - term2).scale(c_inv)
+        res = (term1 - term2) / self.c(self.n * delta(y))
         corr = self.theta(z) - self.generator(z).scale(self.kappa)
         if corr.terms:
-            res = res - self._bracket(corr, self.generator(o)).scale(self.kappa_inv)
+            res = res - self._bracket(corr, self.generator(o)) / self.kappa
         return res
 
     def _bracket(self, A: "AlgebraElement", B: "AlgebraElement") -> "AlgebraElement":
@@ -343,12 +344,18 @@ class EllipticHallAlgebra:
             if c.is_zero():
                 continue
             idx = -1
+            runs_sorted = True  # parallel neighbours by decreasing length
             for i in range(len(w) - 1):
-                if angle_key(w[i]) < angle_key(w[i + 1]):
+                a, b = w[i], w[i + 1]
+                if angle_key(a) < angle_key(b):
                     idx = i
                     break
+                if (a[0] * b[1] == a[1] * b[0]
+                        and abs(a[0]) + abs(a[1]) < abs(b[0]) + abs(b[1])):
+                    runs_sorted = False
             if idx < 0:
-                p = canonical_path(w)
+                # an angle-ordered word with sorted runs is its canonical path
+                p = w if runs_sorted and len(w) > 1 else canonical_path(w)
                 if p in out:
                     out[p] = out[p] + c
                 else:

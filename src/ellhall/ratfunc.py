@@ -1,51 +1,55 @@
-"""Exact rational-function arithmetic in two Laurent variables over Q.
+"""Exact arithmetic in the Laurent ring Q[s^+-1, sb^+-1].
 
-The formal coefficient field for the loop-algebra computations is Q(s, sb),
-where s and sb are square roots of the two deformation parameters.  Elements
-are kept in a fully reduced canonical form, so ``==`` is syntactic:
+The formal coefficients of the loop-algebra computations are Laurent
+polynomials with rational coefficients in s and sb, the square roots of the
+two deformation parameters.  An element is kept as
 
-    value = coef * s**shift[0] * sb**shift[1] * num / den
+    value = num / den
 
-with ``coef`` a Fraction, ``num``/``den`` primitive integer polynomials
-(integer content 1, positive leading coefficient under graded-lex, not
-divisible by s or sb) and gcd(num, den) = 1.
+with ``num`` a sparse integer Laurent polynomial {(i, j): int}, the
+coefficient of s^i sb^j, and ``den`` a nonzero integer.  Two rules make the
+pair unique, so ``==`` is syntactic: num is in lowest terms against den
+(gcd(den, coefficients of num) = 1), and the coefficient of the
+lex-largest monomial of num, ``max(num)``, is positive, den carrying the
+sign.  Zero is ({}, 1).
 
-Polynomials are sparse dicts {(i, j): int}, the coefficient of s^i sb^j.
-GCDs come from evaluating at integers and lifting the integer gcd back
-(``_gcd``), each candidate certified by exact division (``bdivexact``).
-``bcancel(a, b)`` returns the quotients of that certifying division,
-(a/g, b/g) with g = gcd(a, b) of positive lead, or None when g = 1, so a
-common factor is divided out once; when b divides a it returns a/b from
-one exact division, with no gcd.
+A ring suffices, and no polynomial gcd is needed.  The structure constants
+c_i and kappa enter relation (2) and the straightening engine only as
+divisors, and every quotient the engine forms is again a Laurent
+polynomial.  Division by a monomial is a product with its inverse; division
+by anything else is exact division (``bdivexact``), which raises
+ArithmeticError unless the divisor divides.  So a wrong structure constant
+shows as an error, never as a wrong value.
 
-A product of canonical fractions needs no reduction after the cross
-cancellation n1/d2 and n2/d1: by Gauss's lemma a product of primitive
-polynomials is primitive; graded-lex is a monomial order, so the lead of a
-product is the product of the leads, hence positive; s and sb are prime,
-so a product of factors free of them is free of them; and each of n1, n2
-is then coprime to each of d1, d2.  ``make`` finds the content, the sign
-of the lead and the least exponents of each input in one pass
-(``_canonical``).
+Both rules are cheap to keep.  Lex order is a monomial order on Z^2, so the
+lead of a product is the product of the leads, hence positive, and -x shares
+the num of x and negates den.  A product first cancels each den against the
+coefficients of the other factor, as Fraction does; by Gauss's lemma the
+content of a product is the product of the contents, so the product is then
+in lowest terms.  A sum merges the numerators over a common den, then
+divides out gcd(den, coefficients), one ``math.gcd`` call that is skipped
+when den = +-1, together with the sign of the lead.
 
-Like terms (equal shift, num and den) add and subtract by their Fraction
-coefficients alone: the sum keeps the summands' canonical shift, num and
-den, or is zero, so it needs no merge and no ``make``.  Zero tests read the
-integer numerator of ``coef``.
+Printing (``repr``) writes the canonical form of Q(s, sb) that the package
+has always printed: the integer content, signed as the graded-lex lead
+(total degree, then s-degree), and the least exponents taken out, times a
+primitive polynomial (``_canonical``).
 
-``bmul`` multiplies small operands term by term (``_bmul_dict``, also the
-oracle of the tests) and large ones by Kronecker substitution
-(``_kronecker``; D. Harvey, arXiv 0712.4046): each operand becomes one
-integer, the two are multiplied once in C, and the product's digits are
-read back.  The exponents of each variable are offset by their least value
-in each operand and divided by the gcd g of all these offsets (g = 1 when
-they are all 0; the engine's polynomials live in s^2 and sb^2, so g is 2 or
-4 there).  A term with compressed exponents (u, v) goes to slot u W + v of
-w bytes, W being one more than the largest compressed sb-exponent of the
-product.  A product coefficient is a sum of at most min(len a, len b)
-products of one coefficient of each side, so its absolute value is at most
-B = max|a| max|b| min(len a, len b); w in {1, 2, 4, 8} is the least width
-with B < 2^(8w-1), and a B of 2^63 or more goes to the dict loop, as does a
-product with more than two slots per term pair.
+``FormalScalar`` multiplies by a one-term numerator as a shift and scale
+(``_bmul_term``).  ``bmul`` multiplies small operands term by term
+(``_bmul_dict``, also the oracle of the tests) and large ones by Kronecker
+substitution (``_kronecker``; D. Harvey, arXiv 0712.4046): each operand
+becomes one integer, the two are multiplied once in C, and the product's
+digits are read back.  The exponents of each variable are offset by their
+least value in each operand and divided by the gcd g of all these offsets
+(g = 1 when they are all 0; the engine's polynomials live in s^2 and sb^2,
+so g is 2 or 4 there).  A term with compressed exponents (u, v) goes to slot
+u W + v of w bytes, W being one more than the largest compressed
+sb-exponent of the product.  A product coefficient is a sum of at most
+min(len a, len b) products of one coefficient of each side, so its absolute
+value is at most B = max|a| max|b| min(len a, len b); w in {1, 2, 4, 8} is
+the least width with B < 2^(8w-1), and a B of 2^63 or more goes to the dict
+loop, as does a product with more than two slots per term pair.
 
 The packed product is exact.  Its compressed sb-exponents stay below W, so
 distinct monomials get distinct slots.  Adding h = 2^(8w-1) to every slot
@@ -64,13 +68,10 @@ import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress, product
-from math import gcd, isqrt
+from math import gcd
+from operator import itemgetter
 
 _ONE_POLY = {(0, 0): 1}
-
-
-def bneg(a):
-    return {m: -c for m, c in a.items()}
 
 
 def bmul(a, b):
@@ -81,6 +82,14 @@ def bmul(a, b):
         if r is not None:
             return r
     return _bmul_dict(a, b)
+
+
+def _bmul_term(a, b):
+    """a b for a one-term a: a shift and scale of b."""
+    ((i, j), c), = a.items()
+    if c == 1:
+        return {(i + x, j + y): v for (x, y), v in b.items()}
+    return {(i + x, j + y): c * v for (x, y), v in b.items()}
 
 
 def _bmul_dict(a, b):
@@ -103,7 +112,9 @@ def _bmul_dict(a, b):
 # 13% longer than the dict loop at 96-112, 112-128 and 128-144 term pairs,
 # and 4%, 7% and 29% less at 160-192, 192-256 and 256-512 (144-160 read -12%
 # there and +1% in another run); on relation-sweep it breaks even at 160-192
-# and wins from 192 on.
+# and wins from 192 on.  Rerun on Laurent coefficients, which carry their
+# content and so need wider slots (BENCH_9_bmul.json), the packed product
+# still loses at 128-160 and wins from 160 on.
 _KRONECKER_MIN_PAIRS = 160
 
 # Slots per term pair above which a product stays on the dict loop: a slot
@@ -168,41 +179,6 @@ def _pack(a, i0, j0, gi, gj, width, n, w):
     return (int.from_bytes(buf, sys.byteorder) ^ bias) - bias
 
 
-def _bscale(a, k):
-    if k == 1:
-        return a
-    return {m: k * c for m, c in a.items()}
-
-
-def _bprod(a, b):
-    """bmul, handing back the other factor when one of them is 1."""
-    if a == _ONE_POLY:
-        return b
-    if b == _ONE_POLY:
-        return a
-    return bmul(a, b)
-
-
-def _blead(a):
-    """Leading monomial under graded-lex (total degree, then s-degree)."""
-    return max(a, key=lambda m: (m[0] + m[1], m[0]))
-
-
-def _bposlead(a):
-    if a and a[_blead(a)] < 0:
-        return bneg(a)
-    return a
-
-
-def _content(a):
-    g = 0
-    for c in a.values():
-        g = gcd(g, c)
-        if g == 1:
-            break
-    return g
-
-
 def _canonical(a):
     """(p, k, i0, j0) with a = k s^i0 sb^j0 p and p canonical.
 
@@ -263,186 +239,24 @@ def bdivexact(a, b):
     return q
 
 
-def _bound(a):
-    """A bound on every coefficient of every divisor of a in Z[s, sb].
-
-    Mahler: a divisor h has |h_ij| <= C(d, i) C(e, j) M(h) <= 2^(d+e) M(a),
-    d and e the partial degrees of a, and M(a) <= ||a||_2.
-    """
-    d = max(i for i, _ in a)
-    e = max(j for _, j in a)
-    return (isqrt(sum(c * c for c in a.values())) + 1) << (d + e)
-
-
-def _evaluate(a, v, xi):
-    """a with variable v (0: s, 1: sb) set to the integer xi."""
-    r = {}
-    for m, c in a.items():
-        k = (m[0], 0) if v else (0, m[1])
-        r[k] = r.get(k, 0) + c * xi ** m[v]
-    return {m: c for m, c in r.items() if c}
-
-
-def _lift(g, v, xi):
-    """The polynomial with balanced base-xi digits that _evaluate maps to g."""
-    half = xi // 2
-    out = {}
-    for m, c in g.items():
-        e = 0
-        while c:
-            d = c % xi
-            if d > half:
-                d -= xi
-            if d:
-                out[(m[0], e) if v else (e, m[1])] = d
-            c = (c - d) // xi
-            e += 1
-    return out
-
-
-def _gcd(a, b, v):
-    """(g, a/g, b/g) for the gcd g in Z[s, sb], integer content included, of
-    nonzero a and b in which no variable above v occurs (v = 1: s and sb;
-    v = 0: s alone).  The cofactors are the quotients that certify g.
-
-    The heuristic gcd of Char, Geddes and Gonnet (J. Symbolic Comput. 1989),
-    made exact.  With a and b primitive, v := xi maps them to polynomials
-    in the variables below v, whose gcd gamma comes from this function one
-    level down (integers at the bottom).  Its balanced base-xi digits are
-    lifted into powers of v; the primitive part G of the lift is accepted
-    once it divides a and b, and xi grows until one is.
-
-    An xi at which an image is 0 (v - xi divides a or b, so finitely many
-    xi) is skipped too.
-
-    An accepted G is the gcd g.  xi starts above 2N, where N (``_bound``)
-    bounds every coefficient of every common divisor of a and b.  Write
-    g = G H.  g(xi) divides gamma = k G(xi), k the integer content of the
-    lift, so H(xi) divides k: it is an integer, and |H(xi)| < xi/2 since k
-    divides the digits.  H and the constant H(xi) then both have balanced
-    digits and agree at xi, so H = H(xi), a constant dividing the
-    primitive g: H = +-1.
-
-    The loop ends.  Let A = a/g and B = b/g be the cofactors.  The gcd h of
-    A(xi) and B(xi) divides their resultant in v, a fixed nonzero
-    polynomial, so the coefficients of g h stay bounded as xi grows, and
-    past that bound the lift of gamma = g(xi) h is g h itself.  Its
-    primitive part is g whenever h is an integer, which fails only if xi
-    is the v-coordinate of one of the finitely many common zeros of A and B.
-    """
-    if len(a) == 1 or len(b) == 1:
-        # a monomial: the gcd is the largest monomial dividing both
-        mi = min(min(i for i, _ in a), min(i for i, _ in b))
-        mj = min(min(j for _, j in a), min(j for _, j in b))
-        k = gcd(_content(a), _content(b))
-        return ({(mi, mj): k},
-                {(i - mi, j - mj): c // k for (i, j), c in a.items()},
-                {(i - mi, j - mj): c // k for (i, j), c in b.items()})
-    ca, cb = _content(a), _content(b)
-    k = gcd(ca, cb)
-    a = {m: c // ca for m, c in a.items()}
-    b = {m: c // cb for m, c in b.items()}
-    xi = 2 * min(_bound(a), _bound(b)) + 1
-    while True:
-        ea, eb = _evaluate(a, v, xi), _evaluate(b, v, xi)
-        if ea and eb:
-            cand = _lift(_gcd(ea, eb, v - 1)[0], v, xi)
-            if len(cand) == 1 and (0, 0) in cand:
-                return {(0, 0): k}, _bscale(a, ca // k), _bscale(b, cb // k)
-            kc = _content(cand)
-            cand = {m: c // kc for m, c in cand.items()}
-            try:
-                qa, qb = bdivexact(a, cand), bdivexact(b, cand)
-            except ArithmeticError:
-                pass
-            else:
-                return _bscale(cand, k), _bscale(qa, ca // k), _bscale(qb, cb // k)
-        xi = 2 * xi + 1
-
-
-def bgcd(a, b):
-    """The gcd in Z[s, sb] of two polynomials, with positive graded-lex lead.
-
-    Its integer content is the gcd of theirs, so it is primitive when both
-    inputs are.
-    """
-    if not a or a == b:
-        return _bposlead(dict(b))
-    if not b:
-        return _bposlead(dict(a))
-    return _bposlead(_gcd(a, b, 1)[0])
-
-
-def bcancel(a, b):
-    """(a/g, b/g) for g = bgcd(a, b) of nonzero a and b, or None if g = 1.
-
-    When b divides a, g is b up to sign, so an exact division by a b of
-    two or more terms is tried first (every caller passes a canonical b,
-    and most of them a multiple of it); otherwise the cofactors come from
-    the exact divisions that certify g, so no division runs twice.
-    """
-    if a == b:
-        if len(a) == 1 and a.get((0, 0)) in (1, -1):
-            return None
-        one = {(0, 0): -1} if a[_blead(a)] < 0 else _ONE_POLY
-        return one, one
-    if len(b) > 1:
-        try:
-            qa = bdivexact(a, b)
-        except ArithmeticError:
-            pass
-        else:
-            if b[_blead(b)] < 0:
-                return bneg(qa), {(0, 0): -1}
-            return qa, _ONE_POLY
-    g, qa, qb = _gcd(a, b, 1)
-    if g == _ONE_POLY:
-        return None
-    if g[_blead(g)] < 0:
-        return bneg(qa), bneg(qb)
-    return qa, qb
-
-
 class FormalScalar:
-    """Element of Q(s, sb) in reduced canonical form (syntactic equality)."""
+    """Element num / den of Q[s^+-1, sb^+-1] (see the module docstring)."""
 
-    __slots__ = ("coef", "shift", "num", "den", "_hash")
+    __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, coef, shift, num, den, _normalized=False):
-        if not _normalized:
-            raise TypeError("use FormalScalar.make / FormalRing constructors")
-        self.coef = coef
-        self.shift = shift
+    def __init__(self, num, den):
+        # num and den must already obey both rules: use FormalRing or _coerce
         self.num = num
         self.den = den
         self._hash = None
 
-    # -- construction -------------------------------------------------
-
-    @staticmethod
-    def make(coef: Fraction, shift, num, den):
-        if not num or not coef.numerator:
-            return _ZERO
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        num, cn, ni, nj = _canonical(num)
-        den, cd, di, dj = _canonical(den)
-        if cn != 1 or cd != 1:
-            coef = coef * Fraction(cn, cd)
-        shift = (shift[0] + ni - di, shift[1] + nj - dj)
-        if den != _ONE_POLY:
-            q = bcancel(num, den)
-            if q is not None:
-                num, den = q
-        return FormalScalar(coef, shift, num, den, _normalized=True)
-
     # -- predicates ---------------------------------------------------
 
     def is_zero(self):
-        return not self.coef.numerator
+        return not self.num
 
     def __bool__(self):
-        return self.coef.numerator != 0
+        return bool(self.num)
 
     # -- ring operations ----------------------------------------------
 
@@ -450,67 +264,49 @@ class FormalScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.coef.numerator:
-            return other
-        if not other.coef.numerator:
+        a, da, b, db = self.num, self.den, other.num, other.den
+        if not b:
             return self
-        if self._like(other):
-            return self._with_coef(self.coef + other.coef)
-        # n1/d1 + n2/d2 = (n1 d2' + n2 d1') / (d1 d2') with di = g di'
-        d1, d2 = self.den, other.den
-        q = None if d1 == _ONE_POLY or d2 == _ONE_POLY else bcancel(d1, d2)
-        d1p, d2p = q or (d1, d2)
-        # a x + b y = g / (da db) * (c1 x + c2 y) with integers c1, c2
-        a, b = self.coef, other.coef
-        c1, c2 = a.numerator * b.denominator, b.numerator * a.denominator
-        g = gcd(c1, c2)
-        c1, c2 = c1 // g, c2 // g
-        mi = min(self.shift[0], other.shift[0])
-        mj = min(self.shift[1], other.shift[1])
-        di, dj = self.shift[0] - mi, self.shift[1] - mj
-        if c1 == 1 and di == dj == 0:
-            n = dict(_bprod(self.num, d2p))
+        if not a:
+            return other
+        if da == db:
+            n = _merge(a, b, 1)
+        elif da == -db:
+            n = _merge(a, b, -1)
         else:
-            n = {(i + di, j + dj): c1 * c for (i, j), c in _bprod(self.num, d2p).items()}
-        di, dj = other.shift[0] - mi, other.shift[1] - mj
-        for (i, j), c in _bprod(other.num, d1p).items():
-            m = (i + di, j + dj)
-            c = n.get(m, 0) + c2 * c
-            if c:
-                n[m] = c
+            # over the common den da ka = db kb, rescaling only where it must
+            g = gcd(da, db)
+            ka, kb = db // g, da // g
+            if ka == 1 or ka == -1:
+                n = _merge(a, b, kb * ka)
+            elif kb == 1 or kb == -1:
+                n = _merge(b, a, ka * kb)
+                da = db
             else:
-                del n[m]
-        return FormalScalar.make(Fraction(g, a.denominator * b.denominator), (mi, mj),
-                                 n, _bprod(d1, d2p))
+                n = _merge({m: ka * c for m, c in a.items()}, b, kb)
+                da *= ka
+        return _reduced(n, da)
 
     __radd__ = __add__
 
-    def _like(self, other):
-        """Like terms: equal shift, numerator and denominator."""
-        return self.shift == other.shift and self.num == other.num and self.den == other.den
-
-    def _with_coef(self, c):
-        """c s^shift num / den: canonical as it stands, or _ZERO."""
-        if not c.numerator:
-            return _ZERO
-        return FormalScalar(c, self.shift, self.num, self.den, _normalized=True)
-
     def __neg__(self):
-        return self._with_coef(-self.coef)
+        if not self.num:
+            return self
+        return FormalScalar(self.num, -self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self._like(other):
-            return self._with_coef(self.coef - other.coef)
+        if self.den == other.den and self.num == other.num:
+            return _ZERO
         return self + (-other)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -521,41 +317,70 @@ class FormalScalar:
             return other
         if other is _ONE:
             return self
-        if not self.coef.numerator or not other.coef.numerator:
+        a, b = self.num, other.num
+        if not a or not b:
             return _ZERO
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if d2 != _ONE_POLY and n1 != _ONE_POLY:
-            q = bcancel(n1, d2)
-            if q is not None:
-                n1, d2 = q
-        if d1 != _ONE_POLY and n2 != _ONE_POLY:
-            q = bcancel(n2, d1)
-            if q is not None:
-                n2, d1 = q
-        # canonical already: see the module docstring
-        return FormalScalar(self.coef * other.coef,
-                            (self.shift[0] + other.shift[0], self.shift[1] + other.shift[1]),
-                            _bprod(n1, n2), _bprod(d1, d2), _normalized=True)
+        da, db = self.den, other.den
+        if db != 1 and db != -1:
+            g = gcd(db, *a.values())
+            if g != 1:
+                a = {m: c // g for m, c in a.items()}
+                db //= g
+        if da != 1 and da != -1:
+            g = gcd(da, *b.values())
+            if g != 1:
+                b = {m: c // g for m, c in b.items()}
+                da //= g
+        if len(a) == 1:
+            n = _bmul_term(a, b)
+        elif len(b) == 1:
+            n = _bmul_term(b, a)
+        else:
+            n = bmul(a, b)
+        return FormalScalar(n, da * db)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self.coef.numerator:
-            raise ZeroDivisionError("inverse of zero")
-        return FormalScalar(1 / self.coef, (-self.shift[0], -self.shift[1]),
-                            self.den, self.num, _normalized=True)
+        """The inverse of a monomial; ArithmeticError for any other value."""
+        if len(self.num) != 1:
+            if not self.num:
+                raise ZeroDivisionError("inverse of zero")
+            raise ArithmeticError("only a monomial is a unit of Q[s^+-1, sb^+-1]")
+        ((i, j), c), = self.num.items()
+        d = self.den
+        return FormalScalar({(-i, -j): abs(d)}, c if d > 0 else -c)
 
     def __truediv__(self, other):
+        """The exact quotient; ArithmeticError unless other divides self."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self * other.inverse()
+        b = other.num
+        if len(b) < 2:
+            return self * other.inverse()
+        a = self.num
+        if not a:
+            return _ZERO
+        # b / k, moved to the least exponents of a: then an exact quotient
+        # is a polynomial, and the quotient of a by b is it moved back
+        k = gcd(*b.values())
+        di = min(a)[0] - min(b)[0]
+        dj = min(a, key=_SB)[1] - min(b, key=_SB)[1]
+        q = bdivexact(a, {(i + di, j + dj): c // k for (i, j), c in b.items()})
+        if di or dj:
+            q = {(i + di, j + dj): c for (i, j), c in q.items()}
+        # a/da / (b/db) = q db / (k da)
+        db = other.den
+        if db != 1:
+            q = {m: c * db for m, c in q.items()}
+        return _reduced(q, k * self.den)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other * self.inverse()
+        return other / self
 
     def __pow__(self, k):
         if k == 0:
@@ -577,54 +402,64 @@ class FormalScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self.coef == other.coef and self.shift == other.shift
-                and self.num == other.num and self.den == other.den)
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
         if self._hash is None:
-            if self.shift == (0, 0) and self.num == _ONE_POLY and self.den == _ONE_POLY:
+            num = self.num
+            if len(num) < 2 and (not num or (0, 0) in num):
                 # a rational constant hashes as the Fraction it equals
-                self._hash = hash(self.coef)
+                self._hash = hash(Fraction(num.get((0, 0), 0), self.den))
             else:
-                self._hash = hash((self.coef, self.shift, frozenset(self.num.items()),
-                                   frozenset(self.den.items())))
+                self._hash = hash((frozenset(num.items()), self.den))
         return self._hash
 
     # -- views ----------------------------------------------------------
 
-    @property
-    def numerator(self):
-        """Laurent polynomial {(i, j): Fraction} for the numerator."""
-        c = Fraction(self.coef.numerator)
-        si, sj = self.shift
-        return {(i + si, j + sj): c * v for (i, j), v in self.num.items()}
-
-    @property
-    def denominator(self):
-        c = Fraction(self.coef.denominator)
-        return {m: c * v for m, v in self.den.items()}
-
-    def evaluate(self, s_val: Fraction, sb_val: Fraction) -> Fraction:
-        num = sum(Fraction(c) * s_val ** i * sb_val ** j for (i, j), c in self.num.items())
-        den = sum(Fraction(c) * s_val ** i * sb_val ** j for (i, j), c in self.den.items())
-        return self.coef * s_val ** self.shift[0] * sb_val ** self.shift[1] * num / den
-
     def __repr__(self):
-        if not self.coef.numerator:
+        if not self.num:
             return "0"
+        num, k, i0, j0 = _canonical(self.num)
+        coef = Fraction(k, self.den)
         parts = []
-        if self.coef != 1 or (self.num == _ONE_POLY and self.den == _ONE_POLY
-                              and self.shift == (0, 0)):
-            parts.append(str(self.coef))
-        if self.shift[0]:
-            parts.append(f"s^{self.shift[0]}")
-        if self.shift[1]:
-            parts.append(f"sb^{self.shift[1]}")
-        if self.num != _ONE_POLY:
-            parts.append("(" + _poly_str(self.num) + ")")
-        if self.den != _ONE_POLY:
-            parts.append("(" + _poly_str(self.den) + ")^-1")
-        return "*".join(parts) if parts else "1"
+        if coef != 1 or (num == _ONE_POLY and not i0 and not j0):
+            parts.append(str(coef))
+        if i0:
+            parts.append(f"s^{i0}")
+        if j0:
+            parts.append(f"sb^{j0}")
+        if num != _ONE_POLY:
+            parts.append("(" + _poly_str(num) + ")")
+        return "*".join(parts)
+
+
+_SB = itemgetter(1)
+
+
+def _merge(a, b, k):
+    """The polynomial a + k b, as a new dict."""
+    n = dict(a)
+    get = n.get
+    for m, c in b.items():
+        c = get(m, 0) + k * c
+        if c:
+            n[m] = c
+        else:
+            del n[m]
+    return n
+
+
+def _reduced(n, den):
+    """n / den with both rules restored (n a new dict, free to change)."""
+    if not n:
+        return _ZERO
+    k = 1 if den == 1 or den == -1 else gcd(den, *n.values())
+    if n[max(n)] < 0:
+        k = -k
+    if k != 1:
+        n = {m: c // k for m, c in n.items()}
+        den //= k
+    return FormalScalar(n, den)
 
 
 def _poly_str(a):
@@ -643,27 +478,36 @@ def _poly_str(a):
     return out[1:] if out.startswith("+") else out
 
 
-_ZERO = FormalScalar(Fraction(0), (0, 0), dict(_ONE_POLY), dict(_ONE_POLY), _normalized=True)
-_ONE = FormalScalar(Fraction(1), (0, 0), dict(_ONE_POLY), dict(_ONE_POLY), _normalized=True)
+_ZERO = FormalScalar({}, 1)
+_ONE = FormalScalar(_ONE_POLY, 1)
+
+
+def _rational(x, i=0, j=0):
+    """The rational x times s^i sb^j."""
+    x = Fraction(x)
+    if not x:
+        return _ZERO
+    p, q = x.numerator, x.denominator
+    return FormalScalar({(i, j): abs(p)}, q if p > 0 else -q)
 
 
 def _coerce(x):
     if isinstance(x, FormalScalar):
         return x
     if isinstance(x, (int, Fraction)):
-        if x == 0:
-            return _ZERO
-        return FormalScalar(Fraction(x), (0, 0), dict(_ONE_POLY), dict(_ONE_POLY),
-                            _normalized=True)
+        return _ONE if x == 1 else _rational(x)
     return NotImplemented
 
 
 class FormalRing:
-    """The field Q(s, sb) with its distinguished generators.
+    """The Laurent ring Q[s^+-1, sb^+-1] with its distinguished generators.
 
     s and sb are square roots of the deformation parameters, so the
     parameters themselves are s**2 and sb**2, and the loop weight
-    nu = 1/(s*sb).
+    nu = 1/(s*sb), a unit.  Only monomials are units: a quotient by any
+    other element is exact division, which raises ArithmeticError where the
+    divisor does not divide.  The structure constants c_i and kappa divide
+    every value the straightening engine divides by them.
     """
 
     backend = "formal"
@@ -677,10 +521,7 @@ class FormalRing:
 
     @staticmethod
     def monomial(i, j, coef=1):
-        c = Fraction(coef)
-        if c == 0:
-            return _ZERO
-        return FormalScalar(c, (i, j), dict(_ONE_POLY), dict(_ONE_POLY), _normalized=True)
+        return _rational(coef, i, j)
 
     def from_int(self, k):
         return _coerce(k)

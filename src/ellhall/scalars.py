@@ -1,8 +1,10 @@
 """Exact coefficient arithmetic, sparse linear combinations and series.
 
-Formal backend: the field Q(s, sb) from :mod:`ellhall.ratfunc`, where
-s, sb are square roots of the two deformation parameters sigma, sigma-bar
-and nu = 1/(s*sb).
+Formal backend: the Laurent ring Q[s^+-1, sb^+-1] from
+:mod:`ellhall.ratfunc`, where s, sb are square roots of the two
+deformation parameters sigma, sigma-bar and nu = 1/(s*sb).  Only monomials
+are units there: a quotient by anything else is exact division, which
+raises ArithmeticError unless the divisor divides.
 
 Curve backend: Q(zeta_M)[u]/(u^2 - q) from :mod:`ellhall.cyclotomic`,
 where the specialized quantities reduce through sigma*sigma-bar = q and the
@@ -16,10 +18,11 @@ and multiplication by int or Fraction, and are false exactly when zero.
 certificate, speaks the same protocol.
 
 Every algebra of the package is a free module with a sparse basis over
-these rings; :class:`LinearCombination` holds the module structure once,
-and each algebra adds only its product.  :class:`TruncatedSeries` keeps
-power series with the same zero rule: construction drops zero
-coefficients, so an element is zero exactly when it has no terms.
+these rings; :class:`LinearCombination` holds the module structure once
+(with division by a scalar, coefficient by coefficient), and each algebra
+adds only its product.  :class:`TruncatedSeries` keeps power series with
+the same zero rule: construction drops zero coefficients, so an element is
+zero exactly when it has no terms.
 
 Scalars and elements are immutable values and safe to share across
 threads; ring construction goes through a per-process cache.
@@ -58,6 +61,10 @@ class LinearCombination:
         if not c:
             return type(self)(self.owner, {})
         return type(self)(self.owner, {k: v * c for k, v in self.terms.items()})
+
+    def __truediv__(self, c):
+        """Each coefficient divided by the scalar c."""
+        return type(self)(self.owner, {k: v / c for k, v in self.terms.items()})
 
     def __add__(self, other):
         if type(other) is not type(self):

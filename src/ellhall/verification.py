@@ -21,8 +21,8 @@ from fractions import Fraction
 from .autoforms import (AutoformContext, character_l_function,
                         cusp_dimension, cusp_dimension_component,
                         global_coproduct, green_pair_twisted,
-                        hecke_T0N_eigenvalue, l_function,
-                        monomial_independence_rank,
+                        hecke_eigenvalue_elementary, hecke_T0N_eigenvalue,
+                        l_function, monomial_independence_rank,
                         theta_coproduct_coefficients, zeta_xn_series)
 from .curve import (CurveData, all_characters, character_orbits,
                     primitive_orbits)
@@ -210,7 +210,7 @@ def check_straightening(coord_bound=5, triples=200, seed=1234):
                             continue
                         z, dy = (xq + yq, xp + yp), delta(y)
                         if (z, dy) not in unsigned:
-                            unsigned[z, dy] = alg.theta(z).scale(alg.c(n * dy) * alg.kappa_inv)
+                            unsigned[z, dy] = alg.theta(z).scale(alg.c(n * dy)) / alg.kappa
                         lhs = alg.from_word([y, x]) - alg.from_word([x, y])
                         rhs = unsigned[z, dy]
                         if (lhs - rhs if epsilon(x, y) > 0 else lhs + rhs).terms:
@@ -303,7 +303,19 @@ def check_hecke_action(ctx=None, nmax=2, Nmax=4):
                 for sigma in character_orbits(ctx.curve, N):
                     hecke_T0N_eigenvalue(ctx, rho, sigma, N)  # raises on a mismatch
                     checked += 1
-    return True, {"eigenvalue identities": str(checked)}
+    # the elementary eigenvalues (Newton-checked inside) carry the weight
+    # u^(deg(x) l (n - l)), u^2 = q: an even power of u is a power of q
+    weights = set()
+    for n in range(1, nmax + 1):
+        for rho in primitive_orbits(ctx.curve, n):
+            for x in ctx.curve.closed_points(Nmax):
+                for l in range(1, n + 1):
+                    hecke_eigenvalue_elementary(ctx, rho, x, l)
+                    weights.add(x.degree * l * (n - l))
+    u, q = ctx.ring.u, ctx.curve.q
+    bad = {f"u^{e}": f"{u ** e} != {q ** (e // 2)}"
+           for e in sorted(weights) if e % 2 == 0 and u ** e != q ** (e // 2)}
+    return not bad, {"eigenvalue identities": str(checked), **bad}
 
 
 @_check("l-functions", "order", "char_order")

@@ -150,6 +150,7 @@ _ASSOC_1 = "n=1 [(0, -2), (2, -1), (2, 2)]"  # the first failing triple at budge
 _ASSOC_2 = "n=2 [(2, 3), (0, 2), (-1, -2)]"  # ... and at budget 2
 _QUADRATIC = {"n=1 quadratic failures": None, "n=2 quadratic failures": None}
 _U_LOC = {"error": "IdentityMismatch: u_loc must square to 1/q_loc"}
+_INEXACT = "ArithmeticError: inexact polynomial division"
 
 FAULTS = {
     # relation (2) with the opposite sign
@@ -161,16 +162,24 @@ FAULTS = {
                                         "associativity triples": "6"},
             "functional-relations": _QUADRATIC,
             "step2-cross-identity": {"n=1 d=1": "engine commutator mismatch"}}),
-    # c_2 doubled in Q(s, sb): step 2 sees it from budget 2 on
+    # c_2 doubled in Q[s^+-1, sb^+-1]: step 2 sees it from budget 2 on
     "c2-doubled": Fault(
         lambda: _replaced(FormalRing, "c_coefficient",
                           _when(lambda ring, i: i == 2, _double)),
         2, {"straightening-soundness": {"associativity": _ASSOC_2,
                                         "jacobi": "n=2 (-2, -1),(0, -2)",
                                         "associativity triples": "10"},
-            "functional-relations": _QUADRATIC,
+            "functional-relations": {"error": _INEXACT},
             "step2-cross-identity": {"formal c_2": "lifted specialization identity fails"}}),
-    # kappa doubled in Q(s, sb)
+    # c_2 + 1 in Q[s^+-1, sb^+-1]: relation (2) then leaves values that c_2
+    # and kappa no longer divide, so the exact divisions raise
+    "c2-plus-one": Fault(
+        lambda: _replaced(FormalRing, "c_coefficient",
+                          _when(lambda ring, i: i == 2, lambda res: res + 1)),
+        2, {"straightening-soundness": {"error": _INEXACT},
+            "functional-relations": {"error": _INEXACT},
+            "step2-cross-identity": {"formal c_2": "lifted specialization identity fails"}}),
+    # kappa doubled in Q[s^+-1, sb^+-1]
     "kappa-doubled": Fault(
         lambda: _replaced(FormalRing, "kappa", _when(lambda ring, n: True, _double)),
         1, {"straightening-soundness": {"associativity": _ASSOC_1,
@@ -218,12 +227,14 @@ FAULTS = {
                 "error": "IdentityMismatch: a point of order above the group order 11"},
             "l-functions": {"error": "KeyError: FF2^3[0, 1, 1]"}}),
     # u^2 read as q + 1 in CurveScalar products: every DvrHallAlgebra
-    # checks u_loc, but hecke-action and l-functions do not see the fault
-    # (they pass at full budget too)
+    # checks u_loc, and hecke-action compares the even powers of u in the
+    # weights of the elementary eigenvalues with powers of q (l-functions
+    # does not see the fault, at full budget either)
     "u-squared": Fault(
         _u_squared_is_q_plus_one,
         2, {"hall-number-oracle": _U_LOC, "macdonald-bridge": _U_LOC,
             "twisted-scalar-product": _U_LOC, "theta-grouplike": _U_LOC,
+            "hecke-action": {"u^2": "3 != 2"},
             "step2-cross-identity": {"c_1": "9/4*u", "c_2": "243/32*u",
                                      "n=1 d=1": "engine commutator mismatch",
                                      "n=1 d=2": "engine commutator mismatch",

@@ -114,7 +114,7 @@ class TestBasicCommutators:
         # relation (2) from theta, c and kappa on a fresh algebra
         fresh = EllipticHallAlgebra(n, FORMAL)
         unsigned = fresh.theta((x[0] + y[0], x[1] + y[1])).scale(
-            fresh.c(n * delta(y)) * fresh.kappa_inv)
+            fresh.c(n * delta(y))) / fresh.kappa
         alg = EllipticHallAlgebra(n, FORMAL)
         orientations = [(x, y, epsilon(x, y))]
         if delta(y) == 1:
@@ -123,6 +123,17 @@ class TestBasicCommutators:
             for a, b, eps in orientations:
                 want = unsigned if eps > 0 else -unsigned
                 assert alg.commutator_basic(a, b).terms == want.terms
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_kappa_divides_exactly(self, n):
+        # kappa [t_y, t_x] = eps c theta_{x+y}: the division by kappa in
+        # relation (2) is exact, so multiplying back restores every term
+        alg = EllipticHallAlgebra(n, FORMAL)
+        for x, y in [((1, 0), (0, 1)), ((1, 0), (0, 3)), ((1, 1), (-1, 0)), ((2, 1), (-1, -1)),
+                     ((0, 1), (-2, -2)), ((1, -1), (1, 1))]:
+            z = (x[0] + y[0], x[1] + y[1])
+            want = alg.theta(z).scale(alg.c(n * delta(y)) * epsilon(x, y))
+            assert alg.commutator_basic(x, y).scale(alg.kappa) == want
 
     @pytest.mark.parametrize("n", (1, 2))
     def test_relabelled_equals_ray_series(self, n):
@@ -148,7 +159,7 @@ class TestBasicCommutators:
             z = (x[0] + y[0], x[1] + y[1])
             k = delta(z)
             val = series[(z[0] // k, z[1] // k)].coefficient(k).scale(
-                ref.c(n * delta(y)) * ref.kappa_inv)
+                ref.c(n * delta(y))) / ref.kappa
             want[(x, y)] = (val if epsilon(x, y) > 0 else -val).terms
         for order in (pairs, pairs[::-1]):
             alg = EllipticHallAlgebra(n, FORMAL)

@@ -1,18 +1,17 @@
-"""Q(s, sb): gcd, cancellation and exact division in Z[s, sb], and the
-products and sums of FormalScalar against the generic reduction."""
+"""Q[s^+-1, sb^+-1]: exact division in Z[s, sb], the products of bmul, and
+FormalScalar against the Laurent polynomial over Q it stands for."""
 
 from fractions import Fraction
-from math import gcd
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import laurent
 from ellhall import ratfunc
-from ellhall.ratfunc import FORMAL, FormalScalar, bcancel, bdivexact, bgcd, bmul
+from ellhall.ratfunc import FORMAL, bdivexact, bmul
 
 R = FORMAL
-ONE = {(0, 0): 1}
 
 
 def polys(max_terms=4, max_deg=3, max_coef=6):
@@ -33,88 +32,56 @@ def factors():
     return st.one_of(binomials(0), binomials(1), polys(max_terms=3, max_deg=2))
 
 
-def prim(a):
-    k = 0
-    for c in a.values():
-        k = gcd(k, c)
-    return {m: c // k for m, c in a.items()}
-
-
 def to_formal(a):
     return sum((R.monomial(i, j, c) for (i, j), c in a.items()), R.zero)
 
 
-def divides(d, a):
-    try:
-        bdivexact(a, d)
-    except ArithmeticError:
-        return False
-    return True
+def binomial_values():
+    """k0 + k1 s^i sb^j, a Laurent binomial."""
+    nz = st.integers(-3, 3).filter(bool)
+    e = st.integers(-2, 2)
+    return st.builds(lambda k0, k1, i, j: k0 + R.monomial(i, j, k1), nz, nz, e, e)
+
+
+@st.composite
+def values(draw):
+    """c s^i sb^j times a product of binomials, each squared or not."""
+    c = draw(st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool))
+    x = R.monomial(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)), c)
+    for b in draw(st.lists(binomial_values(), max_size=3)):
+        x = x * b ** draw(st.sampled_from((1, 2)))
+    return x
+
+
+def fields(x):
+    return x.num, x.den
+
+
+def check(got, want):
+    """got is the FormalScalar of the Laurent polynomial want, fields and all."""
+    assert fields(got) == laurent.fields(want)
+    assert all(type(c) is int for c in got.num.values()) and type(got.den) is int
+    if not want:
+        assert got is ratfunc._ZERO
 
 
 class TestLostFactor:
-    """A common factor free of s must survive the gcd."""
-
-    def test_bgcd_keeps_factor_free_of_s(self):
-        sb1 = {(0, 1): 1, (0, 0): 1}
-        a = bmul(sb1, {(1, 0): 1, (0, 0): 1})
-        b = bmul(sb1, {(1, 0): 1, (0, 0): 2})
-        assert bgcd(a, b) == sb1
-
-    def test_bgcd_keeps_factor_free_of_sb(self):
-        s1 = {(1, 0): 1, (0, 0): 1}
-        a = bmul(s1, {(0, 1): 1, (0, 0): 1})
-        b = bmul(s1, {(0, 1): 1, (0, 0): 2})
-        assert bgcd(a, b) == s1
+    """A common factor of a quotient cancels exactly."""
 
     def test_formal_equality_and_hash(self):
         s, sb = R.s, R.sb
-        lhs = (sb + 1) * (s + 1) / ((sb + 1) * (s + 2))
-        rhs = (s + 1) / (s + 2)
+        lhs = (sb + 1) * (s + 1) * (s + 2) / ((sb + 1) * (s + 2))
+        rhs = s + 1
         assert lhs == rhs
         assert hash(lhs) == hash(rhs)
 
     @given(polys(), polys(), factors())
     def test_common_factor_cancels(self, a, b, c):
         fa, fb, fc = to_formal(a), to_formal(b), to_formal(c)
-        assume(fb and fc)
-        assert (fa * fc) / (fb * fc) == fa / fb
-
-    @given(polys(), polys(), factors())
-    def test_gcd_contains_common_factor(self, a, b, g):
-        ga, gb = bmul(g, a), bmul(g, b)
-        d = bgcd(ga, gb)
-        assert divides(prim(g), d)
-        assert divides(d, ga) and divides(d, gb)
-
-
-class TestGcd:
-    def test_content_is_gcd_of_contents(self):
-        assert bgcd({(2, 0): 6, (0, 0): 6}, {(1, 0): 4, (0, 0): 4}) == {(0, 0): 2}
-
-    def test_monomial(self):
-        assert bgcd({(2, 1): 6}, {(1, 3): 4, (0, 0): 2}) == {(0, 0): 2}
-        assert bgcd({(2, 1): 6}, {(1, 3): 4, (3, 1): 2}) == {(1, 1): 2}
-
-    def test_constant_content_of_the_image_is_not_kept(self):
-        # sb (sb + 1) and sb^2 + sb + 2 are coprime, but both are even at
-        # every integer sb
-        assert bgcd({(0, 2): 1, (0, 1): 1}, {(0, 2): 1, (0, 1): 1, (0, 0): 2}) == ONE
-
-    @pytest.mark.parametrize("a, b", [
-        # (sb - 17)(s + 2) vanishes at sb = 17, the first point for s + sb + 1
-        ({(1, 1): 1, (0, 1): 2, (1, 0): -17, (0, 0): -34}, {(1, 0): 1, (0, 1): 1, (0, 0): 1}),
-        # (s - 9)(s + 2) vanishes at s = 9, the first point for s + 1
-        ({(2, 0): 1, (1, 0): -7, (0, 0): -18}, {(1, 0): 1, (0, 0): 1}),
-    ], ids=["sb", "s"])
-    def test_image_vanishes(self, a, b):
-        assert bgcd(a, b) == ONE
-        assert bgcd(bmul(a, b), bmul(b, b)) == b
-
-    def test_positive_lead(self):
-        a = {(1, 0): -1, (0, 0): 1}
-        assert bgcd(bmul(a, {(0, 1): 1, (0, 0): 3}), bmul(a, {(0, 1): 1, (0, 0): 5})) \
-            == {(1, 0): 1, (0, 0): -1}
+        assume(fc)
+        assert (fa * fc) / fc == fa
+        if fb:
+            assert (fa * fb * fc) / (fb * fc) == fa
 
 
 class TestDivExact:
@@ -137,216 +104,53 @@ class TestDivExact:
             bdivexact(a, b)
 
 
-class TestCancel:
-    """bcancel(a, b) is (a/g, b/g) for g = bgcd(a, b), or None when g = 1."""
-
-    @staticmethod
-    def quotients(a, b):
-        g = bgcd(a, b)
-        return None if g == ONE else (bdivexact(a, g), bdivexact(b, g))
-
-    @given(polys(), polys(), factors())
-    def test_matches_bgcd(self, a, b, g):
-        ga, gb = bmul(g, a), bmul(g, b)
-        assert bcancel(ga, gb) == self.quotients(ga, gb)
-
-    def test_monomial_gcd(self):
-        a, b = {(2, 1): 6}, {(1, 3): 4, (3, 1): 2}
-        assert bcancel(a, b) == ({(1, 0): 3}, {(0, 2): 2, (2, 0): 1})
-        assert bcancel(a, b) == self.quotients(a, b)
-
-    def test_negative_lead(self):
-        # the lift makes the gcd positive where s dominates, s - sb^2, whose
-        # graded-lex lead -sb^2 is negative; the cofactors flip sign with it
-        g = {(1, 0): 1, (0, 2): -1}
-        a = bmul(g, {(0, 1): 1, (0, 0): 3})
-        b = bmul(g, {(1, 0): 1, (0, 0): 5})
-        assert bgcd(a, b) == {(0, 2): 1, (1, 0): -1}
-        assert bcancel(a, b) == ({(0, 1): -1, (0, 0): -3}, {(1, 0): -1, (0, 0): -5})
-        assert bcancel(a, b) == self.quotients(a, b)
-
-    def test_coprime(self):
-        assert bcancel({(1, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 2}) is None
-        assert bcancel({(0, 2): 1, (0, 1): 1}, {(0, 2): 1, (0, 1): 1, (0, 0): 2}) is None
-
-    @pytest.mark.parametrize("a", [
-        {(1, 1): 1, (0, 0): 3}, {(1, 1): -2, (0, 0): 4}, {(2, 0): -5},
-        # g = 1: no cancellation
-        {(0, 0): 1}, {(0, 0): -1}], ids=repr)
-    def test_equal_inputs(self, a):
-        assert bcancel(a, a) == self.quotients(a, a)
-
-
-def gcd_route(a, b):
-    """bcancel without the exact-division shortcut: always through _gcd,
-    but for equal inputs other than +-1."""
-    if a == b and a not in ({(0, 0): 1}, {(0, 0): -1}):
-        one = {(0, 0): -1} if a[ratfunc._blead(a)] < 0 else ONE
-        return one, one
-    g, qa, qb = ratfunc._gcd(a, b, 1)
-    if g == ONE:
-        return None
-    if g[ratfunc._blead(g)] < 0:
-        return ratfunc.bneg(qa), ratfunc.bneg(qb)
-    return qa, qb
-
-
-class TestDivisionShortcut:
-    """bcancel tries a / b before the gcd; both routes agree field for field."""
-
-    @given(polys(), polys(), factors(), st.sampled_from((1, -1, 2, -3)))
-    def test_multiple_of_b(self, a, b, g, k):
-        # a multiple of b, b canonical or not, and a pair sharing only g
-        for x, y in ((bmul(a, b), b), (bmul(a, b), {m: k * c for m, c in b.items()}),
-                     (bmul(g, a), bmul(g, b)), (a, b)):
-            assert bcancel(x, y) == gcd_route(x, y)
-
-    @given(polys(), polys())
-    def test_canonical_b(self, a, b):
-        b = prim(b)
-        if b[ratfunc._blead(b)] < 0:
-            b = ratfunc.bneg(b)
-        got = bcancel(bmul(a, b), b)
-        assert got == gcd_route(bmul(a, b), b)
-        if len(b) > 1:
-            assert got == (bmul(a, ONE), ONE)
-
-
-def fields(x):
-    return x.coef, x.shift, x.num, x.den
-
-
-def binomial_values():
-    """k0 + k1 s^i sb^j, a Laurent binomial of Q(s, sb)."""
-    nz = st.integers(-3, 3).filter(bool)
-    e = st.integers(-2, 2)
-    return st.builds(lambda k0, k1, i, j: k0 + R.monomial(i, j, k1), nz, nz, e, e)
-
-
-@st.composite
-def values(draw, laurent=False):
-    """c s^i sb^j times a product of binomials, each to the power +-1 or 2
-    (only positive powers when laurent)."""
-    c = draw(st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool))
-    x = R.monomial(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)), c)
-    for b in draw(st.lists(binomial_values(), max_size=3)):
-        if not b:
-            continue
-        x = x * b ** draw(st.sampled_from((1, 2) if laurent else (1, 2, -1)))
-    return x
-
-
-def laurent_sum(x, y):
-    """x + y for den = 1: both over the common coefficient denominator."""
-    d = x.coef.denominator * y.coef.denominator
-    mi, mj = min(x.shift[0], y.shift[0]), min(x.shift[1], y.shift[1])
-    n = {}
-    for z in (x, y):
-        k = z.coef * d
-        for (i, j), c in z.num.items():
-            m = (i + z.shift[0] - mi, j + z.shift[1] - mj)
-            n[m] = n.get(m, 0) + int(k * c)
-    return FormalScalar.make(Fraction(1, d), (mi, mj), {m: c for m, c in n.items() if c},
-                             ONE)
-
-
 class TestFastPaths:
-    """Each shortcut of FormalScalar equals the generic reduction, field for field."""
+    """Each operation of FormalScalar is the same operation on the Laurent
+    polynomials over Q, and keeps both rules of the representation."""
 
     @given(values(), values())
     def test_product(self, x, y):
-        want = FormalScalar.make(x.coef * y.coef,
-                                 (x.shift[0] + y.shift[0], x.shift[1] + y.shift[1]),
-                                 bmul(x.num, y.num), bmul(x.den, y.den))
-        assert fields(x * y) == fields(want)
-        assert fields(y * x) == fields(want)
-
-    @given(values(laurent=True), values(laurent=True))
-    def test_laurent_sum(self, x, y):
-        assert x.den == ONE and y.den == ONE
-        assert fields(x + y) == fields(laurent_sum(x, y))
-        assert fields(x - x) == fields(R.zero)
+        want = laurent.mul(laurent.value(x), laurent.value(y))
+        check(x * y, want)
+        check(y * x, want)
 
     @given(values(), values())
     def test_sum(self, x, y):
-        d = x.coef.denominator * y.coef.denominator
-        mi, mj = min(x.shift[0], y.shift[0]), min(x.shift[1], y.shift[1])
-        n = {}
-        for z, w in ((x, y), (y, x)):
-            k = int(z.coef * d)
-            for (i, j), c in bmul(z.num, w.den).items():
-                m = (i + z.shift[0] - mi, j + z.shift[1] - mj)
-                n[m] = n.get(m, 0) + k * c
-        want = FormalScalar.make(Fraction(1, d), (mi, mj), {m: c for m, c in n.items() if c},
-                                 bmul(x.den, y.den))
-        assert fields(x + y) == fields(want)
+        vx, vy = laurent.value(x), laurent.value(y)
+        check(x + y, laurent.add(vx, vy))
+        check(x - y, laurent.add(vx, vy, -1))
+        check(y - x, laurent.add(vy, vx, -1))
+
+    @given(values(), values())
+    def test_laurent_sum(self, x, y):
+        for z in (x, y, x * y):
+            check(z, laurent.value(z))
+            assert z - z is ratfunc._ZERO and z + (-z) is ratfunc._ZERO
+            assert -z - z == z * -2
 
     @given(values())
     def test_inverse(self, x):
-        want = FormalScalar.make(1 / x.coef, (-x.shift[0], -x.shift[1]), x.den, x.num)
-        assert fields(x.inverse()) == fields(want)
-
-
-class TestScalarsOnGcdRoute:
-    """FormalScalar products and sums equal those made with bcancel on the
-    gcd route alone, field for field."""
-
-    @given(values(), values(), binomial_values())
-    def test_products_and_sums(self, x, y, b):
-        # x b and y b share the factor b: the shortcut divides it out
-        assume(b)
-        pairs = ((x, y), (x * b, y), (x, y / b), (x / b, y / b))
-        fast = [(fields(u * v), fields(u + v), fields(u - v)) for u, v in pairs]
-        with mock.patch.object(ratfunc, "bcancel", gcd_route):
-            slow = [(fields(u * v), fields(u + v), fields(u - v)) for u, v in pairs]
-        assert fast == slow
-
-
-def merged(x, y, sign):
-    """x + sign y by the general route: both numerators merged over the
-    common coefficient denominator, reduced by make."""
-    d = x.coef.denominator * y.coef.denominator
-    n = {}
-    for z, k in ((x, int(x.coef * d)), (y, sign * int(y.coef * d))):
-        for m, c in z.num.items():
-            n[m] = n.get(m, 0) + k * c
-    return FormalScalar.make(Fraction(1, d), x.shift, {m: c for m, c in n.items() if c},
-                             x.den)
-
-
-def like_cases(x, y):
-    """(result, want, general-route result) of x + y, y + x, x - y, y - x."""
-    ops = (lambda u, v: u + v, lambda u, v: u - v)
-    cases = [(x, y, 0), (y, x, 0), (x, y, 1), (y, x, 1)]
-    with mock.patch.object(FormalScalar, "_like", lambda self, other: False):
-        slow = [ops[k](u, v) for u, v, k in cases]
-    return [(ops[k](u, v), merged(u, v, -1 if k else 1), w)
-            for (u, v, k), w in zip(cases, slow)]
-
-
-def check_like(x, y):
-    for got, want, slow in like_cases(x, y):
-        assert fields(got) == fields(want) == fields(slow)
-        assert got == want and hash(got) == hash(want)
-        assert got.is_zero() == want.is_zero()
-        if want.is_zero():
-            assert got is ratfunc._ZERO
+        if len(x.num) == 1:
+            ((i, j), c), = laurent.value(x).items()
+            check(x.inverse(), {(-i, -j): 1 / c})
+            assert x * x.inverse() == R.one
+        else:
+            with pytest.raises(ArithmeticError):
+                x.inverse()
 
 
 class TestLikeTerms:
-    """Like terms (equal shift, num and den) combine by their Fraction
-    coefficients alone, with the fields, equality, hash and zero test of
-    the general route and no call of make."""
+    """Sums of rational multiples of one value."""
 
     @given(values(), st.fractions(min_value=-4, max_value=4, max_denominator=6))
     def test_matches_general_route(self, x, c):
-        assume(c)
         y = x * c
-        assert (y.shift, y.num, y.den) == (x.shift, x.num, x.den)
-        check_like(x, y)
+        check(y, {m: v * c for m, v in laurent.value(x).items() if c})
+        check(x + y, laurent.value(x * (1 + c)))
+        check(x - y, laurent.value(x * (1 - c)))
 
-    @pytest.mark.parametrize("base", [R.one, R.s, R.nu * R.s ** 3 / (R.s - R.sb),
-                                      (1 + R.s * R.sb) ** 2 / (2 - R.sb)], ids=repr)
+    @pytest.mark.parametrize("base", [R.one, R.s, R.nu * R.s ** 3 * (R.s - R.sb),
+                                      (1 + R.s * R.sb) ** 2 * (2 - R.sb) / 3], ids=repr)
     @pytest.mark.parametrize("a, b", [(Fraction(1, 2), Fraction(1, 2)),
                                       (Fraction(1, 3), Fraction(-1, 3)),
                                       (Fraction(2, 3), Fraction(5, 6)),
@@ -354,24 +158,10 @@ class TestLikeTerms:
                                       (Fraction(3), Fraction(3))], ids=str)
     def test_fractions_and_cancellation(self, base, a, b):
         x, y = base * a, base * b
-        check_like(x, y)
-        with mock.patch.object(FormalScalar, "make", side_effect=AssertionError):
-            assert x + y == base * (a + b)
-            assert x - y == base * (a - b)
-            assert (x - x) is ratfunc._ZERO and (x + (-x)) is ratfunc._ZERO
-
-    @pytest.mark.parametrize("x, y, equal", [
-        (R.s / (1 - R.sb), R.s / (2 - R.sb), ("shift", "num")),
-        (R.s * (1 + R.sb), R.s * (2 + R.sb), ("shift", "den")),
-        (R.s * (1 + R.sb), R.sb * (1 + R.sb), ("num", "den")),
-    ], ids=repr)
-    def test_unlike_terms_take_general_route(self, x, y, equal):
-        assert [f for f in ("shift", "num", "den")
-                if getattr(x, f) == getattr(y, f)] == list(equal)
-        got = [x + y, x - y, y - x]
-        with mock.patch.object(FormalScalar, "_like", lambda self, other: False):
-            slow = [x + y, x - y, y - x]
-        assert [fields(g) for g in got] == [fields(w) for w in slow]
+        assert x + y == base * (a + b)
+        assert x - y == base * (a - b)
+        assert (x - x) is ratfunc._ZERO and (x + (-x)) is ratfunc._ZERO
+        check(x + y, laurent.add(laurent.value(x), laurent.value(y)))
 
     def test_half_plus_half_is_one(self):
         half = R.from_fraction(Fraction(1, 2))
@@ -380,53 +170,123 @@ class TestLikeTerms:
         assert fields(one) == fields(R.one)
 
 
-def old_make(coef, shift, num, den):
-    """make by the scans it used before the one-pass reduction."""
-    def content(a):
-        g = 0
-        for c in a.values():
-            g = gcd(g, c)
-        return g
-
-    def lead(a):
-        return max(a, key=lambda m: (m[0] + m[1], m[0]))
-
-    cn, cd = content(num), content(den)
-    cn, cd = (-cn if num[lead(num)] < 0 else cn), (-cd if den[lead(den)] < 0 else cd)
-    ni, nj = min(i for i, _ in num), min(j for _, j in num)
-    di, dj = min(i for i, _ in den), min(j for _, j in den)
-    num = {(i - ni, j - nj): c // cn for (i, j), c in num.items()}
-    den = {(i - di, j - dj): c // cd for (i, j), c in den.items()}
-    g = bgcd(num, den)
-    return (coef * Fraction(cn, cd), (shift[0] + ni - di, shift[1] + nj - dj),
-            bdivexact(num, g), bdivexact(den, g))
+@st.composite
+def small_values(draw):
+    """A sum of up to three small Laurent monomials, or a product of two."""
+    mono = st.builds(R.monomial, st.integers(-3, 3), st.integers(-3, 3),
+                     st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    terms = draw(st.lists(mono, min_size=1, max_size=3))
+    x = sum(terms, R.zero)
+    return x * draw(mono) if draw(st.booleans()) else x
 
 
-def laurent(max_terms=5):
-    coef = st.integers(-12, 12).filter(bool)
-    mono = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
-    return st.dictionaries(mono, coef, min_size=1, max_size=max_terms)
+class TestLaurentRing:
+    @given(small_values(), small_values(), small_values())
+    def test_ring_axioms(self, a, b, c):
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + b == b + a and a * b == b * a
+        assert a + R.zero == a and a * R.one == a and a * R.zero == R.zero
+        assert a - b == a + (-b) == -(b - a)
 
+    @given(values(), values())
+    def test_exact_division(self, a, b):
+        assume(b)
+        assert (a * b) / b == a
+        assert (a * b * 3) / (b * Fraction(3, 4)) == a * 4
 
-class TestMake:
-    @given(laurent(), laurent(max_terms=3), st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
-    def test_matches_old_scans(self, num, den, shift):
-        coef = Fraction(3, 4)
-        assert fields(FormalScalar.make(coef, shift, num, den)) == \
-            old_make(coef, shift, num, den)
-
-    @pytest.mark.parametrize("num", [
-        # negative exponents and a negative graded-lex lead
-        {(-2, 1): -6, (1, -3): 4, (0, 0): 2},
-        {(-1, -1): -3},
-        {(0, -2): 5, (-3, 0): -10},
-        # the lead is decided by the s-degree among terms of top total degree
-        {(0, 2): 1, (2, 0): -1, (0, 0): 3},
-        {(-1, 2): 2, (1, 0): -4},
+    @pytest.mark.parametrize("q, b", [
+        (R.nu ** 3 * (R.s - 2), R.kappa(2)),
+        (R.c_coefficient(1) * Fraction(2, 3), R.kappa(1)),
+        (R.alpha_coefficient(2), R.c_coefficient(3) * R.monomial(-4, 7)),
+        (R.s ** -5 + R.sb ** 6 * Fraction(1, 7), (R.s ** -2 - 3 * R.sb) * Fraction(5, 2)),
     ], ids=repr)
-    def test_laurent_numerator(self, num):
-        assert fields(FormalScalar.make(Fraction(1), (0, 0), num, ONE)) == \
-            old_make(Fraction(1), (0, 0), num, ONE)
+    def test_division_with_negative_exponents(self, q, b):
+        # the quotient and the divisor reach below exponent 0 in s or sb
+        check((q * b) / b, laurent.value(q))
+        check((b * q) / q, laurent.value(b))
+
+    @pytest.mark.parametrize("a, b", [
+        (R.one, R.one + R.s),
+        (R.s ** 2 + 1, R.s + 1),
+        (R.s + R.sb, R.s * R.sb + 1),
+        (R.kappa(1) * R.c_coefficient(1), R.c_coefficient(2)),
+    ], ids=repr)
+    def test_inexact_division_raises(self, a, b):
+        with pytest.raises(ArithmeticError):
+            a / b
+
+    @pytest.mark.parametrize("x", [R.kappa(1), R.one + R.s, R.c_coefficient(2)], ids=repr)
+    def test_non_monomial_inverse_raises(self, x):
+        with pytest.raises(ArithmeticError):
+            x.inverse()
+        with pytest.raises(ArithmeticError):
+            x ** -1
+        with pytest.raises(ArithmeticError):
+            1 / x
+
+    def test_zero_division(self):
+        with pytest.raises(ZeroDivisionError):
+            R.zero.inverse()
+        with pytest.raises(ZeroDivisionError):
+            R.s / R.zero
+
+    @pytest.mark.parametrize("c", [0, 1, -1, 5, Fraction(-3, 4), Fraction(7, 6)], ids=str)
+    def test_constant_hashes_as_its_fraction(self, c):
+        for x in (R.from_fraction(c), R.one * c, R.nu * c / R.nu,
+                  (R.one + R.s) * c - R.s * c):
+            assert x == c and hash(x) == hash(Fraction(c))
+
+    def test_negation_shares_the_numerator(self):
+        x = R.c_coefficient(3) * Fraction(-2, 5)
+        assert (-x).num is x.num and (-x).den == -x.den
+        assert -(-x) == x and (-x) * -1 == x
+
+    def test_lowest_terms_against_den(self):
+        # (s + 1)/2 + (s - 1)/2 = s: the content 2 cancels against den
+        half = Fraction(1, 2)
+        x = (R.s + 1) * half + (R.s - 1) * half
+        assert fields(x) == ({(1, 0): 1}, 1)
+        # (2 s + 4)/3 times 3/2 = s + 2
+        assert fields((2 * R.s + 4) * Fraction(1, 3) * Fraction(3, 2)) == ({(1, 0): 1, (0, 0): 2}, 1)
+        # the sign sits in den, the lex-largest term is positive
+        assert fields(R.one - R.s) == ({(1, 0): 1, (0, 0): -1}, -1)
+
+
+# printed by the canonical form of Q(s, sb), at the parent of the Laurent ring
+_PRINTED = [
+    (R.zero, '0'),
+    (R.one, '1'),
+    (-R.one, '-1'),
+    (Fraction(-3, 4) * R.one, '-3/4'),
+    (R.s, 's^1'),
+    (R.nu, 's^-1*sb^-1'),
+    (R.monomial(2, -1, Fraction(-3, 4)), '-3/4*s^2*sb^-1'),
+    (R.monomial(-2, 3, Fraction(-2, 9)), '-2/9*s^-2*sb^3'),
+    (R.c_coefficient(1), 's^-1*sb^-1*(s^2*sb^2-s^2-sb^2+1)'),
+    (R.c_coefficient(2),
+     '1/2*s^-3*sb^-3*(s^6*sb^6-s^6*sb^2+s^4*sb^4-s^2*sb^6-s^4+s^2*sb^2-sb^4+1)'),
+    (R.c_coefficient(3) * R.monomial(-3, 1),
+     '1/3*s^-8*sb^-4*(s^10*sb^10+s^8*sb^8-s^10*sb^4-s^4*sb^10+s^6*sb^6-s^8*sb^2'
+     '-s^2*sb^8+s^4*sb^4-s^6-sb^6+s^2*sb^2+1)'),
+    (R.kappa(1), 's^-1*sb^-1*(s^2*sb^2-1)'),
+    (R.kappa(2), '2*s^-1*sb^-1*(s^2*sb^2-1)'),
+    (-R.kappa(3) * Fraction(5, 6), '-5/2*s^-1*sb^-1*(s^2*sb^2-1)'),
+    (R.alpha_coefficient(1), 's^-2*sb^-2*(s^4*sb^4-s^4*sb^2-s^2*sb^4+s^2+sb^2-1)'),
+    (R.alpha_coefficient(2) / R.c_coefficient(1),
+     '1/2*s^-3*sb^-3*(s^6*sb^6+s^6*sb^4+s^4*sb^6+s^4*sb^4-s^2*sb^2-s^2-sb^2-1)'),
+    (R.nu_integer(3), 's^-2*sb^-2*(s^4*sb^4+s^2*sb^2+1)'),
+    ((R.s - R.sb) ** 3 * Fraction(4, 9), '4/9*(s^3-3*s^2*sb+3*s*sb^2-sb^3)'),
+    ((2 * R.s ** 2 - 4 * R.sb) * Fraction(1, 6), '1/3*(s^2-2*sb)'),
+    ((R.s * R.sb - R.s ** -1 + 3 * R.sb ** 2) * Fraction(-7, 10), '-7/10*s^-1*(s^2*sb+3*s*sb^2-1)'),
+    (-R.alpha_coefficient(1) / R.c_coefficient(1), '-1*s^-1*sb^-1*(s^2*sb^2-1)'),
+]
+
+
+@pytest.mark.parametrize("x, printed", _PRINTED, ids=[p for _, p in _PRINTED])
+def test_repr_unchanged(x, printed):
+    assert repr(x) == printed
 
 
 @st.composite
@@ -458,6 +318,12 @@ def same_product(a, b):
             assert r == want
             assert all(type(c) is int and c for c in r.values())
     return got
+
+
+@given(st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+       st.integers(-2 ** 40, 2 ** 40).filter(bool), stepped(max_terms=36))
+def test_one_term_product_is_the_dict_loop(m, c, b):
+    assert ratfunc._bmul_term({m: c}, b) == ratfunc._bmul_dict({m: c}, b)
 
 
 class TestKronecker:
