@@ -3,11 +3,14 @@ from its fields alone, without the arithmetic of ``ellhall.ratfunc``.
 
 A Laurent polynomial over Q is a dict {(i, j): Fraction} of nonzero
 coefficients; ``value`` reads one off a FormalScalar, and ``fields`` gives
-the (num, den) pair the ring must store for it.
+the (num, den) pair the ring must store for it.  ``Quotient`` holds a value
+of Q(s, sb) outside the ring as a numerator over a divisor.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+
+from ellhall import ratfunc
 
 
 def evaluate(x, s, sb):
@@ -49,3 +52,40 @@ def mul(p, q):
             m = (i + k, j + l)
             r[m] = r.get(m, 0) + a * b
     return {m: c for m, c in r.items() if c}
+
+
+class Quotient:
+    """p / q for FormalScalars p, q with q not dividing p: a value of
+    Q(s, sb) outside the Laurent ring, held as numerator and divisor, the
+    way relation (2) holds theta c until it divides by kappa.
+
+    ``repr`` prints the canonical form of Q(s, sb) that the package printed
+    before the ring: content, least exponents and primitive numerator over
+    a primitive divisor with a positive graded-lex lead.  That form needs
+    the primitive parts of p and q coprime, as they are for every quotient
+    the tests build.
+    """
+
+    def __init__(self, num, div):
+        try:
+            num / div
+        except ArithmeticError:
+            pass
+        else:
+            raise ValueError("div divides num: the value is in the ring")
+        self.num = num
+        self.div = div
+
+    def __repr__(self):
+        p, kp, ip, jp = ratfunc._canonical(self.num.num)
+        q, kq, iq, jq = ratfunc._canonical(self.div.num)
+        coef = Fraction(kp, self.num.den) / Fraction(kq, self.div.den)
+        parts = [str(coef)] if coef != 1 else []
+        if ip - iq:
+            parts.append(f"s^{ip - iq}")
+        if jp - jq:
+            parts.append(f"sb^{jp - jq}")
+        if p != {(0, 0): 1}:
+            parts.append("(" + ratfunc._poly_str(p) + ")")
+        parts.append("(" + ratfunc._poly_str(q) + ")^-1")
+        return "*".join(parts)

@@ -2,6 +2,7 @@
 FormalScalar against the Laurent polynomial over Q it stands for."""
 
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -32,8 +33,30 @@ def factors():
     return st.one_of(binomials(0), binomials(1), polys(max_terms=3, max_deg=2))
 
 
+def prim(a):
+    k = gcd(*a.values())
+    return {m: c // k for m, c in a.items()}
+
+
 def to_formal(a):
     return sum((R.monomial(i, j, c) for (i, j), c in a.items()), R.zero)
+
+
+def lowest(a):
+    """a moved to least exponents 0 in s and in sb."""
+    i0, j0 = min(i for i, _ in a), min(j for _, j in a)
+    return {(i - i0, j - j0): c for (i, j), c in a.items()}
+
+
+def divides(b, a):
+    """b divides a in Q[s^+-1, sb^+-1]: the primitive part of b divides a
+    in Z[s, sb], both moved to least exponents 0 (Gauss's lemma, and the
+    least exponents of a product add)."""
+    try:
+        bdivexact(lowest(a), prim(lowest(b)))
+    except ArithmeticError:
+        return False
+    return True
 
 
 def binomial_values():
@@ -83,6 +106,69 @@ class TestLostFactor:
         if fb:
             assert (fa * fb * fc) / (fb * fc) == fa
 
+    @given(polys(), polys(), factors())
+    def test_gcd_contains_common_factor(self, a, b, g):
+        # g divides g a, g b and every combination of them
+        fa, fb, fg = to_formal(a), to_formal(b), to_formal(g)
+        ga, gb = to_formal(bmul(g, a)), to_formal(bmul(g, b))
+        assert ga / fg == fa and gb / fg == fb
+        assert (ga * 3 - gb * Fraction(1, 2)) / fg == fa * 3 - fb * Fraction(1, 2)
+
+
+class TestGcd:
+    """The only gcds the ring takes are of integers: the content of a
+    polynomial, kept against den, and the content and least exponents that
+    repr prints (``_canonical``)."""
+
+    def test_content_is_gcd_of_contents(self):
+        a, b = {(2, 0): 6, (0, 0): 6}, {(1, 0): 4, (0, 0): 4}
+        assert ratfunc._canonical(a) == ({(2, 0): 1, (0, 0): 1}, 6, 0, 0)
+        assert ratfunc._canonical(b) == ({(1, 0): 1, (0, 0): 1}, 4, 0, 0)
+        # Gauss's lemma: the content of a product is the product of contents
+        assert ratfunc._canonical(bmul(a, b))[1] == 24
+        x, y = to_formal(a) * Fraction(1, 4), to_formal(b) * Fraction(1, 6)
+        assert fields(x) == ({(2, 0): 3, (0, 0): 3}, 2)
+        assert fields(y) == ({(1, 0): 2, (0, 0): 2}, 3)
+        assert fields(x * y) == ({(3, 0): 1, (2, 0): 1, (1, 0): 1, (0, 0): 1}, 1)
+
+    def test_monomial(self):
+        assert ratfunc._canonical({(2, 1): 6}) == ({(0, 0): 1}, 6, 2, 1)
+        assert ratfunc._canonical({(1, 3): 4, (3, 1): 2}) == ({(0, 2): 2, (2, 0): 1}, 2, 1, 1)
+        # a monomial is a unit: division by it is always exact
+        assert to_formal({(2, 1): 6}) / to_formal({(1, 3): 4}) == R.monomial(1, -2, Fraction(3, 2))
+        assert to_formal({(1, 3): 4, (3, 1): 2}) / R.monomial(1, 1, 2) == 2 * R.sb ** 2 + R.s ** 2
+
+    def test_constant_content_of_the_image_is_not_kept(self):
+        # sb (sb + 1) and sb^2 + sb + 2 are even at every integer sb, but
+        # their content is 1: a half of either keeps den 2, and they are coprime
+        a, b = R.sb ** 2 + R.sb, R.sb ** 2 + R.sb + 2
+        assert fields(a * Fraction(1, 2)) == ({(0, 2): 1, (0, 1): 1}, 2)
+        assert fields(b * Fraction(1, 2)) == ({(0, 2): 1, (0, 1): 1, (0, 0): 2}, 2)
+        with pytest.raises(ArithmeticError):
+            a / b
+
+    @pytest.mark.parametrize("a, b", [
+        # (sb - 17)(s + 2) vanishes at sb = 17, and s + sb + 1 at sb = -s - 1
+        ({(1, 1): 1, (0, 1): 2, (1, 0): -17, (0, 0): -34}, {(1, 0): 1, (0, 1): 1, (0, 0): 1}),
+        # (s - 9)(s + 2) vanishes at s = 9, and s + 1 at s = -1
+        ({(2, 0): 1, (1, 0): -7, (0, 0): -18}, {(1, 0): 1, (0, 0): 1}),
+    ], ids=["sb", "s"])
+    def test_image_vanishes(self, a, b):
+        fa, fb = to_formal(a), to_formal(b)
+        with pytest.raises(ArithmeticError):
+            fa / fb
+        assert (fa * fb) / fb == fa and (fb * fb) / fb == fb
+        assert bdivexact(bmul(a, b), b) == a
+
+    def test_positive_lead(self):
+        # (1 - s)(sb + 3): the lex-largest term -s sb is negative, so num
+        # is negated and den carries the sign
+        a = R.one - R.s
+        x = a * (R.sb + 3)
+        assert fields(x) == ({(1, 1): 1, (1, 0): 3, (0, 1): -1, (0, 0): -3}, -1)
+        assert fields(x / a) == ({(0, 1): 1, (0, 0): 3}, 1)
+        assert fields(x / -a) == ({(0, 1): 1, (0, 0): 3}, -1)
+
 
 class TestDivExact:
     @given(polys(max_terms=5), polys())
@@ -102,6 +188,79 @@ class TestDivExact:
     def test_inexact_raises(self, a, b):
         with pytest.raises(ArithmeticError):
             bdivexact(a, b)
+
+
+class TestCancel:
+    """Exact division cancels a common factor, and only a divisor."""
+
+    def test_monomial_gcd(self):
+        # 6 s^2 sb and 4 s sb^3 + 2 s^3 sb share the monomial 2 s sb
+        a, b = to_formal({(2, 1): 6}), to_formal({(1, 3): 4, (3, 1): 2})
+        g = R.monomial(1, 1, 2)
+        assert fields(a / g) == ({(1, 0): 3}, 1)
+        assert fields(b / g) == ({(2, 0): 1, (0, 2): 2}, 1)
+        with pytest.raises(ArithmeticError):
+            a / b
+
+    def test_negative_lead(self):
+        # s - sb^2 has the graded-lex lead -sb^2 that repr signs by, but a
+        # positive lex-largest term s, so den is 1
+        g = R.s - R.sb ** 2
+        assert fields(g) == ({(1, 0): 1, (0, 2): -1}, 1) and repr(g) == "-1*(sb^2-s)"
+        a, b = g * (R.sb + 3), g * (R.s + 5)
+        assert a / g == R.sb + 3 and b / g == R.s + 5
+        assert a / -g == -(R.sb + 3) and fields(a / -g) == ({(0, 1): 1, (0, 0): 3}, -1)
+
+    def test_coprime(self):
+        with pytest.raises(ArithmeticError):
+            (R.s + 1) / (R.s + 2)
+        with pytest.raises(ArithmeticError):
+            (R.sb ** 2 + R.sb) / (R.sb ** 2 + R.sb + 2)
+
+    @pytest.mark.parametrize("a", [
+        {(1, 1): 1, (0, 0): 3}, {(1, 1): -2, (0, 0): 4}, {(2, 0): -5},
+        {(0, 0): 1}, {(0, 0): -1}], ids=repr)
+    def test_equal_inputs(self, a):
+        assert bdivexact(a, a) == {(0, 0): 1}
+        x = to_formal(a)
+        assert x / x == R.one
+        assert fields(x / -x) == ({(0, 0): 1}, -1)
+
+
+class TestDivisionShortcut:
+    """x / y for a y of two or more terms divides num by the primitive part
+    of y, moved to the least exponents of x, with bdivexact; a monomial y
+    goes through its inverse."""
+
+    @given(polys(), polys(), factors(), st.sampled_from((1, -1, 2, -3)))
+    def test_multiple_of_b(self, a, b, g, k):
+        # a multiple of b, over b or a multiple k b, a pair sharing only g,
+        # and a pair that may share nothing
+        fa, fb = to_formal(a), to_formal(b)
+        ab = to_formal(bmul(a, b))
+        for x, y, want in ((ab, fb, fa), (ab, fb * k, fa * Fraction(1, k)),
+                           (to_formal(bmul(g, a)), to_formal(bmul(g, b)), None),
+                           (fa, fb, None)):
+            if divides(y.num, x.num):
+                q = x / y
+                assert q * y == x
+                assert want is None or q == want
+            else:
+                with pytest.raises(ArithmeticError):
+                    x / y
+
+    @given(polys(), polys())
+    def test_canonical_b(self, a, b):
+        b = prim(b)
+        if b[max(b)] < 0:
+            b = {m: -c for m, c in b.items()}
+        fb = to_formal(b)
+        assert fields(fb) == (b, 1)
+        ab = bmul(a, b)
+        assert bdivexact(ab, b) == a
+        check(to_formal(ab) / fb, {m: Fraction(c) for m, c in a.items()})
+        check(to_formal(ab) / (fb * Fraction(3, 4)),
+              {m: Fraction(4 * c, 3) for m, c in a.items()})
 
 
 class TestFastPaths:
@@ -149,25 +308,124 @@ class TestLikeTerms:
         check(x + y, laurent.value(x * (1 + c)))
         check(x - y, laurent.value(x * (1 - c)))
 
-    @pytest.mark.parametrize("base", [R.one, R.s, R.nu * R.s ** 3 * (R.s - R.sb),
-                                      (1 + R.s * R.sb) ** 2 * (2 - R.sb) / 3], ids=repr)
+    @pytest.mark.parametrize("base", [
+        R.one, R.s, R.nu * R.s ** 3 * (R.s - R.sb), (1 + R.s * R.sb) ** 2 * (2 - R.sb) / 3,
+        laurent.Quotient(R.nu * R.s ** 3, R.s - R.sb),
+        laurent.Quotient((1 + R.s * R.sb) ** 2, 2 - R.sb)], ids=repr)
     @pytest.mark.parametrize("a, b", [(Fraction(1, 2), Fraction(1, 2)),
                                       (Fraction(1, 3), Fraction(-1, 3)),
                                       (Fraction(2, 3), Fraction(5, 6)),
                                       (Fraction(-7, 4), Fraction(7, 4)),
                                       (Fraction(3), Fraction(3))], ids=str)
     def test_fractions_and_cancellation(self, base, a, b):
+        # a base outside the ring is a numerator over a divisor: like terms
+        # combine on the numerators, and the sum is divided afterwards
+        div = base.div if isinstance(base, laurent.Quotient) else R.one
+        base = base.num if isinstance(base, laurent.Quotient) else base
         x, y = base * a, base * b
         assert x + y == base * (a + b)
         assert x - y == base * (a - b)
         assert (x - x) is ratfunc._ZERO and (x + (-x)) is ratfunc._ZERO
         check(x + y, laurent.add(laurent.value(x), laurent.value(y)))
+        assert ((x + y) * div) / div == x + y
+        if div != R.one:
+            if a + b:
+                with pytest.raises(ArithmeticError):
+                    (x + y) / div
+            else:
+                assert (x + y) / div is ratfunc._ZERO
+
+    @pytest.mark.parametrize("x, y, equal", [
+        (laurent.Quotient(R.s, 1 - R.sb), laurent.Quotient(R.s, 2 - R.sb), ("shift", "num")),
+        (R.s * (1 + R.sb), R.s * (2 + R.sb), ("shift", "den")),
+        (R.s * (1 + R.sb), R.sb * (1 + R.sb), ("num", "den")),
+    ], ids=repr)
+    def test_unlike_terms_take_general_route(self, x, y, equal):
+        # values equal in some parts of their printed canonical form, not
+        # in all, are no like terms: x + y, x - y and y - x are the sums of
+        # their Laurent polynomials, or, for quotients, of the numerators
+        # over the product of the divisors, which neither divisor divides
+        assert [f for f in ("shift", "num", "den")
+                if printed_parts(x)[f] == printed_parts(y)[f]] == list(equal)
+        if isinstance(x, laurent.Quotient):
+            for k in (1, -1):
+                n = x.num * y.div + y.num * x.div * k
+                assert (n * x.div * y.div) / (x.div * y.div) == n
+                for d in (x.div, y.div, x.div * y.div):
+                    with pytest.raises(ArithmeticError):
+                        n / d
+            return
+        vx, vy = laurent.value(x), laurent.value(y)
+        check(x + y, laurent.add(vx, vy))
+        check(x - y, laurent.add(vx, vy, -1))
+        check(y - x, laurent.add(vy, vx, -1))
 
     def test_half_plus_half_is_one(self):
         half = R.from_fraction(Fraction(1, 2))
         one = half + half
         assert one == R.one and one == 1 and hash(one) == hash(R.one) == hash(1)
         assert fields(one) == fields(R.one)
+
+
+def printed_parts(x):
+    """The shift, primitive numerator and primitive divisor of the canonical
+    form of Q(s, sb) that repr prints for x."""
+    if isinstance(x, laurent.Quotient):
+        p, _, ip, jp = ratfunc._canonical(x.num.num)
+        q, _, iq, jq = ratfunc._canonical(x.div.num)
+        return {"shift": (ip - iq, jp - jq), "num": p, "den": q}
+    p, _, i0, j0 = ratfunc._canonical(x.num)
+    return {"shift": (i0, j0), "num": p, "den": {(0, 0): 1}}
+
+
+def old_scans(num):
+    """The canonical form of num by the scans the package made before the
+    one-pass ``_canonical``: content signed by the graded-lex lead, least
+    exponents, primitive part."""
+    k = gcd(*num.values())
+    lead = max(num, key=lambda m: (m[0] + m[1], m[0]))
+    if num[lead] < 0:
+        k = -k
+    i0, j0 = min(i for i, _ in num), min(j for _, j in num)
+    return {(i - i0, j - j0): c // k for (i, j), c in num.items()}, k, i0, j0
+
+
+def laurent_polys(max_terms=5):
+    coef = st.integers(-12, 12).filter(bool)
+    mono = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    return st.dictionaries(mono, coef, min_size=1, max_size=max_terms)
+
+
+class TestMake:
+    """The canonical form that ``FormalScalar.make`` built in Q(s, sb) and
+    repr prints now, against the scans make used, and the lowest-terms and
+    sign rules that ``_reduced`` restores on a Laurent numerator."""
+
+    @given(laurent_polys(), st.integers(-12, 12).filter(bool))
+    def test_matches_old_scans(self, num, den):
+        assert ratfunc._canonical(num) == old_scans(num)
+        x = ratfunc._reduced(dict(num), den)
+        check(x, {m: Fraction(c, den) for m, c in num.items()})
+        p, k, i0, j0 = old_scans(num)
+        assert x == R.monomial(i0, j0, Fraction(k, den)) * to_formal(p)
+        q, _, qi, qj = ratfunc._canonical(x.num)
+        assert (q, qi, qj) == (p, i0, j0)
+
+    @pytest.mark.parametrize("num", [
+        # negative exponents and a negative graded-lex lead
+        {(-2, 1): -6, (1, -3): 4, (0, 0): 2},
+        {(-1, -1): -3},
+        {(0, -2): 5, (-3, 0): -10},
+        # the lead is decided by the s-degree among terms of top total degree
+        {(0, 2): 1, (2, 0): -1, (0, 0): 3},
+        {(-1, 2): 2, (1, 0): -4},
+    ], ids=repr)
+    def test_laurent_numerator(self, num):
+        assert ratfunc._canonical(num) == old_scans(num)
+        x = ratfunc._reduced(dict(num), 1)
+        check(x, {m: Fraction(c) for m, c in num.items()})
+        p, k, i0, j0 = old_scans(num)
+        assert x == R.monomial(i0, j0, k) * to_formal(p)
 
 
 @st.composite

@@ -300,7 +300,9 @@ def test_series_difference_truncates_at_smaller_order():
 
 _CORPUS = [
     R.monomial(2, -1, Fraction(-3, 4)),
+    laurent.Quotient((R.s + R.sb) * Fraction(5, 7), R.one - R.s * R.sb),
     R.c_coefficient(2) * R.monomial(-3, 1),
+    laurent.Quotient(R.one, R.kappa(2)),
     -R.alpha_coefficient(1) / R.c_coefficient(1),
 ]
 
@@ -314,9 +316,19 @@ _MONOMIALS = [
 @pytest.mark.parametrize("f", _CORPUS, ids=repr)
 def test_monomial_product_is_canonical(f, m):
     g = m if isinstance(m, FormalScalar) else R.from_fraction(m)
-    want = laurent.fields(laurent.mul(laurent.value(f), laurent.value(g)))
-    for prod in (f * m, m * f):
+    # a quotient outside the ring: its numerator times m is canonical, and
+    # the divisor divides that product only where m is 0 (m is a unit)
+    num = f.num if isinstance(f, laurent.Quotient) else f
+    want = laurent.fields(laurent.mul(laurent.value(num), laurent.value(g)))
+    for prod in (num * m, m * num):
         assert (prod.num, prod.den) == want
+        if isinstance(f, laurent.Quotient):
+            assert (prod * f.div) / f.div == prod
+            if g:
+                with pytest.raises(ArithmeticError):
+                    prod / f.div
+            else:
+                assert prod / f.div is R.zero
 
 
 @pytest.mark.parametrize("ring", [FORMAL, get_curve_ring(2, 3), E1_RING], ids=repr)
