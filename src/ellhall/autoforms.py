@@ -9,18 +9,20 @@ u_x = q_x^(-1/2).  This module provides:
 * the Green pairing of twisted averages (brute force against the closed
   form),
 * Hecke eigenvalue formulas for the cusp eigenforms labeled by primitive
-  character orbits: characteristic polynomial of the Frobenius class,
-  elementary and power-sum eigenvalues, and the eigenvalue of the full
-  twisted torsion average,
+  character orbits: elementary and power-sum eigenvalues, and the
+  eigenvalue of the full twisted torsion average,
 * the grouplike theta series appearing in the cusp eigenform coproduct,
 * truncated Rankin-Selberg products and character L-functions,
 * the cusp form census and an exact independence certificate for
   monomials in the twisted averages.
 
-Everything is exact: scalars live in Q(zeta_M)[u]/(u^2 - q).  The
-independence certificate runs the same constructions over the image of
-that ring in F_p (:class:`~ellhall.cyclotomic.FpRing`) and certifies full
-rank there, which implies full rank over Q(zeta_M)[u].
+Everything is exact: scalars live in Q(zeta_M)[u]/(u^2 - q).  Each local
+Hall algebra is the ring of symmetric functions, with F_k sent to the
+power sum p_k, so a twisted average is a linear form in the free
+variables P(x, k) = F_k at x.  The independence certificate multiplies
+those linear forms after reducing their exact coefficients mod p, and
+certifies full rank over F_p, which implies full rank over
+Q(zeta_M)[u].
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from math import gcd, lcm
 
 from .curve import (CharacterOrbit, ClosedPoint, CurveData, IdentityMismatch,
                     character_orbits, primitive_orbits)
-from .cyclotomic import FpRing, get_curve_ring
+from .cyclotomic import get_curve_ring
 from .dvr_hall import DvrHallAlgebra, aut_count, hall_products, partitions
 from .linalg import rank_mod_p
 from .scalars import LinearCombination, TruncatedSeries, series_exp
@@ -40,21 +42,16 @@ class AutoformContext:
     """Shared exact environment: curve, scalar ring, local Hall algebras.
 
     The scalar ring is Q(zeta_M)[u]/(u^2 - q), M the lcm of the Picard
-    exponents at ``char_levels``, unless ``ring`` gives another ring with
-    the same protocol and room for those character values (its image in
-    F_p, say).
+    exponents at ``char_levels``.
     """
 
-    def __init__(self, curve: CurveData, char_levels=(1,), max_point_degree=8,
-                 ring=None):
+    def __init__(self, curve: CurveData, char_levels=(1,), max_point_degree=8):
         self.curve = curve
         self.max_point_degree = max_point_degree
-        if ring is None:
-            m = 1
-            for lv in char_levels:
-                m = lcm(m, curve.picard(lv).exponent)
-            ring = get_curve_ring(curve.q, m, curve.trace)
-        self.ring = ring
+        m = 1
+        for lv in char_levels:
+            m = lcm(m, curve.picard(lv).exponent)
+        self.ring = get_curve_ring(curve.q, m, curve.trace)
         self._local: dict[tuple, DvrHallAlgebra] = {}
         self._points: dict[int, list[ClosedPoint]] = {}
 
@@ -267,44 +264,6 @@ def _minus_point_exponents(orbit: CharacterOrbit, x: ClosedPoint) -> list[int]:
     pts = curve.points_above(x, n)
     rho = orbit.rep
     return [-rho.value_exponent(P) for P in pts]
-
-
-def hecke_charpoly(ctx: AutoformContext, orbit: CharacterOrbit,
-                   x: ClosedPoint) -> list:
-    """Coefficients (low to high) of prod_i (T^{n/d} - rho(O(-x_i''))).
-
-    The roots are the Hecke eigenvalues of the cusp eigenform labeled by
-    the orbit, up to the standard q-power normalization.
-    """
-    if not orbit.is_primitive():
-        raise ValueError("orbit must be primitive")
-    n = orbit.level
-    d = gcd(n, x.degree)
-    m_n = orbit.curve.picard(n).exponent
-    ring = ctx.ring
-    step = n // d
-    poly = [ring.one]
-    for e in _minus_point_exponents(orbit, x):
-        root = ring.zeta(m_n, e)
-        # multiply by (T^step - root)
-        new = [ring.zero] * (len(poly) + step)
-        for k, c in enumerate(poly):
-            new[k + step] = new[k + step] + c
-            new[k] = new[k] - c * root
-        poly = new
-    return poly
-
-
-def power_sum_eigenvalues(ctx: AutoformContext, orbit: CharacterOrbit,
-                          x: ClosedPoint, r: int):
-    """Power sums of the Hecke eigenvalues, with the q_x^{r(n-1)/2} weight."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    val = _power_sum_plain(ctx, orbit, x, r)
-    if val is None:
-        return ctx.ring.zero
-    n = orbit.level
-    return ctx.ring.u ** (x.degree * r * (n - 1)) * val
 
 
 def _power_sum_plain(ctx, orbit, x, r):
@@ -535,21 +494,17 @@ def find_reduction_prime(ring, start: int = 10 ** 6):
             continue
         # generator-power root of unity of exact order m
         g = 2
-        while True:
-            if pow(g, (p - 1) // 2, p) != 1 and _order_check(g, p, m):
-                break
+        while (pow(g, (p - 1) // 2, p) == 1
+               or not _has_order(pow(g, (p - 1) // m, p), m, p)):
             g += 1
         zeta_img = pow(g, (p - 1) // m, p)
         u_img = _sqrt_mod(q % p, p)
         return p, zeta_img, u_img
 
 
-def _order_check(g, p, m):
-    z = pow(g, (p - 1) // m, p)
-    for ell in range(2, m + 1):
-        if m % ell == 0 and pow(z, m // ell, p) == 1:
-            return False
-    return True
+def _has_order(z, m, p):
+    """Whether z has multiplicative order exactly m modulo the prime p."""
+    return pow(z, m, p) == 1 and all(pow(z, k, p) != 1 for k in range(1, m))
 
 
 def _sqrt_mod(a, p):
@@ -578,46 +533,89 @@ def _sqrt_mod(a, p):
     return min(r, p - r)
 
 
-def twisted_monomials(ctx: AutoformContext, levels, max_total_degree: int) -> list:
-    """Monomials of total degree 1..max_total_degree in the twisted averages.
+def _check_images(ring, p: int, zeta_img: int, u_img: int) -> None:
+    """Raise ValueError unless zeta_img has order M and u_img^2 = q mod p."""
+    if not _has_order(zeta_img, ring.m, p):
+        raise ValueError(f"{zeta_img} does not have order {ring.m} mod {p}")
+    if (u_img * u_img - ring.q) % p:
+        raise ValueError(f"{u_img}^2 is not {ring.q} mod {p}")
 
-    The family is {T^rho~_{(0,d)} : d in levels, rho~ a Frobenius orbit at
-    level d}; a monomial is a multiset over it, expanded in the torsion
-    monomial basis over ``ctx.ring``.
+
+def _power_sum_form(ctx: AutoformContext, elem: GlobalTorsionElement) -> dict:
+    """{(point key, k): coefficient} of a sum of the T_{(0,r),x}, as a linear
+    form in the variables P(x, k) := F_k at x.
+
+    The coefficient of P(x, k) is that of the one-part partition (k,) at x
+    (n_u(0) = 1).  Raises IdentityMismatch unless the whole component at x
+    is that coefficient times ``F_element(k)`` of the local algebra.
     """
-    family = []
-    for d in levels:
-        for orbit in character_orbits(ctx.curve, d):
-            family.append((d, T0_twisted(ctx, orbit, d)))
-    monos: list[tuple[int, GlobalTorsionElement]] = [(0, ctx.one_elem())]
-    for d, elem in family:
-        extended = list(monos)
-        for deg, cur in monos:
-            acc = cur
-            total = deg
-            while total + d <= max_total_degree:
-                acc = acc * elem
-                total += d
-                extended.append((total, acc))
-        monos = extended
-    return [e for deg, e in monos if deg > 0]
+    components: dict = {}
+    for ((key, lam),), c in elem.terms.items():
+        components.setdefault(key, {})[lam] = c
+    form = {}
+    for key, comp in components.items():
+        k = sum(next(iter(comp)))
+        coeff = comp.get((k,), ctx.ring.zero)
+        alg = ctx.local_algebra(ctx.curve.closed_point(key))
+        if alg.F_element(k).scale(coeff).terms != comp:
+            raise IdentityMismatch(f"the component at x{list(key)} is not a multiple of F_{k}")
+        form[key, k] = coeff
+    return form
+
+
+def _times_form(poly: dict, form: list, p: int) -> dict:
+    """poly * form over F_p; poly is keyed by sorted tuples of variable
+    indices, form is a list of (variable index, residue)."""
+    out: dict = {}
+    for key, c in poly.items():
+        for v, a in form:
+            k = tuple(sorted(key + (v,)))
+            out[k] = (out.get(k, 0) + c * a) % p
+    return {k: c for k, c in out.items() if c}
 
 
 def monomial_independence_rank(ctx: AutoformContext, levels, max_total_degree: int):
     """Exact rank certificate for monomials in the twisted torsion averages.
 
-    Builds the :func:`twisted_monomials` over the image of ``ctx.ring`` in
-    F_p, for a prime p that embeds the scalar ring, and returns
-    (number_of_monomials, rank over F_p).  Reduction mod p is a ring
-    homomorphism, so the matrix is the reduction of the exact one, and
-    full rank over F_p certifies full rank over Q(zeta_M)[u].
+    The family is {T^rho~_{(0,d)} : d in levels, rho~ a Frobenius orbit at
+    level d}, and a monomial is a multiset over it of total degree
+    1..max_total_degree.  Returns (number of monomials, their rank).
+
+    The torsion Hall algebra is the tensor product of the local Hall
+    algebras at the closed points, and each local one is the ring of
+    symmetric functions with F_k sent to the power sum p_k (Macdonald,
+    ch. III; criterion 3 checks the bridge).  Over the fraction field of
+    the scalar ring the P(x, k) := F_k at x are therefore free commuting
+    variables, and their monomials are a basis.  Each twisted average is a
+    linear form in them (:func:`_power_sum_form`, read off
+    :func:`T0_twisted`), so a monomial in the averages is a product of
+    linear forms.  Its coefficients lie in Z_(p)[zeta_M][u] for the prime
+    p of :func:`find_reduction_prime`, and ``CurveScalar.reduce_mod`` is a
+    ring homomorphism from there to F_p.  So the matrix built here over
+    F_p is the reduction of the exact coefficient matrix in the P-monomial
+    basis: a nonzero maximal minor mod p reduces a nonzero minor, and full
+    rank over F_p certifies full rank in characteristic 0.
     """
     p, zeta_img, u_img = find_reduction_prime(ctx.ring)
-    fp_ctx = AutoformContext(ctx.curve, max_point_degree=ctx.max_point_degree,
-                             ring=FpRing(ctx.ring, p, zeta_img, u_img))
+    _check_images(ctx.ring, p, zeta_img, u_img)
+    variables: dict = {}
+    family = []
+    for d in levels:
+        for orbit in character_orbits(ctx.curve, d):
+            form = _power_sum_form(ctx, T0_twisted(ctx, orbit, d))
+            family.append((d, [(variables.setdefault(v, len(variables)),
+                                c.reduce_mod(p, zeta_img, u_img))
+                               for v, c in form.items()]))
+    monos = [(0, {(): 1})]
+    for d, form in family:
+        extended = list(monos)
+        for total, poly in monos:
+            while total + d <= max_total_degree:
+                poly = _times_form(poly, form, p)
+                total += d
+                extended.append((total, poly))
+        monos = extended
     columns: dict = {}
-    rows = []
-    for elem in twisted_monomials(fp_ctx, levels, max_total_degree):
-        rows.append({columns.setdefault(mono, len(columns)): c.value
-                     for mono, c in elem.terms.items()})
+    rows = [{columns.setdefault(key, len(columns)): c for key, c in poly.items()}
+            for _, poly in monos[1:]]
     return len(rows), rank_mod_p(rows, len(columns), p)

@@ -18,10 +18,9 @@ between them raise ValueError, so equal scalars always hash alike.  A
 computation that needs several roots of unity builds its ring at the lcm
 order up front (``CurveData.character_ring``).
 
-:class:`FpRing` is the image of a ring in F_p for a prime p = 1 mod M with
-q a square mod p.  It speaks the same ring protocol, so exact-rank
-certificates are computed over F_p directly; ``CurveScalar.reduce_mod``
-is the same homomorphism applied to an exact value.
+``CurveScalar.reduce_mod`` maps an exact value to F_p, for a prime
+p = 1 mod M with q a square mod p; the rank certificate of
+:mod:`ellhall.autoforms` reduces its coefficients so.
 """
 
 from __future__ import annotations
@@ -86,51 +85,10 @@ def get_curve_ring(q: int, m: int = 1, trace=None) -> "CurveRing":
     return ring
 
 
-class _TraceRing:
-    """Structure constants specialized at a curve, in ring arithmetic only.
+class CurveRing:
+    """Q(zeta_M)[u]/(u^2 - q) with the structure constants of a curve over
+    F_q of Frobenius trace ``trace``."""
 
-    Shared by :class:`CurveRing` and its images :class:`FpRing`; a subclass
-    sets ``q``, ``trace``, ``nu``, ``from_fraction`` and an empty dict
-    ``_nu_integers``, the memo of :meth:`nu_integer`.
-    """
-
-    def point_count(self, i: int) -> int:
-        """#X(F_{q^i}) from the attached trace by :func:`frobenius_trace`."""
-        if self.trace is None:
-            raise ValueError("ring has no Frobenius trace attached")
-        return self.q ** i + 1 - frobenius_trace(self.q, self.trace, i)
-
-    def nu_integer(self, r: int) -> "CurveScalar | FpScalar":
-        """The nu-integer [r] = (nu^r - nu^-r)/(nu - nu^-1); [1] = 1."""
-        if r < 1:
-            raise ValueError("r must be >= 1")
-        val = self._nu_integers.get(r)
-        if val is None:
-            nu = self.nu
-            val = (nu ** r - nu ** (-r)) / (nu - nu ** (-1))
-            self._nu_integers[r] = val
-        return val
-
-    def kappa(self, n: int) -> "CurveScalar | FpScalar":
-        """kappa = n (nu^-1 - nu), the scale of relation (2) at twist n."""
-        return (self.nu.inverse() - self.nu) * n
-
-    def c_coefficient(self, i: int) -> "CurveScalar | FpScalar":
-        """c_i = [i] nu^i #X(F_{q^i}) / i, via the trace recursion."""
-        if i < 1:
-            raise ValueError("i must be >= 1")
-        n_points = self.point_count(i)
-        return self.nu_integer(i) * self.nu ** i * Fraction(n_points, i)
-
-    def alpha_coefficient(self, i: int) -> "CurveScalar | FpScalar":
-        """alpha_i = #X(F_{q^i}) (1 - q^-i) / i, a rational number."""
-        if i < 1:
-            raise ValueError("i must be >= 1")
-        n_points = self.point_count(i)
-        return self.from_fraction(Fraction(n_points, i) * (1 - Fraction(1, self.q ** i)))
-
-
-class CurveRing(_TraceRing):
     backend = "curve"
 
     def __init__(self, q: int, m: int = 1, trace=None):
@@ -166,6 +124,43 @@ class CurveRing(_TraceRing):
         # conjugation matrix: zeta^k -> zeta^(-k)
         self._conj_rows = [self._zeta_powers[(m - k) % m] for k in range(d)]
         self._nu_integers = {}
+
+    # -- structure constants, through the trace recursion -----------------
+
+    def point_count(self, i: int) -> int:
+        """#X(F_{q^i}) from the attached trace by :func:`frobenius_trace`."""
+        if self.trace is None:
+            raise ValueError("ring has no Frobenius trace attached")
+        return self.q ** i + 1 - frobenius_trace(self.q, self.trace, i)
+
+    def nu_integer(self, r: int) -> "CurveScalar":
+        """The nu-integer [r] = (nu^r - nu^-r)/(nu - nu^-1); [1] = 1."""
+        if r < 1:
+            raise ValueError("r must be >= 1")
+        val = self._nu_integers.get(r)
+        if val is None:
+            nu = self.nu
+            val = (nu ** r - nu ** (-r)) / (nu - nu ** (-1))
+            self._nu_integers[r] = val
+        return val
+
+    def kappa(self, n: int) -> "CurveScalar":
+        """kappa = n (nu^-1 - nu), the scale of relation (2) at twist n."""
+        return (self.nu.inverse() - self.nu) * n
+
+    def c_coefficient(self, i: int) -> "CurveScalar":
+        """c_i = [i] nu^i #X(F_{q^i}) / i, via the trace recursion."""
+        if i < 1:
+            raise ValueError("i must be >= 1")
+        n_points = self.point_count(i)
+        return self.nu_integer(i) * self.nu ** i * Fraction(n_points, i)
+
+    def alpha_coefficient(self, i: int) -> "CurveScalar":
+        """alpha_i = #X(F_{q^i}) (1 - q^-i) / i, a rational number."""
+        if i < 1:
+            raise ValueError("i must be >= 1")
+        n_points = self.point_count(i)
+        return self.from_fraction(Fraction(n_points, i) * (1 - Fraction(1, self.q ** i)))
 
     # -- constructors ---------------------------------------------------
 
@@ -438,151 +433,3 @@ class CurveScalar:
 
         terms = side(self.a, "") + side(self.b, "*u")
         return " + ".join(terms) if terms else "0"
-
-    def serialize(self) -> str:
-        """Exact string form with explicit q and M."""
-        return (f"q={self.ring.q};M={self.ring.m};"
-                f"a={[str(c) for c in self._coordinates(self.a)]};"
-                f"b={[str(c) for c in self._coordinates(self.b)]}")
-
-
-class FpRing(_TraceRing):
-    """The image of a :class:`CurveRing` in F_p: zeta_M -> zeta_img, u -> u_img.
-
-    p is a prime, zeta_img has order M modulo p and u_img^2 = q modulo p
-    (``autoforms.find_reduction_prime`` finds such images).  Reduction
-    Z_(p)[zeta_M][u] -> F_p is a ring homomorphism, so a computation over
-    this ring gives the residues that :meth:`CurveScalar.reduce_mod` takes
-    of the exact values, without building them.  A Fraction whose
-    denominator is divisible by p has no image and raises ValueError.
-    """
-
-    backend = "fp"
-
-    def __init__(self, ring: CurveRing, p: int, zeta_img: int, u_img: int):
-        self.q = ring.q
-        self.m = ring.m
-        self.trace = ring.trace
-        self.p = p
-        self._zeta_powers = [pow(zeta_img, k, p) for k in range(ring.m)]
-        if (self._zeta_powers[-1] * zeta_img) % p != 1 or 1 in self._zeta_powers[1:]:
-            raise ValueError(f"{zeta_img} does not have order {ring.m} mod {p}")
-        if (u_img * u_img - ring.q) % p:
-            raise ValueError(f"{u_img}^2 is not {ring.q} mod {p}")
-        self.zero = FpScalar(self, 0)
-        self.one = FpScalar(self, 1)
-        self.u = FpScalar(self, u_img % p)
-        self.nu = self.u.inverse()
-        self._nu_integers = {}
-
-    def residue(self, x) -> int:
-        """The image in [0, p) of an int or Fraction."""
-        if isinstance(x, int):
-            return x % self.p
-        d = x.denominator % self.p
-        if not d:
-            raise ValueError("denominator divisible by p")
-        return x.numerator * pow(d, -1, self.p) % self.p
-
-    def from_fraction(self, x) -> "FpScalar":
-        return FpScalar(self, self.residue(Fraction(x)))
-
-    from_int = from_fraction
-
-    def zeta(self, order: int, power: int = 1) -> "FpScalar":
-        """The image of zeta_order^power (order must divide M)."""
-        if order <= 0 or self.m % order:
-            raise ValueError(f"root of unity order {order} not available at M={self.m}")
-        return FpScalar(self, self._zeta_powers[(self.m // order) * (power % order)])
-
-    def __repr__(self):
-        return f"FpRing(q={self.q}, M={self.m}, p={self.p})"
-
-
-class FpScalar:
-    """An element of an :class:`FpRing`, as its residue in [0, p).
-
-    It equals every int and Fraction with the same residue mod p, and those
-    hash differently, so hashing cannot agree with ``==`` on them: do not
-    look an FpScalar up in a dict keyed by ints, or the other way round.
-    """
-
-    __slots__ = ("ring", "value")
-
-    def __init__(self, ring, value: int):
-        self.ring = ring
-        self.value = value
-
-    def is_zero(self):
-        return not self.value
-
-    def __bool__(self):
-        return bool(self.value)
-
-    def _coerce(self, other):
-        """The residue of other, or None if it is not a ring element."""
-        if isinstance(other, FpScalar):
-            if other.ring is not self.ring:
-                raise ValueError(f"cannot mix scalars from {self.ring} and {other.ring}")
-            return other.value
-        if isinstance(other, (int, Fraction)):
-            return self.ring.residue(other)
-        return None
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpScalar(self.ring, (self.value + v) % self.ring.p)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FpScalar(self.ring, -self.value % self.ring.p)
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpScalar(self.ring, (self.value - v) % self.ring.p)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpScalar(self.ring, self.value * v % self.ring.p)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if not self.value:
-            raise ZeroDivisionError("inverse of zero")
-        return FpScalar(self.ring, pow(self.value, -1, self.ring.p))
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return self * FpScalar(self.ring, v).inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, k):
-        base = self if k >= 0 else self.inverse()
-        return FpScalar(self.ring, pow(base.value, abs(k), self.ring.p))
-
-    def __eq__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return self.value == v
-
-    def __hash__(self):
-        return hash((self.ring.p, self.value))
-
-    def __repr__(self):
-        return f"{self.value} mod {self.ring.p}"

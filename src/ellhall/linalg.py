@@ -1,9 +1,10 @@
 """Small exact linear algebra helpers over the package's coefficient rings.
 
 Field elements only need +, -, *, inverse() and is_zero().
-Also provides a fast rank certificate over F_p for independence proofs:
-full rank of an integer-reduced matrix mod p implies full rank over any
-characteristic-zero field the entries were reduced from.
+``rank_mod_p`` is the rank step of the independence certificate in
+:mod:`ellhall.autoforms`: rows are given as residues mod p of exact
+coefficients, and full rank of the reduced matrix implies full rank over
+the characteristic-zero ring the entries were reduced from.
 """
 
 from __future__ import annotations

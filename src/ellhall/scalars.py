@@ -14,8 +14,6 @@ Both rings expose the same protocol: ``zero``, ``one``, the loop weight
 ``nu`` and the structure constants ``nu_integer(r)``, ``c_coefficient(i)``
 and ``alpha_coefficient(i)``.  Both element types support +, -, *, /, **
 and multiplication by int or Fraction, and are false exactly when zero.
-``cyclotomic.FpRing``, the image of the curve ring in F_p used by the rank
-certificate, speaks the same protocol.
 
 Every algebra of the package is a free module with a sparse basis over
 these rings; :class:`LinearCombination` holds the module structure once

@@ -27,9 +27,9 @@ import json
 import sys
 from dataclasses import dataclass
 
-from ellhall import cli, cyclotomic, dvr_hall, elliptic_hall
+from ellhall import autoforms, cli, cyclotomic, dvr_hall, elliptic_hall
 from ellhall.curve import CharacterOrbit, CurveData, character_orbits
-from ellhall.cyclotomic import CurveScalar, _TraceRing
+from ellhall.cyclotomic import CurveRing, CurveScalar
 from ellhall.elliptic_hall import EllipticHallAlgebra
 from ellhall.finitefield import get_field
 from ellhall.ratfunc import FormalRing
@@ -77,6 +77,17 @@ def _next_orbit(norm_to):
             return image
         orbits = character_orbits(orbit.curve, big_level)
         return orbits[(orbits.index(image) + 1) % len(orbits)]
+    return faulty
+
+
+def _one_part_term_doubled(t0r_at_point):
+    """T_{(0,r),x} with the coefficient of the one-part partition (r/|x|,)
+    doubled."""
+    def faulty(ctx, r, x):
+        elem = t0r_at_point(ctx, r, x)
+        one_part = ((x.key(), (r // x.degree,)),)
+        return type(elem)(ctx, {m: c * 2 if m == one_part else c
+                                for m, c in elem.terms.items()})
     return faulty
 
 
@@ -202,8 +213,20 @@ FAULTS = {
                                       "q=5 N_2": "28", "q=5 N_2 mismatch": "28 != 27"}}),
     # the Green-pair closed form with the curve-side kappa doubled
     "green-pair-kappa": Fault(
-        lambda: _replaced(_TraceRing, "kappa", _when(lambda ring, n: True, _double)),
+        lambda: _replaced(CurveRing, "kappa", _when(lambda ring, n: True, _double)),
         1, {"twisted-scalar-product": {"error": "IdentityMismatch: (3, 3/2)"}}),
+    # T_{(0,r),x} with its (r/|x|,) term doubled: at r = |x| the whole
+    # generator doubles, which the Green pairing sees from budget 1 on, and
+    # from r/|x| = 2 on it is no longer a multiple of F_{r/|x|}.  Scaling
+    # one coefficient at one point cannot fail a rank certificate on its
+    # own (it rescales one variable P(x, k)), so criterion 11 fails on its
+    # F_k guard; that needs level 2, from budget 4 on
+    "t0-one-part-doubled": Fault(
+        lambda: _replaced(autoforms, "T0r_at_point", _one_part_term_doubled),
+        4, {"twisted-scalar-product": {"error": "IdentityMismatch: (12, 3)"},
+            "theta-grouplike": {"d=2": "coproduct not grouplike"},
+            "twisted-average-independence": {
+                "error": "IdentityMismatch: the component at x[1, 0] is not a multiple of F_2"}}),
     # the Hecke closed form on the wrong norm orbit: budget 1 has no norm
     "hecke-norm-orbit": Fault(
         lambda: _replaced(CharacterOrbit, "norm_to", _next_orbit),
@@ -227,13 +250,15 @@ FAULTS = {
                 "error": "IdentityMismatch: a point of order above the group order 11"},
             "l-functions": {"error": "KeyError: FF2^3[0, 1, 1]"}}),
     # u^2 read as q + 1 in CurveScalar products: every DvrHallAlgebra
-    # checks u_loc, and hecke-action compares the even powers of u in the
-    # weights of the elementary eigenvalues with powers of q (l-functions
-    # does not see the fault, at full budget either)
+    # checks u_loc (criterion 11 builds the local algebras of the exact
+    # ring), and hecke-action compares the even powers of u in the weights
+    # of the elementary eigenvalues with powers of q (l-functions does not
+    # see the fault, at full budget either)
     "u-squared": Fault(
         _u_squared_is_q_plus_one,
         2, {"hall-number-oracle": _U_LOC, "macdonald-bridge": _U_LOC,
             "twisted-scalar-product": _U_LOC, "theta-grouplike": _U_LOC,
+            "twisted-average-independence": _U_LOC,
             "hecke-action": {"u^2": "3 != 2"},
             "step2-cross-identity": {"c_1": "9/4*u", "c_2": "243/32*u",
                                      "n=1 d=1": "engine commutator mismatch",

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -7,15 +8,13 @@ from ellhall.autoforms import (AutoformContext, T0_twisted, T0r_at_point,
                                cusp_dimension_component, find_reduction_prime,
                                global_coproduct, global_green_pair,
                                green_pair_twisted, hecke_T0N_eigenvalue,
-                               hecke_charpoly, hecke_eigenvalue_elementary,
+                               hecke_eigenvalue_elementary,
                                l_function, monomial_independence_rank,
-                               power_sum_eigenvalues,
-                               theta_coproduct_coefficients,
-                               twisted_monomials, zeta_xn_series)
-from ellhall.autoforms import _sqrt_mod
+                               theta_coproduct_coefficients, zeta_xn_series)
+from ellhall.autoforms import (_check_images, _minus_point_exponents,
+                               _power_sum_form, _power_sum_plain, _sqrt_mod)
 from ellhall.curve import (Character, CharacterOrbit, CurveData,
                            all_characters, character_orbits, primitive_orbits)
-from ellhall.cyclotomic import FpRing
 from ellhall.linalg import rank_mod_p
 from ellhall.scalars import TruncatedSeries
 
@@ -102,47 +101,24 @@ class TestTwistedAverages:
 
 class TestReductionModP:
     @pytest.fixture(scope="class")
-    def rings(self, ctx):
-        p, zim, uim = find_reduction_prime(ctx.ring)
-        return ctx.ring, FpRing(ctx.ring, p, zim, uim), (p, zim, uim)
+    def images(self, ctx):
+        return find_reduction_prime(ctx.ring)
 
-    def test_ring_protocol_is_the_reduction(self, rings):
-        exact, fp, images = rings
-        m = exact.m
-        values = [exact.one, exact.u, exact.nu, exact.zeta(m, 1) + Fraction(2, 3),
-                  exact.u * exact.zeta(m, m - 1) - 5]
-        for x in values:
-            for y in values:
-                for op in (lambda a, b: a + b, lambda a, b: a - b,
-                           lambda a, b: a * b, lambda a, b: a / b,
-                           lambda a, b: a ** 3 * b ** -2):
-                    assert op(_image(fp, x, images), _image(fp, y, images)) == \
-                        op(x, y).reduce_mod(*images)
-        for i in range(1, 6):
-            for name in ("nu_integer", "c_coefficient", "alpha_coefficient"):
-                want = getattr(exact, name)(i).reduce_mod(*images)
-                assert getattr(fp, name)(i) == want
-        for k in range(2 * m):
-            assert fp.zeta(m, k) == exact.zeta(m, k).reduce_mod(*images)
-
-    def test_denominator_divisible_by_p_raises(self, rings):
-        exact, fp, images = rings
+    def test_denominator_divisible_by_p_raises(self, ctx, images):
         p = images[0]
-        bad = Fraction(3, 2 * p)
         with pytest.raises(ValueError):
-            exact.from_fraction(bad).reduce_mod(*images)
-        with pytest.raises(ValueError):
-            fp.from_fraction(bad)
-        with pytest.raises(ValueError):
-            fp.one * bad
-        assert fp.from_fraction(Fraction(p, 3)).is_zero()
+            ctx.ring.from_fraction(Fraction(3, 2 * p)).reduce_mod(*images)
+        assert ctx.ring.from_fraction(Fraction(p, 3)).reduce_mod(*images) == 0
 
-    def test_invalid_images_rejected(self, rings):
-        exact, _fp, (p, zim, uim) = rings
+    def test_invalid_images_rejected(self, ctx, images):
+        p, zim, uim = images
+        _check_images(ctx.ring, p, zim, uim)
         with pytest.raises(ValueError):
-            FpRing(exact, p, 1, uim)
+            _check_images(ctx.ring, p, 1, uim)
         with pytest.raises(ValueError):
-            FpRing(exact, p, zim, uim + 1)
+            _check_images(ctx.ring, p, pow(zim, 3, p), uim)  # order 3, M = 9
+        with pytest.raises(ValueError):
+            _check_images(ctx.ring, p, zim, uim + 1)
 
     @pytest.mark.parametrize("p", [3, 7, 11, 19, 43, 5, 13, 17, 41, 257])
     def test_sqrt_mod_matches_scan(self, p):
@@ -158,10 +134,6 @@ class TestReductionModP:
                     _sqrt_mod(a, p)
             else:
                 assert _sqrt_mod(a, p) == want
-
-
-def _image(fp, x, images):
-    return fp.from_int(x.reduce_mod(*images))
 
 
 class TestGreenPairTwisted:
@@ -212,13 +184,14 @@ class TestHeckeEigenvalues:
     def test_power_sum_vanishing(self, ctx, e1):
         rho = primitive_orbits(e1, 2)[0]
         x = e1.closed_points(1)[0]
-        assert power_sum_eigenvalues(ctx, rho, x, 1).is_zero()
-        assert not power_sum_eigenvalues(ctx, rho, x, 2).is_zero()
+        assert _power_sum_plain(ctx, rho, x, 1) is None
+        assert not _power_sum_plain(ctx, rho, x, 2).is_zero()
 
     def test_rank_one_power_sums_roots_of_unity(self, ctx, e1):
+        # at rank 1 the weight q_x^{r(n-1)/2} of the power sums is 1
         rho = primitive_orbits(e1, 1)[1]
         for x in e1.closed_points(2):
-            v = power_sum_eigenvalues(ctx, rho, x, 3)
+            v = _power_sum_plain(ctx, rho, x, 3)
             assert v * v.conjugate() == ctx.ring.one
 
     def test_elementary_vanishing_and_newton(self, ctx, e1):
@@ -359,24 +332,31 @@ class TestCensusAndIndependence:
         count, rk = monomial_independence_rank(ctx, (1,), 3)
         assert count == rk
 
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    def test_linear_form_of_twisted_average(self, ctx, e1, d):
+        # T0_twisted(rho, d) = sum_x rho~(x) [d] deg(x)/d P(x, d/deg x)
+        for orbit in character_orbits(e1, d):
+            want = {}
+            for x in e1.closed_points(d):
+                if d % x.degree == 0 and orbit.tilde_eval(x, ctx.ring):
+                    want[x.key(), d // x.degree] = (orbit.tilde_eval(x, ctx.ring)
+                                                    * ctx.ring.nu_integer(d)
+                                                    * Fraction(x.degree, d))
+            assert _power_sum_form(ctx, T0_twisted(ctx, orbit, d)) == want
+
     def test_fp_certificate_is_the_reduced_exact_one(self, e1):
-        exact = AutoformContext(e1, char_levels=(1, 2))
-        p, zim, uim = find_reduction_prime(exact.ring)
-        fp = AutoformContext(e1, ring=FpRing(exact.ring, p, zim, uim))
-        exact_monos = twisted_monomials(exact, (1, 2), 3)
-        fp_monos = twisted_monomials(fp, (1, 2), 3)
-        assert len(exact_monos) == len(fp_monos)
-        rows = []
-        for e, f in zip(exact_monos, fp_monos):
-            reduced = {m: c.reduce_mod(p, zim, uim) for m, c in e.terms.items()}
-            assert {m: v for m, v in reduced.items() if v} == \
-                {m: c.value for m, c in f.terms.items()}
-            rows.append(reduced)
-        columns = {m: i for i, m in enumerate({m for row in rows for m in row})}
-        rank = rank_mod_p([{columns[m]: v for m, v in row.items()} for row in rows],
-                          len(columns), p)
-        assert monomial_independence_rank(exact, (1, 2), 3) == (len(rows), rank)
-        assert rank == len(rows)
+        # the Hall products of the exact twisted averages, reduced mod p,
+        # have the count and rank of the power-sum route
+        for levels, degree in (((1, 2), 3), ((1, 2, 3), 4)):
+            exact = AutoformContext(e1, char_levels=levels)
+            p, zim, uim = find_reduction_prime(exact.ring)
+            columns, rows = {}, []
+            for elem in twisted_monomials(exact, levels, degree):
+                rows.append({columns.setdefault(m, len(columns)): c.reduce_mod(p, zim, uim)
+                             for m, c in elem.terms.items()})
+            rank = rank_mod_p(rows, len(columns), p)
+            assert monomial_independence_rank(exact, levels, degree) == (len(rows), rank)
+            assert rank == len(rows)
 
     def test_global_pair_diagonal(self, ctx, e1):
         x = e1.closed_points(1)[0]
@@ -385,3 +365,39 @@ class TestCensusAndIndependence:
         y = e1.closed_points(1)[1]
         b = ctx.monomial([(y, (1,))])
         assert global_green_pair(a, b).is_zero()
+
+
+def twisted_monomials(ctx, levels, max_total_degree):
+    """Monomials of total degree 1..max_total_degree in the twisted averages,
+    by Hall products: the family is {T^rho~_{(0,d)} : d in levels, rho~ a
+    Frobenius orbit at level d}, and a monomial is a multiset over it."""
+    family = [(d, T0_twisted(ctx, orbit, d))
+              for d in levels for orbit in character_orbits(ctx.curve, d)]
+    monos = [(0, ctx.one_elem())]
+    for d, elem in family:
+        extended = list(monos)
+        for total, acc in monos:
+            while total + d <= max_total_degree:
+                acc = acc * elem
+                total += d
+                extended.append((total, acc))
+        monos = extended
+    return [e for total, e in monos if total > 0]
+
+
+def hecke_charpoly(ctx, orbit, x):
+    """Coefficients (low to high) of prod_i (T^{n/d} - rho(O(-x_i''))), whose
+    roots are the Hecke eigenvalues of the eigenform labeled by the orbit."""
+    n = orbit.level
+    step = n // gcd(n, x.degree)
+    m_n = orbit.curve.picard(n).exponent
+    ring = ctx.ring
+    poly = [ring.one]
+    for e in _minus_point_exponents(orbit, x):
+        root = ring.zeta(m_n, e)
+        new = [ring.zero] * (len(poly) + step)
+        for k, c in enumerate(poly):
+            new[k + step] = new[k + step] + c
+            new[k] = new[k] - c * root
+        poly = new
+    return poly

@@ -99,10 +99,6 @@ def old_repr(ring, x):
     return " + ".join(terms) if terms else "0"
 
 
-def old_serialize(ring, x):
-    return f"q={ring.q};M={ring.m};a={[str(c) for c in x[0]]};b={[str(c) for c in x[1]]}"
-
-
 # -- strategies ----------------------------------------------------------------
 
 
@@ -182,7 +178,6 @@ def test_products_by_u_part(u_part, data):
 def test_strings_match_fraction_coordinates(args):
     ring, x = args
     assert repr(x) == old_repr(ring, coords(x))
-    assert x.serialize() == old_serialize(ring, coords(x))
 
 
 @given(st.sampled_from(sorted(RINGS)),

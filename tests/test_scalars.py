@@ -7,7 +7,7 @@ import laurent
 
 from ellhall.autoforms import AutoformContext, T0_twisted
 from ellhall.curve import CurveData, primitive_orbits
-from ellhall.cyclotomic import CurveRing, FpRing, cyclotomic_polynomial, get_curve_ring
+from ellhall.cyclotomic import CurveRing, cyclotomic_polynomial, get_curve_ring
 from ellhall.dvr_hall import DvrHallAlgebra, SymmetricFunction, p_monomial
 from ellhall.elliptic_hall import EllipticHallAlgebra
 from ellhall.ratfunc import FORMAL, FormalScalar
@@ -183,10 +183,6 @@ class TestCurveRing:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
 
-    def test_serialize_exact(self):
-        x = E1_RING.zeta(9) * Fraction(3, 7)
-        assert "q=2" in x.serialize() and "M=9" in x.serialize()
-
 
 class TestSeries:
     def test_exp_zero(self):
@@ -344,8 +340,7 @@ def test_rational_constant_hashes_as_its_value(ring, x):
     assert {1: "one"}.get(ring.one) == "one"
 
 
-@pytest.mark.parametrize("ring", [
-    FORMAL, E1_RING, FpRing(get_curve_ring(2, 1, 0), 7, 1, 3)], ids=repr)
+@pytest.mark.parametrize("ring", [FORMAL, E1_RING], ids=repr)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_kappa(ring, n):
     assert ring.kappa(n) == (ring.nu ** -1 - ring.nu) * n

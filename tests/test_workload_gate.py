@@ -1,6 +1,9 @@
-"""Exactness gate of the Q(s, sb) layer: one in-process pass each of the
-``assoc-triples`` and ``relation-sweep`` benchmark workloads fails no op and
-hashes to its digest in ``perfbench/reference.json``.
+"""Exactness gate of the benchmark workloads: one in-process pass each of
+``assoc-triples`` and ``relation-sweep`` (the straightening engine over
+Q[s^+-1, sb^+-1]) and of ``curve-side`` (point counts, Hall numbers,
+Hecke, L-functions, Green pairs and the rank certificate over
+Q(zeta_M)[u]) fails no op and hashes to its digest in
+``perfbench/reference.json``.
 
 ``perfbench/`` is only read: its workload module is loaded from its path,
 with no bytecode written next to it.
@@ -29,7 +32,7 @@ def workloads():
     return module
 
 
-@pytest.mark.parametrize("name", ["assoc-triples", "relation-sweep"])
+@pytest.mark.parametrize("name", ["assoc-triples", "relation-sweep", "curve-side"])
 def test_pass_matches_reference(workloads, name):
     reference = json.loads((PERFBENCH / "reference.json").read_text())
     results, failed = [], []
