@@ -6,7 +6,7 @@ Subpackages:
   formal two-parameter Laurent ring and in the curve-specialized cyclotomic
   tower, the sparse linear-combination base of every algebra, truncated
   series
-* lattice: rank-2 integer lattice geometry and convex paths
+* lattice: rank-2 integer lattice geometry and canonical convex paths
 * dvr_hall: the classical Hall algebra of torsion modules with brute-force
   Hall numbers and the symmetric-function bridge
 * curve: elliptic curves over finite fields, Picard groups, characters
@@ -20,12 +20,10 @@ from .curve import (Character, CharacterOrbit, ClosedPoint, CurveData,
                     character_orbits, primitive_orbits)
 from .cyclotomic import CurveRing, CurveScalar, get_curve_ring
 from .dvr_hall import (DvrHallAlgebra, DvrHallElement, SymmetricFunction,
-                       aut_count, hall_number, partitions)
+                       aut_count, partitions)
 from .elliptic_hall import AlgebraElement, EllipticHallAlgebra, StraighteningError
-from .lattice import (angle_compare, canonical_path, delta,
-                      enumerate_convex_paths, epsilon, interior_points,
-                      sl2_apply)
+from .lattice import canonical_path, delta, epsilon, interior_points
 from .ratfunc import FORMAL, FormalRing, FormalScalar
-from .scalars import TruncatedSeries, series_exp, series_log
+from .scalars import TruncatedSeries, series_exp
 
 __version__ = "0.1.0"

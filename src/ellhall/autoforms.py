@@ -37,6 +37,8 @@ from .dvr_hall import DvrHallAlgebra, aut_count, hall_products, partitions
 from .linalg import rank_mod_p
 from .scalars import LinearCombination, TruncatedSeries, series_exp
 
+MAX_POINT_DEGREE = 8  # the largest closed-point degree a context enumerates
+
 
 class AutoformContext:
     """Shared exact environment: curve, scalar ring, local Hall algebras.
@@ -45,9 +47,8 @@ class AutoformContext:
     exponents at ``char_levels``.
     """
 
-    def __init__(self, curve: CurveData, char_levels=(1,), max_point_degree=8):
+    def __init__(self, curve: CurveData, char_levels=(1,)):
         self.curve = curve
-        self.max_point_degree = max_point_degree
         m = 1
         for lv in char_levels:
             m = lcm(m, curve.picard(lv).exponent)
@@ -56,9 +57,9 @@ class AutoformContext:
         self._points: dict[int, list[ClosedPoint]] = {}
 
     def closed_points_dividing(self, N: int) -> list[ClosedPoint]:
-        if N > self.max_point_degree:
+        if N > MAX_POINT_DEGREE:
             raise ValueError(f"closed-point degree {N} over context budget "
-                             f"{self.max_point_degree}")
+                             f"{MAX_POINT_DEGREE}")
         pts = self._points.get(N)
         if pts is None:
             all_pts = self.curve.closed_points(N)
@@ -431,8 +432,7 @@ def zeta_xn_series(ctx: AutoformContext, n: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs, order, ring.one)
 
 
-def character_l_function(level_curve: CurveData, chi, order: int,
-                         ring=None) -> TruncatedSeries:
+def character_l_function(level_curve: CurveData, chi, order: int) -> TruncatedSeries:
     """Truncated Euler product prod_y (1 - chi(O(y)) t^{|y|}).
 
     chi must restrict nontrivially to the degree-0 Picard group; the
@@ -441,10 +441,8 @@ def character_l_function(level_curve: CurveData, chi, order: int,
     """
     if chi.is_trivial():
         raise ValueError("character must be nontrivial on Pic^0")
-    if ring is None:
-        ring = get_curve_ring(level_curve.q, level_curve.picard(1).exponent,
-                              level_curve.trace)
     m1 = level_curve.picard(1).exponent
+    ring = get_curve_ring(level_curve.q, m1, level_curve.trace)
     series = TruncatedSeries({0: ring.one}, order, ring.one)
     for y in level_curve.closed_points(order):
         P = level_curve.points_above(y, 1)[0]
@@ -464,15 +462,12 @@ def cusp_dimension(curve: CurveData, n: int) -> int:
     return len(primitive_orbits(curve, n))
 
 
-def cusp_dimension_component(curve: CurveData, n: int, d: int) -> int:
-    """Degree-d component: zero unless n | d."""
-    if d % n:
-        return 0
-    return cusp_dimension(curve, n)
+REDUCTION_PRIME_FLOOR = 10 ** 6
 
 
-def find_reduction_prime(ring, start: int = 10 ** 6):
-    """A prime p with zeta_M and sqrt(q) images in F_p, plus those images."""
+def find_reduction_prime(ring):
+    """The least prime p > REDUCTION_PRIME_FLOOR with zeta_M and sqrt(q)
+    images in F_p, plus those images."""
     m, q = ring.m, ring.q
 
     def is_prime(k):
@@ -485,7 +480,7 @@ def find_reduction_prime(ring, start: int = 10 ** 6):
             i += 1
         return True
 
-    p = start
+    p = REDUCTION_PRIME_FLOOR
     while True:
         p += 1
         if not is_prime(p) or (p - 1) % m:

@@ -18,9 +18,12 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from .cyclotomic import frobenius_trace, get_curve_ring
+from .cyclotomic import frobenius_trace
 from .finitefield import factor_prime_power, get_field
 from .scalars import TruncatedSeries
+
+
+MAX_FIELD_SIZE = 10 ** 6  # the largest field F_{q^n} a curve enumerates
 
 
 class BudgetExceeded(RuntimeError):
@@ -41,11 +44,10 @@ class CurveData:
     F_q must be a prime field or have its coefficients in the prime field.
     """
 
-    def __init__(self, q, a1=0, a2=0, a3=0, a4=0, a6=0, max_field_size=10 ** 6):
+    def __init__(self, q, a1=0, a2=0, a3=0, a4=0, a6=0):
         self.q = q
         self.p, self.k = factor_prime_power(q)
         self.a_ints = (a1, a2, a3, a4, a6)
-        self.max_field_size = max_field_size
         self._levels: dict[int, _Level] = {}
         self._closed: list[list] = [[]]  # degree-indexed, [0] unused
         self._above: dict[tuple, tuple] = {}  # (x.key(), n) -> points_above
@@ -75,7 +77,7 @@ class CurveData:
     def level(self, n: int) -> "_Level":
         lv = self._levels.get(n)
         if lv is None:
-            if self.q ** n > self.max_field_size:
+            if self.q ** n > MAX_FIELD_SIZE:
                 raise BudgetExceeded(f"field size q^{n} exceeds budget")
             lv = _Level(self, n)
             self._levels[n] = lv
@@ -126,13 +128,6 @@ class CurveData:
         y3 = -(lam + a1) * x3 - nu - a3
         return (x3, y3)
 
-    def group_add(self, n: int, P, Q):
-        """Validated chord-tangent addition (rejects points off the curve)."""
-        for R in (P, Q):
-            if not self.on_curve(n, R):
-                raise ValueError(f"point {R} is not on the curve")
-        return self.add(n, P, Q)
-
     def mul(self, n: int, k: int, P):
         if k < 0:
             return self.mul(n, -k, self.neg(n, P))
@@ -144,14 +139,6 @@ class CurveData:
             base = self.add(n, base, base)
             k >>= 1
         return acc
-
-    def on_curve(self, n: int, P) -> bool:
-        if P is None:
-            return True
-        lv = self.level(n)
-        a1, a2, a3, a4, a6 = lv.a
-        x, y = P
-        return y * y + a1 * x * y + a3 * y == x ** 3 + a2 * x * x + a4 * x + a6
 
     # -- Frobenius and embeddings -------------------------------------------
 
@@ -214,10 +201,6 @@ class CurveData:
             result.extend(self._closed[d])
         return result
 
-    def closed_point_count(self, d: int) -> int:
-        self.closed_points(d)
-        return len(self._closed[d])
-
     def closed_point(self, key) -> "ClosedPoint":
         """The closed point x with x.key() == key, by index."""
         deg, idx = key
@@ -262,13 +245,6 @@ class CurveData:
             pic = PicardGroup(self, n)
             self._picard[n] = pic
         return pic
-
-    def character_ring(self, max_level: int, extra_order: int = 1):
-        """Scalar ring containing all character values up to max_level."""
-        m = extra_order
-        for lv in range(1, max_level + 1):
-            m = lcm(m, self.picard(lv).exponent)
-        return get_curve_ring(self.q, m, self.trace)
 
     def zeta_series(self, n: int, order: int) -> list[Fraction]:
         """Coefficients of zeta_{X_n}(t) up to t^order, exactly."""
@@ -485,21 +461,12 @@ class Character:
         return sum(e * v * (m // d)
                    for e, v, d in zip(self.exps, logs, pic.divisors)) % m
 
-    def eval(self, P, ring=None):
+    def eval(self, P, ring):
         pic = self.curve.picard(self.level)
-        if ring is None:
-            ring = get_curve_ring(self.curve.q, pic.exponent, self.curve.trace)
         return ring.zeta(pic.exponent, self.value_exponent(P))
 
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exps)
-
-    def order(self) -> int:
-        pic = self.curve.picard(self.level)
-        o = 1
-        for e, d in zip(self.exps, pic.divisors):
-            o = lcm(o, d // gcd(e, d))
-        return o
 
     def frobenius(self) -> "Character":
         """The dual Frobenius action: rho -> rho o Fr."""
@@ -581,12 +548,9 @@ class CharacterOrbit:
     def norm_to(self, big_level: int) -> "CharacterOrbit":
         return CharacterOrbit(self.rep.norm_to(big_level))
 
-    def tilde_eval(self, x: ClosedPoint, ring=None):
+    def tilde_eval(self, x: ClosedPoint, ring):
         """The averaged character value rho~(x) on a closed point of X."""
-        curve, n = self.curve, self.level
-        pts = curve.points_above(x, n)
-        if ring is None:
-            ring = get_curve_ring(curve.q, curve.picard(n).exponent, curve.trace)
+        pts = self.curve.points_above(x, self.level)
         total = ring.zero
         for P in pts:
             total = total + self.rep.eval(P, ring)

@@ -16,7 +16,7 @@ root); elements then carry no u-component.
 Scalars of two different rings never mix: arithmetic and comparison
 between them raise ValueError, so equal scalars always hash alike.  A
 computation that needs several roots of unity builds its ring at the lcm
-order up front (``CurveData.character_ring``).
+order up front.
 
 ``CurveScalar.reduce_mod`` maps an exact value to F_p, for a prime
 p = 1 mod M with q a square mod p; the rank certificate of
@@ -89,8 +89,6 @@ class CurveRing:
     """Q(zeta_M)[u]/(u^2 - q) with the structure constants of a curve over
     F_q of Frobenius trace ``trace``."""
 
-    backend = "curve"
-
     def __init__(self, q: int, m: int = 1, trace=None):
         if q < 2:
             raise ValueError("q must be a prime power >= 2")
@@ -154,13 +152,6 @@ class CurveRing:
             raise ValueError("i must be >= 1")
         n_points = self.point_count(i)
         return self.nu_integer(i) * self.nu ** i * Fraction(n_points, i)
-
-    def alpha_coefficient(self, i: int) -> "CurveScalar":
-        """alpha_i = #X(F_{q^i}) (1 - q^-i) / i, a rational number."""
-        if i < 1:
-            raise ValueError("i must be >= 1")
-        n_points = self.point_count(i)
-        return self.from_fraction(Fraction(n_points, i) * (1 - Fraction(1, self.q ** i)))
 
     # -- constructors ---------------------------------------------------
 

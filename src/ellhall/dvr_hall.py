@@ -269,14 +269,6 @@ def _subspace_count_estimate(m: int, q: int) -> int:
     return total
 
 
-def hall_number(lam, mu, nu, q: int) -> int:
-    """Number of submodules N of I_lambda with N = I_nu and I_lambda/N = I_mu."""
-    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    if sum(mu) + sum(nu) != sum(lam):
-        raise ValueError("sizes must satisfy |mu| + |nu| = |lambda|")
-    return submodule_census(lam, q).get((mu, nu), 0)
-
-
 @lru_cache(maxsize=None)
 def hall_products(mu: tuple, nu: tuple, q: int) -> dict:
     """{lam: g} with g = g^lam_{mu nu}(q) > 0: [I_mu][I_nu] = sum g [I_lam].
@@ -343,9 +335,6 @@ class DvrHallAlgebra:
                 out[key] = out[key] + v if key in out else v
         return {k: v for k, v in out.items() if not v.is_zero()}
 
-    def counit(self, A: "DvrHallElement"):
-        return A.terms.get((), self.ring.zero)
-
     def green_pair(self, A: "DvrHallElement", B: "DvrHallElement"):
         """Hermitian Hopf pairing: ( [F], [G] ) = delta_{F,G} / #Aut(F)."""
         total = self.ring.zero
@@ -353,19 +342,6 @@ class DvrHallAlgebra:
             d = B.terms.get(lam)
             if d is not None:
                 total = total + c * d.conjugate() * Fraction(1, aut_count(lam, self.q))
-        return total
-
-    def pair_tensor(self, pair_a, coproduct_b: dict):
-        """((a1 tensor a2), Delta(b)) for the Hopf compatibility check."""
-        a1, a2 = pair_a
-        total = self.ring.zero
-        for (mu, nu), c in coproduct_b.items():
-            v1 = a1.terms.get(mu)
-            v2 = a2.terms.get(nu)
-            if v1 is not None and v2 is not None:
-                w = (v1 * Fraction(1, aut_count(mu, self.q))) * \
-                    (v2 * Fraction(1, aut_count(nu, self.q)))
-                total = total + w * c.conjugate()
         return total
 
     def n_u(self, length: int) -> int:
@@ -420,20 +396,6 @@ class DvrHallAlgebra:
             for mu, w in exp.items():
                 out = out + e_monomial(self.ring, mu).scale(c * w)
         return out
-
-    def from_symmetric(self, f: "SymmetricFunction") -> "DvrHallElement":
-        """Inverse isomorphism, p-basis in, Hall basis out."""
-        total = self.zero
-        for lam, c in f.terms.items():
-            elem = self.one
-            for part in lam:
-                e_exp = _p_in_e(part)
-                piece = self.zero
-                for mu, w in e_exp.items():
-                    piece = piece + self._e_product(mu).scale(w)
-                elem = self.multiply(elem, piece)
-            total = total + elem.scale(c)
-        return total
 
 
 class DvrHallElement(LinearCombination):
@@ -508,18 +470,3 @@ def e_monomial(ring, mu) -> SymmetricFunction:
                 Fraction(sign, _z_lambda(lam)))
         out = out * piece
     return out
-
-
-@lru_cache(maxsize=None)
-def _p_in_e(r: int) -> dict:
-    """p_r as {e-partition: Fraction} via Newton's identity."""
-    if r == 1:
-        return {(1,): Fraction(1)}
-    # p_r = sum_{i=1}^{r-1} (-1)^{i-1} e_i p_{r-i} + (-1)^{r-1} r e_r
-    out: dict = {(r,): Fraction((-1) ** (r - 1) * r)}
-    for i in range(1, r):
-        sign = Fraction((-1) ** (i - 1))
-        for mu, c in _p_in_e(r - i).items():
-            key = tuple(sorted(mu + (i,), reverse=True))
-            out[key] = out.get(key, Fraction(0)) + sign * c
-    return {k: v for k, v in out.items() if v}

@@ -53,7 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .lattice import (angle_key, canonical_path, delta, det, epsilon,
-                      interior_points, path_class, primitive)
+                      interior_points, primitive)
 from .ratfunc import FormalRing
 from .scalars import LinearCombination, TruncatedSeries, series_exp
 
@@ -517,19 +517,6 @@ class AlgebraElement(LinearCombination):
         if isinstance(other, AlgebraElement):
             return self.owner.multiply(self, other)
         return self.scale(other)
-
-    def coefficient(self, path):
-        return self.terms.get(canonical_path(path), self.owner.ring.zero)
-
-    def support(self):
-        return sorted(self.terms)
-
-    def homogeneous_components(self) -> dict:
-        out = {}
-        for p, c in self.terms.items():
-            cls = path_class(p)
-            out.setdefault(cls, {})[p] = c
-        return {cls: AlgebraElement(self.owner, t) for cls, t in out.items()}
 
     def __repr__(self):
         if not self.terms:

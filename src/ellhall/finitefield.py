@@ -334,10 +334,6 @@ class FFElement:
             return f.one if e == 0 else f.zero
         return f.exp[self.log * e % f.units]
 
-    def frobenius(self, q: int) -> "FFElement":
-        """The q-power map (q a power of the characteristic)."""
-        return self ** q
-
     def __eq__(self, other):
         return (isinstance(other, FFElement) and self.field is other.field
                 and self.coeffs == other.coeffs)

@@ -71,12 +71,6 @@ def angle_key(x: Point):
     return (7, Fraction(p, q))
 
 
-def angle_compare(x: Point, y: Point) -> int:
-    """-1, 0, +1 as the angle of x is smaller, equal, larger than y's."""
-    kx, ky = angle_key(x), angle_key(y)
-    return (kx > ky) - (kx < ky)
-
-
 def interior_points_pick(x: Point, y: Point) -> int:
     """Interior lattice points of the triangle (0, x, x+y), via Pick."""
     d = det(x, y)
@@ -134,14 +128,6 @@ def interior_points(x: Point, y: Point) -> int:
     return n
 
 
-def sl2_apply(g, x: Point) -> Point:
-    """Apply an SL_2(Z) matrix ((a, b), (c, d)) to a lattice point."""
-    (a, b), (c, d) = g
-    if a * d - b * c != 1:
-        raise ValueError("matrix must have determinant 1")
-    return (a * x[0] + b * x[1], c * x[0] + d * x[1])
-
-
 # ---------------------------------------------------------------------------
 # convex paths
 
@@ -154,90 +140,3 @@ def canonical_path(segments) -> tuple:
             raise ValueError("path segments must be nonzero")
     segs.sort(key=lambda s: (angle_key(s), delta(s)), reverse=True)
     return tuple(segs)
-
-
-def is_canonical_path(path) -> bool:
-    return tuple(path) == canonical_path(path)
-
-
-def path_class(path) -> Point:
-    """Total class (the endpoint) of the path."""
-    return (sum(s[0] for s in path), sum(s[1] for s in path))
-
-
-def in_cone(x: Point, cone: str) -> bool:
-    q, p = x
-    if cone == "all":
-        return True
-    if cone == "positive":
-        return q > 0 or (q == 0 and p > 0)
-    if cone == "negative":
-        return q < 0 or (q == 0 and p < 0)
-    raise ValueError(f"unknown cone {cone!r}")
-
-
-def enumerate_convex_paths(target: Point, cone: str = "positive",
-                           bound: int | None = None) -> list[tuple]:
-    """All canonical convex paths with segment sum = target.
-
-    The graded pieces are infinite without a cutoff, so segments are
-    restricted to L1-norm total <= bound (default: the L1 norm of the
-    target).  Deterministic order of results.
-    """
-    if target == (0, 0):
-        raise ValueError("target must be nonzero")
-    if bound is None:
-        bound = abs(target[0]) + abs(target[1])
-    if not in_cone(target, cone):
-        return []
-
-    dirs = []
-    seen = set()
-    for q in range(-bound, bound + 1):
-        for p in range(-bound, bound + 1):
-            v = (q, p)
-            if v == (0, 0) or not in_cone(v, cone):
-                continue
-            d = primitive(v)
-            if d not in seen:
-                seen.add(d)
-                dirs.append(d)
-    dirs.sort(key=angle_key, reverse=True)
-
-    results = []
-
-    def l1(v):
-        return abs(v[0]) + abs(v[1])
-
-    def ray_partitions(d, budget):
-        """Weakly decreasing multiple lists k1 >= k2 >= ... on ray d."""
-        unit = l1(d)
-        kmax = budget // unit
-
-        def rec(prefix, maxpart, rem_budget):
-            yield prefix
-            for k in range(min(maxpart, rem_budget // unit), 0, -1):
-                yield from rec(prefix + [k], k, rem_budget - k * unit)
-
-        yield from rec([], kmax, budget)
-
-    # iterative DFS over the direction list (can be long on the full plane)
-    stack = [(0, target[0], target[1], bound, ())]
-    while stack:
-        idx, remq, remp, budget, acc = stack.pop()
-        if remq == 0 and remp == 0 and idx == len(dirs):
-            results.append(acc)
-            continue
-        if idx >= len(dirs) or abs(remq) + abs(remp) > budget:
-            continue
-        d = dirs[idx]
-        if l1(d) > budget:
-            stack.append((idx + 1, remq, remp, budget, acc))
-            continue
-        for parts in ray_partitions(d, budget):
-            used = sum(parts)
-            segs = tuple((k * d[0], k * d[1]) for k in parts)
-            stack.append((idx + 1, remq - used * d[0], remp - used * d[1],
-                          budget - used * l1(d), acc + segs))
-    results.sort()
-    return results

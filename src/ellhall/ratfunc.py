@@ -510,8 +510,6 @@ class FormalRing:
     every value the straightening engine divides by them.
     """
 
-    backend = "formal"
-
     def __init__(self):
         self.zero = _ZERO
         self.one = _ONE
@@ -550,15 +548,6 @@ class FormalRing:
         s, sb = self.s, self.sb
         return ((s ** i - s ** (-i)) * (sb ** i - sb ** (-i))
                 * self.nu_integer(i) * Fraction(1, i))
-
-    def alpha_coefficient(self, i: int) -> FormalScalar:
-        """alpha_i = (1 - s^2i)(1 - sb^2i)(1 - (s sb)^-2i) / i."""
-        if i < 1:
-            raise ValueError("i must be >= 1")
-        s, sb = self.s, self.sb
-        one = self.one
-        return ((one - s ** (2 * i)) * (one - sb ** (2 * i))
-                * (one - (s * sb) ** (-2 * i)) * Fraction(1, i))
 
     def __eq__(self, other):
         return isinstance(other, FormalRing)

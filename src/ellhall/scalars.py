@@ -12,8 +12,8 @@ trace recursion t_i = a*t_{i-1} - q*t_{i-2}.
 
 Both rings expose the same protocol: ``zero``, ``one``, the loop weight
 ``nu`` and the structure constants ``nu_integer(r)``, ``c_coefficient(i)``
-and ``alpha_coefficient(i)``.  Both element types support +, -, *, /, **
-and multiplication by int or Fraction, and are false exactly when zero.
+and ``kappa(n)``.  Both element types support +, -, *, /, ** and
+multiplication by int or Fraction, and are false exactly when zero.
 
 Every algebra of the package is a free module with a sparse basis over
 these rings; :class:`LinearCombination` holds the module structure once
@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-__all__ = ["LinearCombination", "TruncatedSeries", "series_exp", "series_log"]
+__all__ = ["LinearCombination", "TruncatedSeries", "series_exp"]
 
 
 class LinearCombination:
@@ -177,20 +177,4 @@ def series_exp(a: TruncatedSeries) -> TruncatedSeries:
         if not power:
             break
         out = out + power.scale(Fraction(1, factorial(k)))
-    return out
-
-
-def series_log(a: TruncatedSeries) -> TruncatedSeries:
-    """log of a series with constant term 1."""
-    if a.coefficient(0) != a.one:
-        raise ValueError("series_log needs constant term 1")
-    u = TruncatedSeries({k: v for k, v in a.terms.items() if k > 0},
-                        a.order, a.one)
-    out = TruncatedSeries({}, a.order, a.one)
-    power = TruncatedSeries.constant(a.one, a.order, a.one)
-    for k in range(1, a.order + 1):
-        power = power * u
-        if not power:
-            break
-        out = out + power.scale(Fraction((-1) ** (k + 1), k))
     return out

@@ -4,7 +4,8 @@ from its fields alone, without the arithmetic of ``ellhall.ratfunc``.
 A Laurent polynomial over Q is a dict {(i, j): Fraction} of nonzero
 coefficients; ``value`` reads one off a FormalScalar, and ``fields`` gives
 the (num, den) pair the ring must store for it.  ``Quotient`` holds a value
-of Q(s, sb) outside the ring as a numerator over a divisor.
+of Q(s, sb) outside the ring as a numerator over a divisor, and ``alpha``
+builds sample values of the ring.
 """
 
 from fractions import Fraction
@@ -35,6 +36,13 @@ def fields(p):
     if num[max(num)] < 0:
         g = -g
     return {m: c // g for m, c in num.items()}, den // g
+
+
+def alpha(i):
+    """alpha_i = (1 - s^2i)(1 - sb^2i)(1 - (s sb)^-2i) / i, in the ring."""
+    R = ratfunc.FORMAL
+    return ((R.one - R.s ** (2 * i)) * (R.one - R.sb ** (2 * i))
+            * (R.one - (R.s * R.sb) ** (-2 * i)) * Fraction(1, i))
 
 
 def add(p, q, k=1):

@@ -5,7 +5,7 @@ import pytest
 
 from ellhall.autoforms import (AutoformContext, T0_twisted, T0r_at_point,
                                character_l_function, cusp_dimension,
-                               cusp_dimension_component, find_reduction_prime,
+                               find_reduction_prime,
                                global_coproduct, global_green_pair,
                                green_pair_twisted, hecke_T0N_eigenvalue,
                                hecke_eigenvalue_elementary,
@@ -322,11 +322,6 @@ class TestCensusAndIndependence:
         assert cusp_dimension(e1, 1) == 3
         assert cusp_dimension(e1, 2) == 3
         assert cusp_dimension(e1, 3) == 2
-
-    def test_off_lattice_components_vanish(self, e1):
-        assert cusp_dimension_component(e1, 2, 3) == 0
-        assert cusp_dimension_component(e1, 3, 4) == 0
-        assert cusp_dimension_component(e1, 2, 4) == 3
 
     def test_small_independence(self, ctx):
         count, rk = monomial_independence_rank(ctx, (1,), 3)

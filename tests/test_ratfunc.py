@@ -457,7 +457,7 @@ class TestLaurentRing:
     @pytest.mark.parametrize("q, b", [
         (R.nu ** 3 * (R.s - 2), R.kappa(2)),
         (R.c_coefficient(1) * Fraction(2, 3), R.kappa(1)),
-        (R.alpha_coefficient(2), R.c_coefficient(3) * R.monomial(-4, 7)),
+        (laurent.alpha(2), R.c_coefficient(3) * R.monomial(-4, 7)),
         (R.s ** -5 + R.sb ** 6 * Fraction(1, 7), (R.s ** -2 - 3 * R.sb) * Fraction(5, 2)),
     ], ids=repr)
     def test_division_with_negative_exponents(self, q, b):
@@ -531,14 +531,14 @@ _PRINTED = [
     (R.kappa(1), 's^-1*sb^-1*(s^2*sb^2-1)'),
     (R.kappa(2), '2*s^-1*sb^-1*(s^2*sb^2-1)'),
     (-R.kappa(3) * Fraction(5, 6), '-5/2*s^-1*sb^-1*(s^2*sb^2-1)'),
-    (R.alpha_coefficient(1), 's^-2*sb^-2*(s^4*sb^4-s^4*sb^2-s^2*sb^4+s^2+sb^2-1)'),
-    (R.alpha_coefficient(2) / R.c_coefficient(1),
+    (laurent.alpha(1), 's^-2*sb^-2*(s^4*sb^4-s^4*sb^2-s^2*sb^4+s^2+sb^2-1)'),
+    (laurent.alpha(2) / R.c_coefficient(1),
      '1/2*s^-3*sb^-3*(s^6*sb^6+s^6*sb^4+s^4*sb^6+s^4*sb^4-s^2*sb^2-s^2-sb^2-1)'),
     (R.nu_integer(3), 's^-2*sb^-2*(s^4*sb^4+s^2*sb^2+1)'),
     ((R.s - R.sb) ** 3 * Fraction(4, 9), '4/9*(s^3-3*s^2*sb+3*s*sb^2-sb^3)'),
     ((2 * R.s ** 2 - 4 * R.sb) * Fraction(1, 6), '1/3*(s^2-2*sb)'),
     ((R.s * R.sb - R.s ** -1 + 3 * R.sb ** 2) * Fraction(-7, 10), '-7/10*s^-1*(s^2*sb+3*s*sb^2-1)'),
-    (-R.alpha_coefficient(1) / R.c_coefficient(1), '-1*s^-1*sb^-1*(s^2*sb^2-1)'),
+    (-laurent.alpha(1) / R.c_coefficient(1), '-1*s^-1*sb^-1*(s^2*sb^2-1)'),
 ]
 
 
