@@ -1,10 +1,14 @@
 """The classical Hall algebra of finite torsion modules over F_q[[t]].
 
 Isomorphism classes are partitions (I_lambda = direct sum of t-power
-quotients).  Hall numbers are computed by brute-force enumeration of
-t-stable subspaces in row-reduced form, so every structure constant at a
-concrete prime power is an honest count; the types of a submodule and its
-quotient are read off the ranks dim t^j.  :func:`hall_products` tabulates
+quotients).  Hall numbers are computed by enumeration of t-stable
+subspaces in row-reduced form, so every structure constant at a concrete
+prime power is an honest count.  With the basis ordered by depth, t moves
+each leading index to a later one, so the pivot set of a t-stable subspace
+is closed under t, and only such echelon forms are enumerated; the
+quotient type is read off the pivots (dim N ∩ t^j M is the number of
+pivots at depth >= j) and the submodule type off the ranks dim t^j N.
+:func:`hall_products` tabulates
 g^lam_{mu nu}(q) once per (mu, nu, q) and is the only source of product
 structure constants, here and in the global torsion algebra of
 :mod:`ellhall.autoforms`.  On top of that sit the automorphism counts, the
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 from .curve import IdentityMismatch
 from .cyclotomic import get_curve_ring
@@ -132,15 +136,21 @@ def _gf(q: int) -> _GFTables:
     return _GFTables(q)
 
 
+def _depth_index(lam) -> dict:
+    """{(d, b): index} for the basis of I_lambda sorted by (depth d, block b).
+
+    (d, b) is t^d applied to the generator of block b, so t sends it to the
+    later (d + 1, b), or to 0 when d + 1 = lambda_b, and t^j I_lambda is
+    spanned by the suffix of the basis at depth >= j.
+    """
+    order = sorted((d, b) for b, part in enumerate(lam) for d in range(part))
+    return {key: k for k, key in enumerate(order)}
+
+
 def _shift_map(lam):
-    """Index map of the t action on the standard basis of I_lambda."""
-    T = []
-    pos = 0
-    for part in lam:
-        for j in range(part):
-            T.append(pos + j + 1 if j + 1 < part else None)
-        pos += part
-    return T
+    """Index map of the t action on the depth-ordered basis of I_lambda."""
+    index = _depth_index(lam)
+    return [index.get((d + 1, b)) for d, b in index]
 
 
 # ---------------------------------------------------------------------------
@@ -150,21 +160,26 @@ def _shift_map(lam):
 SUBSPACE_BUDGET = 300_000
 
 
-def _rref_matrices(m: int, r: int, q: int):
-    """All reduced row-echelon matrices of rank r with m columns over F_q."""
-    for pivots in combinations(range(m), r):
-        free_pos = []
-        for i, p in enumerate(pivots):
-            for c in range(p + 1, m):
-                if c not in pivots:
-                    free_pos.append((i, c))
-        for vals in product(range(q), repeat=len(free_pos)):
-            rows = [[0] * m for _ in range(r)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, c), v in zip(free_pos, vals):
-                rows[i][c] = v
-            yield pivots, [tuple(row) for row in rows]
+def _closed_pivot_sets(lam):
+    """Every set of depth-ordered basis indices that t maps into itself, as a
+    sorted tuple: from each block b the depths d >= s_b, 0 <= s_b <= lambda_b.
+    """
+    index = _depth_index(lam)
+    for cut in product(*(range(part + 1) for part in lam)):
+        yield tuple(sorted(index[d, b] for b, part in enumerate(lam)
+                           for d in range(cut[b], part)))
+
+
+def _echelon_forms(pivots, m: int, q: int):
+    """All reduced row-echelon matrices over F_q with m columns and these pivots."""
+    free_pos = [(i, c) for i, p in enumerate(pivots)
+                for c in range(p + 1, m) if c not in pivots]
+    base = [[int(c == p) for c in range(m)] for p in pivots]
+    for vals in product(range(q), repeat=len(free_pos)):
+        rows = [list(row) for row in base]
+        for (i, c), v in zip(free_pos, vals):
+            rows[i][c] = v
+        yield [tuple(row) for row in rows]
 
 
 def _reduce_vector(vec, pivots, rows, F):
@@ -219,44 +234,60 @@ def _type_from_dims(dims) -> tuple:
     return conjugate(tuple(a - b for a, b in zip(dims, dims[1:])))
 
 
+def _quotient_type(lam, pivots) -> tuple:
+    """Type of I_lambda/N for a t-stable N with these pivots (depth order).
+
+    dim t^j(M/N) = dim t^j M - dim(N ∩ t^j M), with M = I_lambda.  t^j M is
+    spanned by the suffix of the basis at depth >= j, a vector of N lies in
+    it exactly when its leading index does, and the echelon rows of N with
+    pivots in the suffix span N ∩ t^j M; so dim(N ∩ t^j M) is the number of
+    pivots in that suffix, and no elimination is needed.
+    """
+    m = sum(lam)
+    dims = []
+    for j in range(lam[0] + 1 if lam else 1):
+        start = sum(min(part, j) for part in lam)
+        dims.append(m - start - sum(1 for p in pivots if p >= start))
+    return _type_from_dims(dims)
+
+
 @lru_cache(maxsize=None)
 def submodule_census(lam: tuple, q: int):
     """All t-stable subspaces of I_lambda, classified by (quotient, sub) type.
 
     Returns {(mu, nu): count} with nu the type of the submodule N and mu the
-    type of the quotient M/N, both read off ranks: dim t^j N is the rank of
-    t^j applied to a basis of N, and dim t^j(M/N) = rank(t^j M + N) - dim N,
-    where t^j M is spanned by the basis vectors at depth >= j in their block.
+    type of the quotient M/N.  In the depth-ordered basis the leading index
+    of t.v is t of the leading index of v whenever that is defined, so the
+    pivot set of a t-stable N in reduced echelon form is closed under t;
+    only echelon forms with such pivots are enumerated, and each is checked
+    for stability in full.  mu is read off the pivots alone: dim t^j(M/N)
+    is dim t^j M less the number of pivots at depth >= j
+    (:func:`_quotient_type`).  nu is read off the ranks of t^j applied to
+    a basis of N.
     """
     m = sum(lam)
     F = _gf(q)
     T = _shift_map(lam)
-    depth = [j for part in lam for j in range(part)]
-    units = [tuple(int(i == k) for i in range(m)) for k in range(m)]
     steps = lam[0] if lam else 0
     est = _subspace_count_estimate(m, q)
     if est > SUBSPACE_BUDGET:
         raise ValueError(
             f"subspace enumeration for |lambda|={m}, q={q} needs ~{est} "
             f"candidates, over budget {SUBSPACE_BUDGET}")
-    census: dict[tuple, int] = {}
-    for r in range(m + 1):
-        for pivots, rows in _rref_matrices(m, r, q):
+    counts: dict[tuple, int] = {}
+    for pivots in _closed_pivot_sets(lam):
+        quot = _quotient_type(lam, pivots)
+        for rows in _echelon_forms(pivots, m, q):
             images = [_apply_shift(row, T, F) for row in rows]
             if any(any(_reduce_vector(img, pivots, rows, F)) for img in images):
                 continue
-            sub_dims = [r]
+            sub_dims = [len(pivots)]
             while sub_dims[-1] and len(sub_dims) <= steps:
                 sub_dims.append(_rank_int(images, F))
                 images = [_apply_shift(v, T, F) for v in images]
-            quot_dims = [m - r]
-            while quot_dims[-1] and len(quot_dims) <= steps:
-                j = len(quot_dims)
-                deep = [units[k] for k in range(m) if depth[k] >= j]
-                quot_dims.append(_rank_int(rows + deep, F) - r)
-            key = (_type_from_dims(quot_dims), _type_from_dims(sub_dims))
-            census[key] = census.get(key, 0) + 1
-    return census
+            key = (quot, tuple(sub_dims))
+            counts[key] = counts.get(key, 0) + 1
+    return {(quot, _type_from_dims(dims)): g for (quot, dims), g in counts.items()}
 
 
 def _subspace_count_estimate(m: int, q: int) -> int:

@@ -108,6 +108,29 @@ def _hall_number_off_by_one(lam, mu, nu, q):
         _drop_hall_tables()
 
 
+def _quotient_type_one_level_deep(lam, pivots):
+    """``dvr_hall._quotient_type`` with dim(N ∩ t^j M) read as the number of
+    pivots at depth >= j + 1 instead of >= j."""
+    m = sum(lam)
+    dims = []
+    for j in range(lam[0] + 1 if lam else 1):
+        start, deeper = (sum(min(part, i) for part in lam) for i in (j, j + 1))
+        dims.append(m - start - sum(1 for p in pivots if p >= deeper))
+    return dvr_hall._type_from_dims(dims)
+
+
+@contextlib.contextmanager
+def _census_step_replaced(name, faulty):
+    """dvr_hall.name replaced by faulty; the Hall tables start afresh, and
+    those computed meanwhile are dropped."""
+    _drop_hall_tables()
+    try:
+        with _replaced(dvr_hall, name, lambda original: faulty):
+            yield
+    finally:
+        _drop_hall_tables()
+
+
 @contextlib.contextmanager
 def _zech_entries_swapped(p, n, i, j):
     """zech[i] and zech[j] of F_{p^n} exchanged; the Hall tables (built on
@@ -247,6 +270,13 @@ FAULTS = {
     "hall-g21-1-2": Fault(
         lambda: _hall_number_off_by_one((2, 1), (1,), (2,), 2),
         3, {"hall-number-oracle": {"assoc": "q=2 (1,),(1,),(1,)", "comm": "q=2 (2,),(1,)"}}),
+    # the census counts dim(N ∩ t^j M) as the pivots one level too deep, so
+    # dim t^j(M/N) comes out too large by the pivots at depth j
+    "quotient-pivots-deeper": Fault(
+        lambda: _census_step_replaced("_quotient_type", _quotient_type_one_level_deep),
+        3, {"hall-number-oracle": {"comm": "q=3 (2,),(1,)"},
+            "macdonald-bridge": {"error": "ValueError: matrix is singular"},
+            "theta-grouplike": {"d=1": "coproduct not grouplike"}}),
     # two Zech logs of F_8 swapped: sums in F_8 only go wrong, so the
     # enumerated N_3 leaves the trace recursion (budgets 1 and 2 see the
     # fault in the L-functions only)

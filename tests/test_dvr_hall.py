@@ -4,11 +4,14 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
-from ellhall.dvr_hall import (DvrHallAlgebra, _gf, aut_count,
+from ellhall.dvr_hall import (DvrHallAlgebra, _apply_shift, _closed_pivot_sets,
+                              _gf, _quotient_type, _rank_int, _reduce_vector,
+                              _shift_map, _type_from_dims, aut_count,
                               aut_count_bruteforce, conjugate, e_monomial,
                               hall_products, p_monomial,
                               partitions, submodule_census)
@@ -37,6 +40,83 @@ def pair_tensor(H, pair_a, coproduct_b):
                 (v2 * Fraction(1, aut_count(nu, H.q)))
             total = total + w * c.conjugate()
     return total
+
+
+def _rref_matrices(m, r, q):
+    """All reduced row-echelon matrices of rank r with m columns over F_q."""
+    for pivots in combinations(range(m), r):
+        free_pos = []
+        for i, p in enumerate(pivots):
+            for c in range(p + 1, m):
+                if c not in pivots:
+                    free_pos.append((i, c))
+        for vals in product(range(q), repeat=len(free_pos)):
+            rows = [[0] * m for _ in range(r)]
+            for i, p in enumerate(pivots):
+                rows[i][p] = 1
+            for (i, c), v in zip(free_pos, vals):
+                rows[i][c] = v
+            yield pivots, [tuple(row) for row in rows]
+
+
+def stable_subspaces(T, q):
+    """(pivots, rows) of every t-stable subspace in reduced echelon form,
+    found by scanning every subspace; T is the shift map of the basis."""
+    m = len(T)
+    F = _gf(q)
+    for r in range(m + 1):
+        for pivots, rows in _rref_matrices(m, r, q):
+            images = [_apply_shift(row, T, F) for row in rows]
+            if not any(any(_reduce_vector(img, pivots, rows, F)) for img in images):
+                yield pivots, rows
+
+
+def depths(T):
+    """depth[k] = d for the basis vector t^d of its block's generator."""
+    depth = [0] * len(T)
+    for k, t in enumerate(T):
+        if t is not None:
+            depth[t] = depth[k] + 1
+    return depth
+
+
+def meet_dims(rows, T, steps, F):
+    """[dim(N ∩ t^j M) for j = 0..steps] by ranks: N ∩ t^j M has dimension
+    dim N + dim t^j M - rank(N + t^j M), and t^j M is spanned by the basis
+    vectors at depth >= j in their block."""
+    m = len(T)
+    depth = depths(T)
+    units = [tuple(int(i == k) for i in range(m)) for k in range(m)]
+    out = []
+    for j in range(steps + 1):
+        deep = [units[k] for k in range(m) if depth[k] >= j]
+        out.append(len(rows) + len(deep) - _rank_int(list(rows) + deep, F))
+    return out
+
+
+def census_by_scan(lam, q):
+    """submodule_census by scanning every subspace of I_lambda in the
+    block-by-block basis, both types read off ranks: dim t^j N is the rank
+    of t^j applied to a basis of N, and dim t^j(M/N) = dim t^j M -
+    dim(N ∩ t^j M) = rank(t^j M + N) - dim N."""
+    T = []
+    for part in lam:
+        T += [len(T) + j + 1 if j + 1 < part else None for j in range(part)]
+    F = _gf(q)
+    steps = lam[0] if lam else 0
+    depth = depths(T)
+    deep_dims = [sum(1 for d in depth if d >= j) for j in range(steps + 1)]
+    census = {}
+    for _, rows in stable_subspaces(T, q):
+        images = [_apply_shift(row, T, F) for row in rows]
+        sub_dims = [len(rows)]
+        for _ in range(steps):
+            sub_dims.append(_rank_int(images, F))
+            images = [_apply_shift(v, T, F) for v in images]
+        quot_dims = [d - meet for d, meet in zip(deep_dims, meet_dims(rows, T, steps, F))]
+        key = (_type_from_dims(quot_dims), _type_from_dims(sub_dims))
+        census[key] = census.get(key, 0) + 1
+    return census
 
 
 @lru_cache(maxsize=None)
@@ -130,6 +210,40 @@ def test_census_pinned():
         census = submodule_census(tuple(case["lam"]), case["q"])
         rows = sorted([list(mu), list(nu), g] for (mu, nu), g in census.items())
         assert rows == case["census"], (case["lam"], case["q"])
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def test_census_equals_scan(q):
+    # the pivot-closed enumeration against every subspace in another basis
+    for lam in (lam for n in range(5) for lam in partitions(n)):
+        assert submodule_census(lam, q) == census_by_scan(lam, q), lam
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_stable_pivots_are_closed_and_count_the_meets(q):
+    # the two facts the census rests on, in its depth-ordered basis: the
+    # pivots of a t-stable N are closed under t, and the pivots at depth >= j
+    # number dim(N ∩ t^j M)
+    F = _gf(q)
+    for lam in (lam for n in range(5) for lam in partitions(n)):
+        T = _shift_map(lam)
+        m = len(T)
+        assert all(t is None or t > k for k, t in enumerate(T))
+        depth = depths(T)
+        assert depth == sorted(depth)
+        closed = list(_closed_pivot_sets(lam))
+        assert sorted(closed) == sorted(
+            piv for r in range(m + 1) for piv in combinations(range(m), r)
+            if all(T[p] is None or T[p] in piv for p in piv))
+        steps = lam[0] if lam else 0
+        for pivots, rows in stable_subspaces(T, q):
+            assert pivots in closed, (lam, pivots)
+            meets = meet_dims(rows, T, steps, F)
+            assert meets == [sum(1 for p in pivots if depth[p] >= j)
+                             for j in range(steps + 1)], (lam, rows)
+            assert _quotient_type(lam, pivots) == _type_from_dims(
+                [sum(1 for d in depth if d >= j) - meet
+                 for j, meet in enumerate(meets)]), (lam, rows)
 
 
 @pytest.mark.parametrize("q", (2, 3))
