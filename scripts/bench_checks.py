@@ -24,11 +24,25 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bench_tail import describe_commit
-
 ROOT = Path(__file__).resolve().parent.parent
 
 REPEATS = 3
+
+
+def describe_commit(src):
+    """``git describe --always --dirty`` of the checkout holding src; a dirty
+    tree also gets a short SHA-256 of ``git diff HEAD`` (tracked files), so
+    benches of two uncommitted edits of one commit stay apart."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=src, capture_output=True,
+                              check=True).stdout
+    try:
+        described = git("describe", "--always", "--dirty").decode().strip()
+        if described.endswith("-dirty"):
+            described += "-" + hashlib.sha256(git("diff", "HEAD")).hexdigest()[:12]
+        return described
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
 
 
 def run_once(src):

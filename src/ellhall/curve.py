@@ -15,7 +15,7 @@ rings of :mod:`ellhall.cyclotomic`.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from math import gcd, lcm
 
 from .cyclotomic import frobenius_trace
@@ -294,38 +294,58 @@ class _Level:
     def _enumerate(self):
         f = self.field
         a1, a2, a3, a4, a6 = self.a
+        xs = list(f)
+        # d = x^3 + a2 x^2 + a4 x + a6 and c = a1 x + a3 without their zero
+        # terms: x + 0 returns x without a Zech read, so every sum left is
+        # the one it was; with a1 = 0, c and what is built from it are
+        # computed once
+        ds = [x ** 3 for x in xs]
+        if not a2.is_zero():
+            ds = [d + a2 * x * x for d, x in zip(ds, xs)]
+        if not a4.is_zero():
+            ds = [d + a4 * x for d, x in zip(ds, xs)]
+        if not a6.is_zero():
+            ds = [d + a6 for d in ds]
+        cs = None if a1.is_zero() else [a1 * x + a3 for x in xs]
         pts = [None]
         if f.p == 2:
             artin = {}
-            for z in f:
+            for z in xs:
                 key = z * z + z
                 if key not in artin:
                     artin[key] = z
-            for x in f:
-                c = a1 * x + a3
-                d = x ** 3 + a2 * x * x + a4 * x + a6
+            if cs is None:
+                cs, c2s = repeat(a3), repeat(a3 * a3)
+            else:
+                c2s = [c * c for c in cs]
+            for x, d, c, c2 in zip(xs, ds, cs, c2s):
                 if c.is_zero():
                     pts.append((x, f.sqrt(d)))
                 else:
-                    c2 = c * c
                     w = artin.get(d / c2)
                     if w is not None:
-                        pts.append((x, c * w))
-                        pts.append((x, c * w + c))
+                        cw = c * w
+                        pts.append((x, cw))
+                        pts.append((x, cw + c))
         else:
+            # y = -c/2 +- sqrt(d + c^2/4)
             inv2 = f.from_int(2).inverse()
-            for x in f:
-                c = a1 * x + a3
-                d = x ** 3 + a2 * x * x + a4 * x + a6
-                disc = d + c * c * inv2 * inv2
+            if cs is None:
+                h2 = a3 * a3 * inv2 * inv2
+                hs = repeat(-a3 * inv2)
+                discs = ds if h2.is_zero() else [d + h2 for d in ds]
+            else:
+                hs = [-c * inv2 for c in cs]
+                discs = [d + c * c * inv2 * inv2 for d, c in zip(ds, cs)]
+            for x, disc, h in zip(xs, discs, hs):
                 z = f.sqrt(disc)
                 if z is None:
                     continue
                 if z.is_zero():
-                    pts.append((x, -c * inv2))
+                    pts.append((x, h))
                 else:
-                    pts.append((x, -c * inv2 + z))
-                    pts.append((x, -c * inv2 - z))
+                    pts.append((x, h + z))
+                    pts.append((x, h - z))
         return pts
 
 

@@ -68,44 +68,56 @@ def aut_count(lam, q: int) -> int:
 
 
 def aut_count_bruteforce(lam, q: int) -> int:
-    """Invertible module endomorphisms counted directly (tiny inputs only).
+    """Invertible module endomorphisms of I_lambda counted directly.
 
-    Scans every F_q-matrix commuting with the t action; |lambda| <= 3 keeps
-    the scan within q^9 candidates.
+    An endomorphism is fixed by the images v_i of the block generators, and
+    v_i may be any vector with t^lambda_i v_i = 0: in block j the depths
+    >= lambda_j - lambda_i, so there are q^(sum min(lambda_i, lambda_j))
+    endomorphisms.  One is invertible when the images t^d v_i, d <
+    lambda_i, have full rank.  The generators are placed in turn, and a
+    placement is kept while its images stay independent of the span of
+    those before (a set of vectors), so every invertible endomorphism is
+    reached once, at full rank.
     """
     m = sum(lam)
-    if m == 0:
-        return 1
-    if q ** (m * m) > 10 ** 6:
-        raise ValueError("brute-force automorphism count out of budget")
     F = _gf(q)
     T = _shift_map(lam)
-    idx = range(m)
-    count = 0
-    for entries in product(range(q), repeat=m * m):
-        M = [entries[i * m:(i + 1) * m] for i in idx]
-        # t sends e_j to e_{T[j]}; as a matrix S[T[j]][j] = 1.
-        # (S M)[i][j] picks M rows through S; (M S)[i][j] = M[i][col] summed
-        # over basis vectors mapping to j, i.e. columns k with T[k] = j.
-        commutes = True
-        for i in idx:
-            for j in idx:
-                sm = 0
-                for k in idx:
-                    if T[k] == i and M[k][j]:
-                        sm = F.add[sm][M[k][j]]
-                ms = 0
-                for k in idx:
-                    if T[j] is not None and k == T[j] and M[i][k]:
-                        ms = F.add[ms][M[i][k]]
-                if sm != ms:
-                    commutes = False
+    index = _depth_index(lam)
+    kernels = [[index[d, j] for j, part_j in enumerate(lam)
+                for d in range(max(0, part_j - part_i), part_j)] for part_i in lam]
+    if q ** sum(map(len, kernels)) > 10 ** 6:
+        raise ValueError("brute-force automorphism count out of budget")
+    images = []  # per generator: (v, t v, ..., t^(lambda_i - 1) v) for each v
+    for part, coords in zip(lam, kernels):
+        images.append([])
+        for vals in product(range(q), repeat=len(coords)):
+            v = [0] * m
+            for k, c in zip(coords, vals):
+                v[k] = c
+            powers = []
+            for _ in range(part):
+                powers.append(tuple(v))
+                v = _apply_shift(v, T, F)
+            images[-1].append(powers)
+
+    def placements(i, span):
+        # ways to place generators i, i + 1, ... independently of span
+        if i == len(lam):
+            return 1
+        count = 0
+        for powers in images[i]:
+            grown = span
+            for k, w in enumerate(powers, 1):
+                if w in grown:
                     break
-            if not commutes:
-                break
-        if commutes and _rank_int(M, F) == m:
-            count += 1
-    return count
+                if k < len(powers) or i + 1 < len(lam):  # grown is read again
+                    grown = {tuple(F.add[a][F.mul[c][b]] for a, b in zip(u, w))
+                             for u in grown for c in range(q)}
+            else:
+                count += placements(i + 1, grown)
+        return count
+
+    return placements(0, {(0,) * m})
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,14 @@ in iteration order (``exp[k]`` is g^k; zero has no log).  Products,
 inverses, quotients and powers add or scale logs; sums, differences and
 negations go through the Zech table ``zech[k] = log(1 + g^k)``, since
 g^a + g^b = g^(a + zech[b - a]), and -1 = g^((p^n - 1)/2) for odd p.
-Square roots halve the log.  The power table steps x -> x g by one
-F_p-linear map on coefficient tuples.  Every field, prime or not, takes
-this one path; it costs O(p^n) memory per field built, the same order as
-enumerating the field once.
+Square roots halve the log.  An element's index in iteration order
+reads its coordinates as base-p digits, c_0 most significant, and
+``element`` looks coordinates up by that index.  The power table walks
+indices: x -> x g is F_p-linear, so the next index is read from tables of
+the images of the high and the low half of the digits, and the Zech
+table is index arithmetic on the top digit.  Every field, prime or not,
+takes this one path; it costs O(p^n) memory per field built, the same
+order as enumerating the field once.
 
 Fields are cached per (p, n); embeddings between fields of the same
 characteristic are computed once by root-finding the subfield's defining
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from operator import mul
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
@@ -168,19 +171,25 @@ class FiniteField:
         self.modulus = _find_irreducible(p, n)
         self._elements = [FFElement(self, coeffs)
                           for coeffs in product(range(p), repeat=n)]
-        self._by_coeffs = {e.coeffs: e for e in self._elements}
         self.zero = self._elements[0]
         self.one = self.element([1])
-        self.exp = self._power_table()
-        self.zech = self._zech_table()
+        self.exp, self.zech = self._log_tables()
         # log(-1): g^(units/2) for odd p, and -1 = 1 for p = 2
         self.neg_log = self.units // 2 if p % 2 else 0
         self._embeddings: dict[tuple[int, int], dict] = {}
 
-    def _power_table(self) -> list:
-        """Powers of the first primitive element; sets each element's log.
+    def _log_tables(self) -> tuple[list, list]:
+        """(exp, zech) for the first primitive element g; sets each
+        element's log.
 
-        Steps x -> x g by the F_p-linear map whose columns are T^i g.
+        x -> x g is F_p-linear, so the image of x is the image of the high
+        digits of its index plus that of the low digits.  Both images are tabulated per half as digit vectors packed
+        ``bits`` to a coordinate, room for the sum of two digits, so one
+        integer add sums them and two table reads reduce the halves of that
+        sum mod p to the digits of the next index (table lookup for
+        F_p-linear maps, Arlazarov-Dinic-Kronrod-Faradzev).  1 + x changes
+        only the top digit, so the walk also lists the element 1 + g^k,
+        whose log is read once every log is set.
         """
         p, n, f, m = self.p, self.n, self.modulus, self.units
         ells = _prime_divisors(m)
@@ -189,28 +198,67 @@ class FiniteField:
                         for ell in ells))
         cols = [self.element(_pmod(_pmul([0] * i + [1], g, p), f, p)).coeffs
                 for i in range(n)]
-        rows = tuple(zip(*cols))
-        by_coeffs = self._by_coeffs
+        low = n // 2
+        high = n - low
+        bits = (2 * p - 2).bit_length()
+
+        def images(first, width):
+            # packed image of each digit vector at positions first.., in order
+            out = []
+            for digits in product(range(p), repeat=width):
+                word = 0
+                for j in range(n):
+                    word = word << bits | sum(
+                        d * cols[first + i][j] for i, d in enumerate(digits)) % p
+                out.append(word)
+            return out
+
+        def reducer(width):
+            # packed digit sums (each below 2p - 1) -> index of the sums mod p
+            table = [0] * (1 << bits * width)
+            for sums in product(range(2 * p - 1), repeat=width):
+                key = index = 0
+                for d in sums:
+                    key = key << bits | d
+                    index = index * p + d % p
+                table[key] = index
+            return table
+
+        img_hi, img_lo = images(0, high), images(high, low)
+        red_hi, red_lo = reducer(high), reducer(low)
+        shift = bits * low
+        mask = (1 << shift) - 1
+        scale = p ** low
+        # one has index top; 1 + x has index i + top, or i - wrap once the
+        # top digit of x is p - 1
+        top = p ** (n - 1)
+        wrap = (p - 1) * top
+        elements = self._elements
         exp = []
-        power = self.one.coeffs
+        zech = []
+        hi, lo = divmod(top, scale)
         for k in range(m):
-            e = by_coeffs[power]
+            i = hi * scale + lo
+            e = elements[i]
             if e.log is not None:
                 raise ArithmeticError(f"g^{k} repeats g^{e.log}: g is not primitive")
             e.log = k
             exp.append(e)
-            power = tuple(sum(map(mul, power, row)) % p for row in rows)
-        return exp
-
-    def _zech_table(self) -> list:
-        """zech[k] = log(1 + g^k), None where 1 + g^k = 0."""
-        p, by_coeffs = self.p, self._by_coeffs
-        return [by_coeffs[((e.coeffs[0] + 1) % p,) + e.coeffs[1:]].log for e in self.exp]
+            zech.append(elements[i + top if i < wrap else i - wrap])
+            word = img_hi[hi] + img_lo[lo]
+            hi = red_hi[word >> shift]
+            lo = red_lo[word & mask]
+        for k, e in enumerate(zech):
+            zech[k] = e.log
+        return exp, zech
 
     def element(self, coeffs) -> "FFElement":
-        coeffs = list(coeffs)[: self.n]
-        coeffs += [0] * (self.n - len(coeffs))
-        return self._by_coeffs[tuple(c % self.p for c in coeffs)]
+        """The element with these coordinates, low to high, found by its
+        index (missing coordinates are 0, extra ones are dropped)."""
+        index = 0
+        for c in (list(coeffs) + [0] * self.n)[: self.n]:
+            index = index * self.p + c % self.p
+        return self._elements[index]
 
     def from_int(self, k: int) -> "FFElement":
         return self.element([k])

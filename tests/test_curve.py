@@ -44,6 +44,15 @@ def e2():
     return CurveData(5, a4=1, a6=1)
 
 
+@pytest.fixture(scope="module")
+def mixed():
+    """Curves with a1 != 0, so c = a1 x + a3 varies with x, and nonzero
+    a2, a4, a6.  No smooth curve over F_2 has all five coefficients
+    nonzero; the two F_2 curves leave out a6 and a2 in turn."""
+    return (CurveData(2, 1, 1, 1, 1, 0), CurveData(2, 1, 0, 1, 1, 1),
+            CurveData(3, 1, 1, 1, 1, 1))
+
+
 def test_singular_rejected():
     with pytest.raises(ValueError):
         CurveData(2)          # y^2 = x^3 over F_2
@@ -60,9 +69,19 @@ def test_point_count_examples(e1):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_counts_match_trace_recursion(e1, e2, n):
-    assert e1.count_points(n) == e1.count_via_trace(n)
-    assert e2.count_points(n) == e2.count_via_trace(n)
+def test_counts_match_trace_recursion(e1, e2, mixed, n):
+    for curve in (e1, e2, *mixed):
+        assert curve.count_points(n) == curve.count_via_trace(n)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_points_are_the_solution_set(mixed, n):
+    for curve in mixed:
+        f = curve.level(n).field
+        pts = curve.points(n)
+        assert len(set(pts)) == len(pts)
+        assert set(pts) == {None} | {(x, y) for x in f for y in f
+                                     if on_curve(curve, n, (x, y))}
 
 
 def test_budget_guard():

@@ -42,6 +42,42 @@ def pair_tensor(H, pair_a, coproduct_b):
     return total
 
 
+def aut_count_by_scan(lam, q):
+    """Invertible F_q-matrices commuting with the t action of I_lambda,
+    found by scanning all q^(m^2) matrices (|lambda| <= 3 at q = 2)."""
+    m = sum(lam)
+    if m == 0:
+        return 1
+    F = _gf(q)
+    T = _shift_map(lam)
+    idx = range(m)
+    count = 0
+    for entries in product(range(q), repeat=m * m):
+        M = [entries[i * m:(i + 1) * m] for i in idx]
+        # t sends e_j to e_{T[j]}; as a matrix S[T[j]][j] = 1.
+        # (S M)[i][j] picks M rows through S; (M S)[i][j] = M[i][col] summed
+        # over basis vectors mapping to j, i.e. columns k with T[k] = j.
+        commutes = True
+        for i in idx:
+            for j in idx:
+                sm = 0
+                for k in idx:
+                    if T[k] == i and M[k][j]:
+                        sm = F.add[sm][M[k][j]]
+                ms = 0
+                for k in idx:
+                    if T[j] is not None and k == T[j] and M[i][k]:
+                        ms = F.add[ms][M[i][k]]
+                if sm != ms:
+                    commutes = False
+                    break
+            if not commutes:
+                break
+        if commutes and _rank_int(M, F) == m:
+            count += 1
+    return count
+
+
 def _rref_matrices(m, r, q):
     """All reduced row-echelon matrices of rank r with m columns over F_q."""
     for pivots in combinations(range(m), r):
@@ -267,9 +303,14 @@ class TestAutCounts:
 
     @pytest.mark.parametrize("q", (2, 3))
     def test_formula_equals_bruteforce(self, q):
-        for n in (1, 2, 3):
+        for n in range(1, 5 if q == 2 else 4):
             for lam in partitions(n):
                 assert aut_count(lam, q) == aut_count_bruteforce(lam, q)
+
+    def test_bruteforce_equals_scan(self):
+        for n in (0, 1, 2, 3):
+            for lam in partitions(n):
+                assert aut_count_bruteforce(lam, 2) == aut_count_by_scan(lam, 2)
 
 
 class TestAlgebra:

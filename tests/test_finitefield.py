@@ -2,10 +2,14 @@ from itertools import product
 
 import pytest
 
-from ellhall.finitefield import _pmod, _pmul, get_field
+from ellhall import finitefield
+from ellhall.finitefield import FiniteField, _pmod, _pmul, get_field
 
 FIELDS = ([(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 5)]
           + [(5, n) for n in range(1, 4)] + [(7, n) for n in range(1, 3)])
+# larger fields for the tests linear in the field size: more digits to a
+# half of the index walk, and up to 5 bits a packed digit
+TABLE_FIELDS = FIELDS + [(2, 9), (3, 5), (5, 4), (7, 3), (13, 2)]
 
 
 def padded(field, coeffs):
@@ -21,6 +25,11 @@ def ref_mul(field, a, b):
 
 @pytest.fixture(params=FIELDS, ids=lambda pn: f"F{pn[0]}^{pn[1]}")
 def field(request):
+    return get_field(*request.param)
+
+
+@pytest.fixture(params=TABLE_FIELDS, ids=lambda pn: f"F{pn[0]}^{pn[1]}")
+def table_field(request):
     return get_field(*request.param)
 
 
@@ -132,7 +141,8 @@ def test_zech_sums_match_coordinates(pn):
             assert (a - b).coeffs == tuple((x - y) % p for x, y in zip(a.coeffs, b.coeffs))
 
 
-def test_zech_table(field):
+def test_zech_table(table_field):
+    field = table_field
     minus_one = field.element([-1])
     for k, e in enumerate(field.exp):
         s = field.element([e.coeffs[0] + 1] + list(e.coeffs[1:]))
@@ -141,11 +151,25 @@ def test_zech_table(field):
     assert field.exp[field.neg_log] is minus_one
 
 
-def test_exp_table_equals_dense_walk(field):
+def test_exp_table_equals_dense_walk(table_field):
     # the linear step x -> x g against the dense _pmul/_pmod walk of g's powers
+    field = table_field
     g = list(field.exp[1 % len(field.exp)].coeffs)
     power = [1]
     for e in field.exp:
         assert e.coeffs == padded(field, power)
         power = _pmod(_pmul(power, g, field.p), field.modulus, field.p)
     assert padded(field, power) == field.one.coeffs
+
+
+@pytest.mark.parametrize("pn", [(5, 1), (3, 2), (2, 4), (5, 2), (7, 2)],
+                         ids=lambda pn: f"F{pn[0]}^{pn[1]}")
+def test_walk_rejects_a_non_primitive_g(monkeypatch, pn):
+    # with no prime divisors of p^n - 1 to test, g is the first nonzero
+    # element of iteration order, which has smaller order in these fields
+    p, n = pn
+    divisors = finitefield._prime_divisors
+    monkeypatch.setattr(finitefield, "_prime_divisors",
+                        lambda k: [] if k == p ** n - 1 else divisors(k))
+    with pytest.raises(ArithmeticError, match="g is not primitive"):
+        FiniteField(p, n)
