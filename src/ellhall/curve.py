@@ -8,8 +8,10 @@ groups with Frobenius action and relative norm maps, primitivity of
 character orbits, twisted averages rho~(x), and zeta functions.
 
 Points of every level are either None (infinity) or (x, y) pairs of
-finite-field elements.  Character values live in the cyclotomic scalar
-rings of :mod:`ellhall.cyclotomic`.
+finite-field elements.  Field elements are interned, so a point is its own
+dict key.  Picard orders and discrete-log tables come from walks: repeated
+addition of one point, and coset walks of the generators.  Character
+values live in the cyclotomic scalar rings of :mod:`ellhall.cyclotomic`.
 """
 
 from __future__ import annotations
@@ -95,14 +97,6 @@ class CurveData:
 
     # -- group law ----------------------------------------------------------
 
-    def neg(self, n: int, P):
-        if P is None:
-            return None
-        lv = self.level(n)
-        a1, _, a3, _, _ = lv.a
-        x, y = P
-        return (x, -y - a1 * x - a3)
-
     def add(self, n: int, P, Q):
         if P is None:
             return Q
@@ -127,18 +121,6 @@ class CurveData:
         x3 = lam * lam + a1 * lam - a2 - x1 - x2
         y3 = -(lam + a1) * x3 - nu - a3
         return (x3, y3)
-
-    def mul(self, n: int, k: int, P):
-        if k < 0:
-            return self.mul(n, -k, self.neg(n, P))
-        acc = None
-        base = P
-        while k:
-            if k & 1:
-                acc = self.add(n, acc, base)
-            base = self.add(n, base, base)
-            k >>= 1
-        return acc
 
     # -- Frobenius and embeddings -------------------------------------------
 
@@ -378,89 +360,89 @@ class ClosedPoint:
 
 
 class PicardGroup:
-    """Structure of Pic^0(X_n) = X(F_{q^n}) with a discrete-log table."""
+    """Structure of Pic^0(X_n) = X(F_{q^n}) with a discrete-log table.
+
+    Orders come from walks P, 2P, ... over the points in ``_point_sort_key``
+    order, each started only at a point no earlier walk reached: if P has
+    order m, its j-th multiple has order m / gcd(j, m).  g2 is the first
+    point whose order is the exponent, and for rank 2, g1 the first of
+    order N / exponent with no nonzero multiple in <g2>.  ``dlog`` maps
+    each point, its own key, to its exponents against the generators; it
+    is built by coset walks, of g2 from O and then of g1 from every point
+    of <g2>.
+    """
 
     def __init__(self, curve: CurveData, n: int):
         self.curve = curve
         self.n = n
         pts = sorted(curve.points(n), key=_point_sort_key)
         N = len(pts)
-        orders = {}
+        orders = {None: 1}
         for P in pts:
-            k = 1
+            if P in orders:
+                continue
+            walk = []  # P, 2P, ..., (m - 1)P
             acc = P
             while acc is not None:
-                if k == N:
+                walk.append(acc)
+                if len(walk) == N:
                     raise IdentityMismatch(f"a point of order above the group order {N}")
                 acc = curve.add(n, acc, P)
-                k += 1
-            orders[_key_of(P)] = k if P is not None else 1
-        orders[_key_of(None)] = 1
-        exponent = 1
-        for P in pts:
-            exponent = lcm(exponent, orders[_key_of(P)])
+            m = len(walk) + 1
+            for j, Q in enumerate(walk, 1):
+                orders[Q] = m // gcd(j, m)
+        exponent = lcm(*(orders[P] for P in pts))
         if N % exponent:
             raise IdentityMismatch(f"group exponent {exponent} does not divide order {N}")
         d2 = exponent
         d1 = N // exponent
+        if d2 % d1:
+            raise IdentityMismatch("not a rank-2 abelian group shape")
         self.exponent = exponent
+        g2 = next(P for P in pts if orders[P] == d2)
+        self.dlog = self._coset_walks({None: ()}, g2, d2)
         if d1 == 1:
-            g2 = next(P for P in pts if orders[_key_of(P)] == d2)
             self.divisors = (d2,)
             self.generators = (g2,)
         else:
-            if d2 % d1:
-                raise IdentityMismatch("not a rank-2 abelian group shape")
-            g2 = next(P for P in pts if orders[_key_of(P)] == d2)
-            span_g2 = set()
-            acc = None
-            for _ in range(d2):
-                span_g2.add(_key_of(acc))
-                acc = curve.add(n, acc, g2)
             g1 = None
             for P in pts:
-                if orders[_key_of(P)] != d1:
+                if orders[P] != d1:
                     continue
-                ok = True
                 acc = P
                 for _ in range(d1 - 1):
-                    if _key_of(acc) in span_g2:
-                        ok = False
+                    if acc in self.dlog:
                         break
                     acc = curve.add(n, acc, P)
-                if ok:
+                else:
                     g1 = P
                     break
             if g1 is None:
                 raise IdentityMismatch("no complementary generator found")
+            self.dlog = self._coset_walks(self.dlog, g1, d1)
             self.divisors = (d1, d2)
             self.generators = (g1, g2)
-        # discrete-log table
-        self.dlog = {}
-        idx = [range(d) for d in self.divisors]
-        for exps in product(*idx):
-            acc = None
-            for g, e in zip(self.generators, exps):
-                acc = curve.add(n, acc, curve.mul(n, e, g))
-            key = _key_of(acc)
-            if key in self.dlog:
-                raise IdentityMismatch("generators do not span freely")
-            self.dlog[key] = exps
         if len(self.dlog) != N:
             raise IdentityMismatch(f"discrete-log table has {len(self.dlog)} entries, not {N}")
 
+    def _coset_walks(self, table, g, d):
+        """{Q + i g: (i, *e)} over the entries Q: e of table and 0 <= i < d."""
+        out = {}
+        for Q, e in table.items():
+            for i in range(d):
+                if i:
+                    Q = self.curve.add(self.n, Q, g)
+                if Q in out:
+                    raise IdentityMismatch("generators do not span freely")
+                out[Q] = (i, *e)
+        return out
+
     def log(self, P):
-        return self.dlog[_key_of(P)]
+        return self.dlog[P]
 
     def __repr__(self):
         return (f"PicardGroup(level={self.n}, "
                 + " x ".join(f"Z/{d}" for d in self.divisors) + ")")
-
-
-def _key_of(P):
-    if P is None:
-        return None
-    return (P[0].coeffs, P[1].coeffs)
 
 
 class Character:

@@ -16,7 +16,8 @@ indices: x -> x g is F_p-linear, so the next index is read from tables of
 the images of the high and the low half of the digits, and the Zech
 table is index arithmetic on the top digit.  Every field, prime or not,
 takes this one path; it costs O(p^n) memory per field built, the same
-order as enumerating the field once.
+order as enumerating the field once.  Since each value of each field is
+one object, equality and hash of elements are identity.
 
 Fields are cached per (p, n); embeddings between fields of the same
 characteristic are computed once by root-finding the subfield's defining
@@ -325,15 +326,16 @@ class FFElement:
 
     ``coeffs`` are the coordinates in F_p[T]/(f), low to high; ``log`` is
     the discrete log to the field's primitive element, None for zero.
+    Equality and hash are identity: two elements are equal exactly when
+    they are the same value of the same field.
     """
 
-    __slots__ = ("field", "coeffs", "log", "_hash")
+    __slots__ = ("field", "coeffs", "log")
 
     def __init__(self, field, coeffs):
         self.field = field
         self.coeffs = coeffs
         self.log = None
-        self._hash = None
 
     def is_zero(self):
         return self.log is None
@@ -381,15 +383,6 @@ class FFElement:
                 raise ZeroDivisionError("finite field inverse of zero")
             return f.one if e == 0 else f.zero
         return f.exp[self.log * e % f.units]
-
-    def __eq__(self, other):
-        return (isinstance(other, FFElement) and self.field is other.field
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((id(self.field), self.coeffs))
-        return self._hash
 
     def __repr__(self):
         return f"FF{self.field.p}^{self.field.n}{list(self.coeffs)}"

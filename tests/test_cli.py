@@ -150,6 +150,17 @@ class TestMainEntry:
         parsed = json.loads(out1)
         assert parsed["schema_version"] == 1
 
+    def test_curve_info_large_rank_two_group(self, tmp_path):
+        path = tmp_path / "f7.curve"
+        path.write_text("q=7\na4=1\na6=3\n")
+        rc, out = self.run_main(["--curve", str(path), "--budget-degree", "4",
+                                 "--format", "json", "curve-info"])
+        assert rc == 0
+        by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert by_name["picard-structures"]["detail"] == {
+            "level 1": "Z/6", "level 2": "Z/2 x Z/30", "level 3": "Z/3 x Z/126",
+            "level 4": "Z/20 x Z/120"}
+
     def test_csv_format(self, e1_file):
         rc, out = self.run_main(["--curve", e1_file, "--format", "csv", "curve-info"])
         assert rc == 0

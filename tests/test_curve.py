@@ -1,14 +1,15 @@
 import random
 import subprocess
 import sys
+from itertools import product
 from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 
 from ellhall.curve import (BudgetExceeded, Character, CharacterOrbit,
-                           CurveData, all_characters, character_orbits,
-                           primitive_orbits)
+                           CurveData, _point_sort_key, all_characters,
+                           character_orbits, primitive_orbits)
 from ellhall.cyclotomic import get_curve_ring
 from ellhall.scalars import TruncatedSeries, series_exp
 from fractions import Fraction
@@ -21,6 +22,35 @@ def on_curve(curve, n, P):
     a1, a2, a3, a4, a6 = curve.level(n).a
     x, y = P
     return y * y + a1 * x * y + a3 * y == x ** 3 + a2 * x * x + a4 * x + a6
+
+
+def neg(curve, n, P):
+    """-P in the group law of the level-n curve."""
+    if P is None:
+        return None
+    a1, _, a3, _, _ = curve.level(n).a
+    x, y = P
+    return (x, -y - a1 * x - a3)
+
+
+def mul(curve, n, k, P):
+    """k P by double-and-add, for k >= 0."""
+    acc = None
+    while k:
+        if k & 1:
+            acc = curve.add(n, acc, P)
+        P = curve.add(n, P, P)
+        k >>= 1
+    return acc
+
+
+def order_by_walk(curve, n, P):
+    """The least m >= 1 with m P = O, by adding P until O."""
+    m, acc = 1, P
+    while acc is not None:
+        acc = curve.add(n, acc, P)
+        m += 1
+    return m
 
 
 def closed_point_count(curve, d):
@@ -42,6 +72,12 @@ def e1():
 @pytest.fixture(scope="module")
 def e2():
     return CurveData(5, a4=1, a6=1)
+
+
+@pytest.fixture(scope="module")
+def f7():
+    """y^2 = x^3 + x + 3 over F_7: Z/6, then Z/2 x Z/30 over F_49."""
+    return CurveData(7, a4=1, a6=3)
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +135,7 @@ class TestGroupLaw:
         for _ in range(30):
             P, Q, S = (rng.choice(pts) for _ in range(3))
             assert e1.add(n, P, None) == P
-            assert e1.add(n, P, e1.neg(n, P)) is None
+            assert e1.add(n, P, neg(e1, n, P)) is None
             assert e1.add(n, e1.add(n, P, Q), S) == e1.add(n, P, e1.add(n, Q, S))
             assert on_curve(e1, n, e1.add(n, P, Q))
 
@@ -189,7 +225,7 @@ class TestNorms:
     def test_rational_point_doubles(self, e1):
         for P in e1.points(1):
             Pn = e1.embed_point(1, 2, P)
-            assert e1.norm_points(1, 2, Pn) == e1.mul(1, 2, P)
+            assert e1.norm_points(1, 2, Pn) == mul(e1, 1, 2, P)
 
     def test_surjectivity(self, e1, e2):
         for curve, n in [(e1, 2), (e1, 3), (e2, 2)]:
@@ -207,6 +243,43 @@ class TestPicard:
     def test_dlog_bijection(self, e1):
         pic = e1.picard(2)
         assert len(pic.dlog) == 9
+
+    @pytest.mark.parametrize("name,n,divisors", [
+        ("e1", 1, (3,)), ("e1", 2, (3, 3)), ("e1", 3, (9,)),
+        ("e2", 1, (9,)), ("e2", 2, (3, 9)), ("e2", 3, (2, 54)),
+        ("f7", 1, (6,)), ("f7", 2, (2, 30))],
+        ids=["e1-1", "e1-2", "e1-3", "e2-1", "e2-2", "e2-3", "f7-1", "f7-2"])
+    def test_tables_against_oracle(self, request, name, n, divisors):
+        curve = request.getfixturevalue(name)
+        pic = curve.picard(n)
+        assert pic.divisors == divisors
+        # dlog[P] == exps exactly when sum e_i g_i = P
+        span = {}
+        for exps in product(*(range(d) for d in divisors)):
+            P = None
+            for g, e in zip(pic.generators, exps):
+                P = curve.add(n, P, mul(curve, n, e, g))
+            span[P] = exps
+        assert len(span) == curve.count_points(n)
+        assert pic.dlog == span
+        assert all(pic.log(P) == e for P, e in span.items())
+        # each generator is the first point of its order in sort order,
+        # g1 the first with no nonzero multiple in <g2>
+        pts = sorted(curve.points(n), key=_point_sort_key)
+        orders = {P: order_by_walk(curve, n, P) for P in pts}
+        assert pic.exponent == divisors[-1] == lcm(*orders.values())
+        g2 = pic.generators[-1]
+        assert g2 == next(P for P in pts if orders[P] == divisors[-1])
+        if len(divisors) == 2:
+            cyclic = {mul(curve, n, k, g2) for k in range(divisors[1])}
+
+            def meets_g2(P):
+                return any(mul(curve, n, k, P) in cyclic for k in range(1, orders[P]))
+
+            g1 = pic.generators[0]
+            assert orders[g1] == divisors[0] and not meets_g2(g1)
+            assert g1 == next(P for P in pts
+                              if orders[P] == divisors[0] and not meets_g2(P))
 
 
 class TestCharacters:
