@@ -41,6 +41,11 @@ k = delta(x + y), delta(y) and its sign, so one scaled series
 +-theta_{k (1,0)} c_{n delta(y)} / kappa is kept per (k, delta(y), sign),
 and its relabelling onto the ray of x + y per (x + y, delta(y), sign):
 values are stored with their sign, so no lookup negates an element.
+The coefficient products of the rewrite go through ``_times``, which keys a
+product by the values of its operands and stores it the second time the
+pair is seen: a pair seen once leaves only its hash in a set.  A hash
+collision there can only store a product early, and lookups compare whole
+keys, so the table is exact.
 Relation (2) and the splits divide by c_{n delta(y)} and kappa, element by
 element; over the formal backend these are exact divisions, which raise
 ArithmeticError where a wrong constant leaves a remainder.
@@ -104,6 +109,8 @@ class EllipticHallAlgebra:
         self._ray_cache: dict[tuple, "AlgebraElement"] = {}
         self._pair_cache: dict[tuple, dict] = {}
         self._split_cache: dict[tuple, tuple] = {}
+        self._products: dict[tuple, object] = {}
+        self._seen_once: set[int] = set()
 
     # -- scalars --------------------------------------------------------
 
@@ -112,6 +119,25 @@ class EllipticHallAlgebra:
         if v is None:
             v = self.ring.c_coefficient(i)
             self._c_cache[i] = v
+        return v
+
+    def _times(self, a, b):
+        """a b, kept in ``_products`` from the second sighting of the pair
+        (a, b) on; a pair seen once leaves its hash in ``_seen_once``."""
+        one = self.ring.one
+        if a is one:
+            return b
+        if b is one:
+            return a
+        key = (a, b)
+        v = self._products.get(key)
+        if v is None:
+            v = a * b
+            h = hash(key)
+            if h in self._seen_once:
+                self._products[key] = v
+            else:
+                self._seen_once.add(h)
         return v
 
     # -- basic elements ---------------------------------------------------
@@ -364,9 +390,17 @@ class EllipticHallAlgebra:
             a, b = w[idx], w[idx + 1]
             head, tail = w[:idx], w[idx + 2:]
             stack.append((head + (b, a) + tail, c))
-            comm = self.commutator(a, b)
-            for path, cc in comm.terms.items():
-                stack.append((head + path + tail, c * cc))
+            comm = self.commutator(a, b).terms
+            if len(w) == 2:
+                # the commutator's paths are canonical: add them in place
+                for path, cc in comm.items():
+                    v = self._times(c, cc)
+                    if v.is_zero():
+                        continue
+                    out[path] = out[path] + v if path in out else v
+                continue
+            for path, cc in comm.items():
+                stack.append((head + path + tail, self._times(c, cc)))
         return out
 
     def _reduce_pair(self, p1, p2) -> dict:
@@ -385,11 +419,11 @@ class EllipticHallAlgebra:
         out = {}
         for p1, c1 in A.terms.items():
             for p2, c2 in B.terms.items():
-                c = c1 * c2
+                c = self._times(c1, c2)
                 if c.is_zero():
                     continue
                 for path, cc in self._reduce_pair(p1, p2).items():
-                    v = c * cc
+                    v = self._times(c, cc)
                     if path in out:
                         out[path] = out[path] + v
                     else:

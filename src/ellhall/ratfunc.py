@@ -60,12 +60,33 @@ complement, which a signed memoryview reads back; a slot that reads 0 holds
 no term and is dropped.  An operand is packed the same way in reverse: its
 coefficients are written as signed slots, and xor then subtraction of the
 bias turn the unsigned reading into the operand's value at X = 2^8w.
+
+Products on one frame share its monomials.  The frame of a packed value is
+(i0, j0, gi, gj, rows, width): its least exponents, its steps and its shape.
+``_frame`` builds the tuple of its slots' monomials once, and every product
+on that frame is read off it, so the result dicts share their key tuples;
+``_bias`` is kept per (w, n) the same way.
+
+Exact division (``bdivexact``) packs a and b on the frame of a, W one more
+than a's largest compressed sb-exponent, divides the two integers once and
+reads a candidate q off the digits of the quotient Q on the frame of the
+quotient (``_packed_quotient``).  It returns q only with a proof that q b = a:
+the remainder A - Q B is 0; Q fits the slots of q, so q repacks to Q;
+max|q| max|b| min(len q, len b) < 2^(8w-1), so the packed product of q and b
+carries across no slot and is Q B = A; and the sb-exponents of q b stay below
+W (its s-exponents stay in a's rows by the shape of q's frame), so q b lies
+in a's frame, where packing is one-to-one.  Then q b and a pack to the same
+integer, so they are equal.  Otherwise, and where the quotient would need a
+negative exponent, b's frame overhangs a's, a slot would need 64 bits or the
+frame is too sparse, the heap loop (``_bdivexact_heap``) divides; it alone
+raises ArithmeticError.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import compress, product
 from math import gcd
@@ -107,15 +128,15 @@ def _bmul_dict(a, b):
 
 
 # Smallest product (term pairs) sent to _kronecker.  scripts/bench_bmul.py
-# replays the products of one cold pass (seed 1234, 2-vCPU VM, Python 3.11;
-# BENCH_7_bmul.json): on assoc-triples the packed product takes 28%, 9% and
-# 13% longer than the dict loop at 96-112, 112-128 and 128-144 term pairs,
-# and 4%, 7% and 29% less at 160-192, 192-256 and 256-512 (144-160 read -12%
-# there and +1% in another run); on relation-sweep it breaks even at 160-192
-# and wins from 192 on.  Rerun on Laurent coefficients, which carry their
-# content and so need wider slots (BENCH_9_bmul.json), the packed product
-# still loses at 128-160 and wins from 160 on.
-_KRONECKER_MIN_PAIRS = 160
+# replays the products of one cold pass (seed 1234, 2-vCPU VM, Python 3.11).
+# Read off shared frames, with repeated operand pairs served by the engine's
+# product table (BENCH_15_bmul.json, assoc-triples), the packed product takes
+# 7%, 36%, 19% and 36% less time than the dict loop at 96-112, 112-128,
+# 128-144 and 144-160 term pairs (12-27% less in another run), and 12% more
+# at 64-96; on relation-sweep (BENCH_15_bmul_sweep.json) it takes 0-22% less
+# from 96 to 160, less still above, and 27% more at 64-96.  The kernel that built each product's
+# monomials afresh lost below 160 (BENCH_7_bmul.json, BENCH_9_bmul.json).
+_KRONECKER_MIN_PAIRS = 96
 
 # Slots per term pair above which a product stays on the dict loop: a slot
 # costs about half a term pair to unpack.  Replayed by slots per term pair,
@@ -134,12 +155,8 @@ def _kronecker(a, b):
 
     See the module docstring for the packing and why the result is exact.
     """
-    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * len(a)
-    for w in (1, 2, 4, 8):
-        half = 1 << (8 * w - 1)
-        if bound < half:
-            break
-    else:
+    w = _slot_width(max(map(abs, a.values())) * max(map(abs, b.values())) * len(a))
+    if w is None:
         return None
     ia, ja = zip(*a)
     ib, jb = zip(*b)
@@ -149,19 +166,36 @@ def _kronecker(a, b):
     width = (max(ja) - ja0 + max(jb) - jb0) // gj + 1
     ra, rb = (max(ia) - ia0) // gi + 1, (max(ib) - ib0) // gi + 1
     rows = ra + rb - 1
-    n = rows * width
-    if n > _KRONECKER_MAX_FILL * len(a) * len(b):
+    if rows * width > _KRONECKER_MAX_FILL * len(a) * len(b):
         return None
     c = (_pack(a, ia0, ja0, gi, gj, width, ra * width, w)
          * _pack(b, ib0, jb0, gi, gj, width, rb * width, w))
-    bias = _bias(w, n)
-    coefs = memoryview(((c + bias) ^ bias).to_bytes(n * w, sys.byteorder)).cast(
-        _SLOT_FORMATS[w]).tolist()
-    i0, j0 = ia0 + ib0, ja0 + jb0
-    monos = product(range(i0, i0 + gi * rows, gi), range(j0, j0 + gj * width, gj))
-    return dict(compress(zip(monos, coefs), coefs))
+    return _unpack(c, _frame(ia0 + ib0, ja0 + jb0, gi, gj, rows, width), w)
 
 
+def _slot_width(bound):
+    """The least slot width w in {1, 2, 4, 8} bytes with bound < 2^(8w-1),
+    or None."""
+    for w in (1, 2, 4, 8):
+        if bound < 1 << (8 * w - 1):
+            return w
+    return None
+
+
+@lru_cache(maxsize=None)
+def _frame(i0, j0, gi, gj, rows, width):
+    """The monomials of the slots of a packed value, in slot order: slot
+    u width + v holds s^(i0 + gi u) sb^(j0 + gj v).  Products share these
+    key tuples, and overlapping frames share a monomial's one tuple."""
+    one = _MONOMIALS.setdefault
+    return tuple(one(m, m) for m in product(range(i0, i0 + gi * rows, gi),
+                                            range(j0, j0 + gj * width, gj)))
+
+
+_MONOMIALS = {}
+
+
+@lru_cache(maxsize=None)
 def _bias(w, n):
     """2^(8w-1) in each of n slots of w bytes."""
     return int.from_bytes((1 << (8 * w - 1)).to_bytes(w, sys.byteorder) * n, sys.byteorder)
@@ -177,6 +211,16 @@ def _pack(a, i0, j0, gi, gj, width, n, w):
     slots.release()
     bias = _bias(w, n)
     return (int.from_bytes(buf, sys.byteorder) ^ bias) - bias
+
+
+def _unpack(c, monos, w):
+    """The polynomial whose slots, one per monomial of monos, sum to c; its
+    coefficients are the signed w-byte digits of c, zero slots dropped.
+    OverflowError when c is out of range of len(monos) slots."""
+    bias = _bias(w, len(monos))
+    coefs = memoryview(((c + bias) ^ bias).to_bytes(len(monos) * w, sys.byteorder)).cast(
+        _SLOT_FORMATS[w]).tolist()
+    return dict(compress(zip(monos, coefs), coefs))
 
 
 def _canonical(a):
@@ -207,8 +251,57 @@ def _canonical(a):
 def bdivexact(a, b):
     """The quotient a / b; ArithmeticError unless b divides a exactly.
 
-    Cancels the lex-leading term of the remainder (its monomials kept in a
-    heap) by the leading term of b, until nothing remains.
+    The packed quotient (``_packed_quotient``) when it can prove its answer,
+    else the heap loop (``_bdivexact_heap``), which alone raises.
+    """
+    if a and len(b) > 1:
+        q = _packed_quotient(a, b)
+        if q is not None:
+            return q
+    return _bdivexact_heap(a, b)
+
+
+def _packed_quotient(a, b):
+    """a / b by Kronecker substitution, or None unless proven.
+
+    The candidate q is read off Q = A // B, A and B the packed a and b on the
+    frame of a (see the module docstring for why it is exact).
+    """
+    ia, ja = zip(*a)
+    ib, jb = zip(*b)
+    ia0, ja0, ib0, jb0 = min(ia), min(ja), min(ib), min(jb)
+    ia1, ja1, ib1, jb1 = max(ia), max(ja), max(ib), max(jb)
+    # q would need a negative exponent, or b's frame overhangs a's
+    if ia0 < ib0 or ja0 < jb0 or ia1 - ia0 < ib1 - ib0 or ja1 - ja0 < jb1 - jb0:
+        return None
+    gi = gcd(*[i - ia0 for i in set(ia)], *[i - ib0 for i in set(ib)]) or 1
+    gj = gcd(*[j - ja0 for j in set(ja)], *[j - jb0 for j in set(jb)]) or 1
+    width = (ja1 - ja0) // gj + 1
+    ra, rb = (ia1 - ia0) // gi + 1, (ib1 - ib0) // gi + 1
+    if ra * width > _KRONECKER_MAX_FILL * len(a) * len(b):
+        return None
+    mb = max(map(abs, b.values()))
+    w = _slot_width(max(map(abs, a.values())) * mb * len(b))
+    if w is None:
+        return None
+    c, r = divmod(_pack(a, ia0, ja0, gi, gj, width, ra * width, w),
+                  _pack(b, ib0, jb0, gi, gj, width, rb * width, w))
+    if r:
+        return None
+    try:
+        q = _unpack(c, _frame(ia0 - ib0, ja0 - jb0, gi, gj, ra - rb + 1, width), w)
+    except OverflowError:
+        return None
+    if (max(map(abs, q.values())) * mb * min(len(q), len(b)) >> (8 * w - 1)
+            or max(map(_SB, q)) > ja1 - jb1):
+        return None
+    return q
+
+
+def _bdivexact_heap(a, b):
+    """a / b by cancelling the lex-leading term of the remainder (its
+    monomials kept in a heap) by the leading term of b, until nothing
+    remains; ArithmeticError unless b divides a exactly.
     """
     bm = max(b)
     lb = b[bm]
@@ -457,7 +550,8 @@ def _reduced(n, den):
     if n[max(n)] < 0:
         k = -k
     if k != 1:
-        n = {m: c // k for m, c in n.items()}
+        for m, c in n.items():
+            n[m] = c // k
         den //= k
     return FormalScalar(n, den)
 

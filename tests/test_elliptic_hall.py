@@ -248,6 +248,45 @@ class TestStraightening:
             assert set(prod.terms) <= allowed, (vs, sorted(prod.terms))
 
 
+class TestProductTable:
+    """Coefficient products are stored per algebra on their second sighting."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_warm_equals_fresh(self, n):
+        rng = random.Random(500 + n)
+        triples = []
+        while len(triples) < 12:
+            vs = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(3)]
+            if (0, 0) not in vs:
+                triples.append(vs)
+        warm = EllipticHallAlgebra(n, FORMAL)
+        for vs in triples:
+            a, b, c = (warm.generator(v) for v in vs)
+            assert (a * b) * c == a * (b * c)
+        assert warm._products
+        for vs in reversed(triples):
+            fresh = EllipticHallAlgebra(n, FORMAL)
+            got = [(x * y) * z for x, y, z in
+                   [[alg.generator(v) for v in vs] for alg in (warm, fresh)]]
+            assert got[0].terms == got[1].terms
+
+    def test_second_sighting_stores(self):
+        alg = EllipticHallAlgebra(1, FORMAL)
+        a, b = FORMAL.s + 1, FORMAL.sb - 2
+        assert alg._times(a, b) == a * b
+        assert not alg._products and len(alg._seen_once) == 1
+        # equal values in new objects are the same key
+        assert alg._times(FORMAL.s + 1, FORMAL.sb - 2) == a * b
+        assert list(alg._products) == [(a, b)]
+        stored = alg._products[(a, b)]
+        assert alg._times(a, b) is stored
+        # the other order is another key, and one is never stored
+        assert alg._times(b, a) == stored
+        assert len(alg._products) == 1
+        assert alg._times(FORMAL.one, a) is a and alg._times(b, FORMAL.one) is b
+        assert len(alg._seen_once) == 2
+
+
 class TestResolution:
     """Each orbit representative is resolved through one chosen split;
     every other non-basic commutator is transported from it."""

@@ -651,3 +651,95 @@ class TestKronecker:
         a = {(1000 * k, 7 * k * k): k + 1 for k in range(16)}
         b = {(k * k, 999 * k): 2 - k for k in range(16)}
         assert same_product(a, b) is None
+
+    @given(st.data(), st.integers(-3, 3), st.integers(-3, 3))
+    def test_shared_frame(self, data, i0, j0):
+        # two products on one frame: each equals the dict loop, and every key
+        # of either is the frame's own monomial tuple
+        coef = st.integers(-2 ** 20, 2 ** 20).filter(bool)
+        grid = [(i0 + 2 * u, j0 + 2 * v) for u in range(4) for v in range(4)]
+        results = []
+        for _ in range(2):
+            a = {m: data.draw(coef) for m in grid}
+            b = {(2 * u, -2 * v): data.draw(coef) for u in range(3) for v in range(5)}
+            results.append(same_product(a, b))
+        frame = ratfunc._frame(i0, j0 - 8, 2, 2, 6, 8)
+        ids = set(map(id, frame))
+        for r in results:
+            assert r is not None and set(map(id, r)) <= ids
+
+
+def same_quotient(a, b):
+    """The packed quotient of a by b, or None where it declines, after
+    checking it against the heap loop: equal where both answer, and None
+    wherever the heap loop raises."""
+    got = ratfunc._packed_quotient(a, b)
+    try:
+        want = ratfunc._bdivexact_heap(a, b)
+    except ArithmeticError:
+        assert got is None
+        with pytest.raises(ArithmeticError, match="inexact polynomial division"):
+            bdivexact(a, b)
+        return got
+    if got is not None:
+        assert got == want
+        assert all(type(c) is int and c for c in got.values())
+    assert bdivexact(a, b) == want
+    return got
+
+
+class TestPackedQuotient:
+    """The packed quotient of bdivexact against the heap loop."""
+
+    @given(stepped(max_terms=8, max_coef=2 ** 12), stepped(max_terms=6, max_coef=2 ** 12))
+    def test_product_divides_back(self, q, b):
+        # Laurent q: a negative exponent of the quotient is the heap loop's
+        # ArithmeticError, and the packed route declines it
+        same_quotient(bmul(q, b), b)
+
+    @given(stepped(max_terms=8), stepped(max_terms=6))
+    def test_inexact(self, a, b):
+        same_quotient(a, b)
+
+    @given(polys(max_terms=12, max_deg=4, max_coef=2 ** 15), polys(max_terms=6))
+    def test_taken_on_dense_operands(self, q, b):
+        assume(len(b) > 1)
+        # a full 5 x 5 grid of exponents keeps the frame of q b dense
+        q = {(i, j): q.get((i, j), 1) for i in range(5) for j in range(5)}
+        assert same_quotient(bmul(q, b), b) == q
+
+    def test_64_bit_coefficients_take_the_heap_loop(self):
+        q = {(k, j): 2 ** 62 + k for k in range(6) for j in range(3)}
+        b = {(0, 0): 3, (1, 1): -5}
+        assert same_quotient(bmul(q, b), b) is None
+
+    def test_quotient_wider_than_its_slots(self):
+        # a = (1 - s^101)^2 (1 + ... + s^149) has coefficients of at most 2,
+        # so with b = (1 - s)^2 it packs in one-byte slots; the quotient
+        # (1 + ... + s^100)^2 (1 + ... + s^149) does not fit them, and its
+        # digits are rejected
+        ones = {(k, 0): 1 for k in range(101)}
+        q = bmul(bmul(ones, ones), {(k, 0): 1 for k in range(150)})
+        b = {(0, 0): 1, (1, 0): -2, (2, 0): 1}
+        a = bmul(q, b)
+        assert max(map(abs, a.values())) == 2 and max(q.values()) > 127
+        assert same_quotient(a, b) is None
+
+    @pytest.mark.parametrize("a, b", [
+        # b's sb-range is wider than a's: packing b on a's frame would
+        # overrun it
+        ({(0, 0): 1, (1, 0): 2}, {(0, 0): 1, (0, 2): 1}),
+        ({(0, 0): 3, (2, 1): 1, (1, 3): -1}, {(0, 0): 1, (0, 4): 1, (1, 2): 7}),
+        # ... and its s-range
+        ({(0, 0): 1, (0, 1): 2}, {(0, 0): 1, (2, 0): 1}),
+        # a quotient with a negative exponent: (1 + sb) / (s + s sb)
+        ({(0, 0): 1, (0, 1): 1}, {(1, 0): 1, (1, 1): 1}),
+        # packed on width 3, A = 2 + 2X - 2X^2 - 2X^3 is (-2 - 2X)(X^2 - 1),
+        # but (-2 - 2 sb)(sb^2 - 1) leaves the frame: -2 sb^3 read as -2 s
+        ({(1, 0): -2, (0, 0): 2, (0, 1): 2, (0, 2): -2}, {(0, 0): -1, (0, 2): 1}),
+        # B divides A, but the digits of the quotient break the slot bound
+        ({(1, 2): -1, (0, 2): -1, (0, 1): 2}, {(0, 0): -2, (0, 1): 2}),
+    ], ids=["sb-wider", "sb-wider-3", "s-wider", "negative-exponent", "wraps-a-row",
+            "slot-bound"])
+    def test_frame_fallbacks(self, a, b):
+        assert same_quotient(a, b) is None
