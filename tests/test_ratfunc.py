@@ -633,8 +633,10 @@ class TestKronecker:
         assert bmul({m: c}, b) == {(m[0] + i, m[1] + j): c * v for (i, j), v in b.items()}
         assert bmul({m: c}, {m: c}) == {(2 * m[0], 2 * m[1]): c * c}
 
-    @pytest.mark.parametrize("pairs", [ratfunc._KRONECKER_MIN_PAIRS - 1,
-                                       ratfunc._KRONECKER_MIN_PAIRS])
+    # both sides of the threshold, and 159-160 term pairs: the earlier
+    # threshold, which must stay on the packed side of the current one
+    @pytest.mark.parametrize("pairs", sorted({ratfunc._KRONECKER_MIN_PAIRS - 1,
+                                              ratfunc._KRONECKER_MIN_PAIRS, 159, 160}))
     @given(data=st.data())
     def test_size_threshold(self, pairs, data):
         # lb = pairs is a one-term a; other splits when pairs has a divisor
