@@ -6,9 +6,12 @@ d > 0 one common denominator and gcd(d, a, b) = 1.  Everything is kept
 reduced modulo the M-th cyclotomic polynomial and u^2 = q, so equality is
 plain coordinate comparison.  Arithmetic is on integers: a product takes
 three cyclotomic products (Karatsuba for the u-part), fewer when a factor
-has no u-part, and only inversion runs over Fractions (extended Euclid).
-The loop weight nu := 1/u = u/q is the standard square root of 1/q (the
-curve-side v).
+has no u-part.  The inverse is by the Galois norm: (a + b u)^-1 is
+(a - b u) / (a^2 - q b^2), and the cyclotomic norm N(x) = x c, c the product
+of the conjugates sigma_k(x) over the units k != 1 mod M, is an integer, so
+1 / x = c / N(x) takes integer products alone.  Complex conjugation is
+sigma_(M-1).  The loop weight nu := 1/u = u/q is the standard square root
+of 1/q (the curve-side v).
 
 When q is a perfect square the tower degenerates (u is the literal integer
 root); elements then carry no u-component.
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 
 def cyclotomic_polynomial(m: int) -> list[int]:
@@ -119,8 +122,6 @@ class CurveRing:
         else:
             self.u = CurveScalar(self, zero_vec, one_vec, 1)
         self.nu = self.u.inverse()
-        # conjugation matrix: zeta^k -> zeta^(-k)
-        self._conj_rows = [self._zeta_powers[(m - k) % m] for k in range(d)]
         self._nu_integers = {}
 
     # -- structure constants, through the trace recursion -----------------
@@ -196,52 +197,36 @@ class CurveRing:
                     prod[k - d + j] += c * r
         return tuple(prod[:d])
 
+    def _galois(self, a, k):
+        """sigma_k(a) for k prime to M: zeta^j -> zeta^(j k), each image read
+        off the powers of zeta."""
+        vec = [0] * self.degree
+        powers, m = self._zeta_powers, self.m
+        for j, c in enumerate(a):
+            if c:
+                for i, r in enumerate(powers[j * k % m]):
+                    vec[i] += c * r
+        return tuple(vec)
+
     def _cyc_inv(self, a):
         """(c, e) with c / e the inverse of a modulo the cyclotomic polynomial.
 
-        Extended Euclid over Q; e > 0 is the common denominator of its
-        coordinates.
+        c is the product of the conjugates sigma_k(a), k != 1 a unit mod M,
+        signed so that a c = e = |N(a)|, the Galois norm of a.
         """
-        d = self.degree
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.m)]
-        r0, r1 = phi, [Fraction(c) for c in a] + [Fraction(0)]
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def deg(p):
-            for k in range(len(p) - 1, -1, -1):
-                if p[k]:
-                    return k
-            return -1
-
-        while deg(r1) > 0:
-            dr0, dr1 = deg(r0), deg(r1)
-            if dr0 < dr1:
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            c = r0[dr0] / r1[dr1]
-            shift = dr0 - dr1
-            r0 = [r0[k] - (c * r1[k - shift] if 0 <= k - shift <= dr1 else 0)
-                  for k in range(len(r0))]
-            s0 = [((s0[k] if k < len(s0) else Fraction(0)) -
-                   (c * s1[k - shift] if 0 <= k - shift < len(s1) else 0))
-                  for k in range(max(len(s0), len(s1) + shift))]
-            r0, r1, s0, s1 = r1, r0, s1, s0
-        d1 = deg(r1)
-        if d1 < 0:
+        c = self._zeta_powers[0]
+        for k in range(2, self.m):
+            if gcd(k, self.m) == 1:
+                c = self._cyc_mul(c, self._galois(a, k))
+        norm = self._cyc_mul(a, c)
+        if any(norm[1:]):
+            raise ArithmeticError("Galois norm is not rational")
+        e = norm[0]
+        if not e:
             raise ZeroDivisionError("element not invertible in cyclotomic field")
-        inv_c = 1 / r1[d1]
-        inv = ([inv_c * c for c in s1] + [Fraction(0)] * d)[:d]
-        e = lcm(*(c.denominator for c in inv))
-        return tuple(c.numerator * (e // c.denominator) for c in inv), e
-
-    def _cyc_conj(self, a):
-        d = self.degree
-        vec = [0] * d
-        for k, c in enumerate(a):
-            if c:
-                for i, r in enumerate(self._conj_rows[k]):
-                    vec[i] += c * r
-        return tuple(vec)
+        if e < 0:
+            return tuple(-x for x in c), -e
+        return c, e
 
     def __repr__(self):
         t = f", trace={self.trace}" if self.trace is not None else ""
@@ -268,28 +253,27 @@ class CurveScalar:
         return not self.is_zero()
 
     def _coerce(self, other):
-        """(self, other) over one ring, or None if other is not a ring element."""
+        """other as an element of this ring, or None if it is not one."""
         if isinstance(other, CurveScalar):
             if other.ring is not self.ring:
                 raise ValueError(f"cannot mix scalars from {self.ring} and {other.ring}")
-            return self, other
+            return other
         if isinstance(other, (int, Fraction)):
-            return self, self.ring.from_fraction(other)
+            return self.ring.from_fraction(other)
         return None
 
     def __add__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
+        y = self._coerce(other)
+        if y is None:
             return NotImplemented
-        x, y = pair
-        if x.d == y.d:
-            return x.ring._scalar(tuple(p + r for p, r in zip(x.a, y.a)),
-                                  tuple(p + r for p, r in zip(x.b, y.b)), x.d)
-        g = gcd(x.d, y.d)
-        kx, ky = y.d // g, x.d // g
-        return x.ring._scalar(tuple(kx * p + ky * r for p, r in zip(x.a, y.a)),
-                              tuple(kx * p + ky * r for p, r in zip(x.b, y.b)),
-                              kx * x.d)
+        if self.d == y.d:
+            return self.ring._scalar(tuple(p + r for p, r in zip(self.a, y.a)),
+                                     tuple(p + r for p, r in zip(self.b, y.b)), self.d)
+        g = gcd(self.d, y.d)
+        kx, ky = y.d // g, self.d // g
+        return self.ring._scalar(tuple(kx * p + ky * r for p, r in zip(self.a, y.a)),
+                                 tuple(kx * p + ky * r for p, r in zip(self.b, y.b)),
+                                 kx * self.d)
 
     __radd__ = __add__
 
@@ -298,23 +282,21 @@ class CurveScalar:
                            tuple(-p for p in self.b), self.d)
 
     def __sub__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
+        y = self._coerce(other)
+        if y is None:
             return NotImplemented
-        x, y = pair
-        return x + (-y)
+        return self + (-y)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
+        y = self._coerce(other)
+        if y is None:
             return NotImplemented
-        x, y = pair
-        ring = x.ring
+        ring = self.ring
         mul = ring._cyc_mul
-        a1, b1, a2, b2 = x.a, x.b, y.a, y.b
+        a1, b1, a2, b2 = self.a, self.b, y.a, y.b
         a = mul(a1, a2)
         if not any(b1):
             b = mul(a1, b2) if any(b2) else b2
@@ -327,7 +309,7 @@ class CurveScalar:
                         tuple(p + r for p, r in zip(a2, b2)))
             b = tuple(c - p - r for c, p, r in zip(cross, a, bb))
             a = tuple(p + ring.q * r for p, r in zip(a, bb))
-        return ring._scalar(a, b, x.d * y.d)
+        return ring._scalar(a, b, self.d * y.d)
 
     __rmul__ = __mul__
 
@@ -335,26 +317,21 @@ class CurveScalar:
         ring = self.ring
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        d = self.d
-        if not any(self.b):
-            c, e = ring._cyc_inv(self.a)
-            return ring._scalar(tuple(d * x for x in c), self.b, e)
         # (a + b u)^-1 = (a - b u) / (a^2 - q b^2), the d's cancel to one d
         mul = ring._cyc_mul
-        norm = tuple(p - ring.q * r
-                     for p, r in zip(mul(self.a, self.a), mul(self.b, self.b)))
+        a, b = self.a, self.b
+        norm = tuple(p - ring.q * r for p, r in zip(mul(a, a), mul(b, b)))
         if not any(norm):
             raise ZeroDivisionError("zero divisor: sqrt(q) lies in Q(zeta_M)")
         c, e = ring._cyc_inv(norm)
-        c = tuple(d * x for x in c)
-        return ring._scalar(mul(self.a, c), tuple(-x for x in mul(self.b, c)), e)
+        c = tuple(self.d * x for x in c)
+        return ring._scalar(mul(a, c), tuple(-x for x in mul(b, c)), e)
 
     def __truediv__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
+        y = self._coerce(other)
+        if y is None:
             return NotImplemented
-        x, y = pair
-        return x * y.inverse()
+        return self * y.inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -375,16 +352,16 @@ class CurveScalar:
         return out
 
     def conjugate(self):
-        """Complex conjugation: inverts roots of unity, fixes u."""
+        """Complex conjugation sigma_(M-1): inverts roots of unity, fixes u."""
         ring = self.ring
-        return CurveScalar(ring, ring._cyc_conj(self.a), ring._cyc_conj(self.b), self.d)
+        k = ring.m - 1
+        return CurveScalar(ring, ring._galois(self.a, k), ring._galois(self.b, k), self.d)
 
     def __eq__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
+        y = self._coerce(other)
+        if y is None:
             return NotImplemented
-        x, y = pair
-        return x.a == y.a and x.b == y.b and x.d == y.d
+        return self.a == y.a and self.b == y.b and self.d == y.d
 
     def __hash__(self):
         if not any(self.b) and not any(self.a[1:]):

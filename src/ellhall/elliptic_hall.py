@@ -244,11 +244,6 @@ class EllipticHallAlgebra:
             if cached is _IN_PROGRESS:
                 raise StraighteningError(f"commutator cycle at {(a, b)}")
             return cached
-        rev = self._comm_cache.get((b, a))
-        if rev is not None and rev is not _IN_PROGRESS:
-            res = -rev
-            self._comm_cache[(a, b)] = res
-            return res
         self._comm_cache[(a, b)] = _IN_PROGRESS
         try:
             res = self._commutator_impl(a, b)
@@ -494,28 +489,18 @@ class EllipticHallAlgebra:
             return self.theta_ray((0, 1), k)
 
         rows = []
-        for alpha in range(-window, window + 1):
-            for beta in range(-window, window + 1):
-                lhs = self.zero
-                rhs = self.zero
-                for (i, j), c in cc.items():
-                    lhs = lhs + (u(alpha - i) * u(beta - j)).scale(c)
-                for (i, j), c in dd.items():
-                    rhs = rhs + (u(beta - j) * u(alpha - i)).scale(c)
-                ok = (lhs - rhs).is_zero()
-                rows.append({"relation": "T1T1", "bidegree": (alpha, beta), "ok": ok})
-        for alpha in range(0, window + 1):
-            for beta in range(-window, window + 1):
-                lhs = self.zero
-                rhs = self.zero
-                for (i, j), c in cc.items():
-                    if alpha - i >= 0:
-                        lhs = lhs + (th(alpha - i) * u(beta - j)).scale(c)
-                for (i, j), c in dd.items():
-                    if alpha - i >= 0:
-                        rhs = rhs + (u(beta - j) * th(alpha - i)).scale(c)
-                ok = (lhs - rhs).is_zero()
-                rows.append({"relation": "T0T1", "bidegree": (alpha, beta), "ok": ok})
+        for name, left, alphas in (("T1T1", u, range(-window, window + 1)),
+                                   ("T0T1", th, range(0, window + 1))):
+            for alpha in alphas:
+                for beta in range(-window, window + 1):
+                    lhs = self.zero
+                    rhs = self.zero
+                    for (i, j), c in cc.items():
+                        lhs = lhs + (left(alpha - i) * u(beta - j)).scale(c)
+                    for (i, j), c in dd.items():
+                        rhs = rhs + (u(beta - j) * left(alpha - i)).scale(c)
+                    ok = (lhs - rhs).is_zero()
+                    rows.append({"relation": name, "bidegree": (alpha, beta), "ok": ok})
         return rows
 
     def verify_cubic_relation(self, m: int) -> bool:

@@ -77,9 +77,11 @@ carries across no slot and is Q B = A; and the sb-exponents of q b stay below
 W (its s-exponents stay in a's rows by the shape of q's frame), so q b lies
 in a's frame, where packing is one-to-one.  Then q b and a pack to the same
 integer, so they are equal.  Otherwise, and where the quotient would need a
-negative exponent, b's frame overhangs a's, a slot would need 64 bits or the
-frame is too sparse, the heap loop (``_bdivexact_heap``) divides; it alone
-raises ArithmeticError.
+negative exponent, b's frame overhangs a's or a slot would need 64 bits, the
+heap loop (``_bdivexact_heap``) divides; it alone raises ArithmeticError.
+Unlike the product, the quotient has no fill rule: a sparse frame of a, as
+in the engine's divisions by kappa, whose support is diagonal, still
+divides faster packed than on the heap loop.
 """
 
 from __future__ import annotations
@@ -278,8 +280,6 @@ def _packed_quotient(a, b):
     gj = gcd(*[j - ja0 for j in set(ja)], *[j - jb0 for j in set(jb)]) or 1
     width = (ja1 - ja0) // gj + 1
     ra, rb = (ia1 - ia0) // gi + 1, (ib1 - ib0) // gi + 1
-    if ra * width > _KRONECKER_MAX_FILL * len(a) * len(b):
-        return None
     mb = max(map(abs, b.values()))
     w = _slot_width(max(map(abs, a.values())) * mb * len(b))
     if w is None:

@@ -4,13 +4,18 @@ coordinate formulas: every operation, the strings and the hashes."""
 from fractions import Fraction
 from math import gcd
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from ellhall.cyclotomic import cyclotomic_polynomial, get_curve_ring
 
+# (Z/8)^* and (Z/12)^* are not cyclic, so the inverse takes every unit, not
+# the powers of one; sqrt(3) is not in Q(zeta_8), nor sqrt(2) in Q(zeta_12)
 RINGS = {"E1": get_curve_ring(2, 9, 0), "q2M3": get_curve_ring(2, 3),
-         "q4M3": get_curve_ring(4, 3)}
+         "q4M3": get_curve_ring(4, 3), "q3M8": get_curve_ring(3, 8),
+         "q2M12": get_curve_ring(2, 12)}
 
 
 # -- the Fraction-coordinate formulas --------------------------------------
@@ -195,7 +200,8 @@ def test_constants_hash_as_their_fraction(name, c):
 @given(rings_and_scalars(1))
 def test_reduce_mod_matches_fraction_coordinates(args):
     ring, x = args
-    # p = 1 mod 9 and p = 1 mod 8, so zeta_M and sqrt(q) exist mod p
+    # p = 1 mod 9, 8 and 12, and q = 2, 3 are squares mod p, so zeta_M and
+    # sqrt(q) exist mod p
     p = 73
     zeta_img = next(z for z in range(2, p)
                     if [k for k in range(1, ring.m + 1) if pow(z, k, p) == 1] == [ring.m])
@@ -205,3 +211,33 @@ def test_reduce_mod_matches_fraction_coordinates(args):
         for c, extra in ((ca, 1), (cb, u_img)):
             want += c.numerator * pow(c.denominator, -1, p) * pow(zeta_img, k, p) * extra
     assert x.reduce_mod(p, zeta_img, u_img) == want % p
+
+
+def galois(x, k):
+    """sigma_k(x): zeta -> zeta^k, u fixed."""
+    ring = x.ring
+    return ring._scalar(ring._galois(x.a, k), ring._galois(x.b, k), x.d)
+
+
+@given(rings_and_scalars(2))
+def test_galois_action_is_a_ring_map(args):
+    ring, x, y = args
+    units = [k for k in range(1, ring.m + 1) if gcd(k, ring.m) == 1]
+    for k in units:
+        assert galois(x + y, k) == galois(x, k) + galois(y, k)
+        assert galois(x * y, k) == galois(x, k) * galois(y, k)
+        assert galois(ring.zeta(ring.m), k) == ring.zeta(ring.m, k)
+        assert galois(ring.u, k) == ring.u
+        for j in units:
+            assert galois(galois(x, j), k) == galois(x, j * k)
+    assert galois(x, ring.m - 1) == x.conjugate()
+
+
+def test_sqrt_q_in_the_field_is_a_zero_divisor():
+    # sqrt(2) = zeta_8 + zeta_8^7, so u - sqrt(2) divides zero
+    ring = get_curve_ring(2, 8)
+    x = ring.u - ring.zeta(8) - ring.zeta(8, 7)
+    assert x * (ring.u + ring.zeta(8) + ring.zeta(8, 7)) == ring.zero
+    with pytest.raises(ZeroDivisionError,
+                       match=re.escape("zero divisor: sqrt(q) lies in Q(zeta_M)")):
+        x.inverse()

@@ -710,6 +710,23 @@ class TestPackedQuotient:
         q = {(i, j): q.get((i, j), 1) for i in range(5) for j in range(5)}
         assert same_quotient(bmul(q, b), b) == q
 
+    @given(values(), st.integers(1, 3))
+    def test_kappa_divides_packed(self, y, n):
+        kappa = R.kappa(n)
+        x = y * kappa
+        with mock.patch.object(ratfunc, "_bdivexact_heap",
+                               side_effect=AssertionError("heap loop")):
+            assert x / kappa == y
+
+    def test_sparse_frame_is_taken(self):
+        # kappa = s sb - 1/(s sb) has diagonal support: a = (3 + s^6 + sb^6)
+        # kappa spans 5 x 5 slots of step 2 for its 6 x 2 term pairs, more
+        # than _KRONECKER_MAX_FILL per pair, and still divides packed
+        b = {(0, 0): -1, (2, 2): 1}
+        a = bmul({(2, 2): 3, (8, 2): 1, (2, 8): 1}, b)
+        assert 5 * 5 > ratfunc._KRONECKER_MAX_FILL * len(a) * len(b)
+        assert same_quotient(a, b) == {(2, 2): 3, (8, 2): 1, (2, 8): 1}
+
     def test_64_bit_coefficients_take_the_heap_loop(self):
         q = {(k, j): 2 ** 62 + k for k in range(6) for j in range(3)}
         b = {(0, 0): 3, (1, 1): -5}
