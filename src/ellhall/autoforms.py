@@ -44,7 +44,8 @@ class AutoformContext:
     """Shared exact environment: curve, scalar ring, local Hall algebras.
 
     The scalar ring is Q(zeta_M)[u]/(u^2 - q), M the lcm of the Picard
-    exponents at ``char_levels``.
+    exponents at ``char_levels``.  The power sums p_k(orbit, x) of the
+    eigenvalues, and their conjugates, are kept once computed.
     """
 
     def __init__(self, curve: CurveData, char_levels=(1,)):
@@ -55,6 +56,8 @@ class AutoformContext:
         self.ring = get_curve_ring(curve.q, m, curve.trace)
         self._local: dict[tuple, DvrHallAlgebra] = {}
         self._points: dict[int, list[ClosedPoint]] = {}
+        # (orbit.rep, x.key(), k, conjugate) -> p_k or its conjugate, or None
+        self._power_sums: dict[tuple, object] = {}
 
     def closed_points_dividing(self, N: int) -> list[ClosedPoint]:
         if N > MAX_POINT_DEGREE:
@@ -267,19 +270,28 @@ def _minus_point_exponents(orbit: CharacterOrbit, x: ClosedPoint) -> list[int]:
     return [-rho.value_exponent(P) for P in pts]
 
 
-def _power_sum_plain(ctx, orbit, x, r):
-    """p_r of the normalized eigenvalues (roots of unity), or None if 0."""
+def _power_sum_plain(ctx, orbit, x, r, conjugate=False):
+    """p_r of the normalized eigenvalues (roots of unity), or None if 0;
+    with ``conjugate``, its complex conjugate.  Kept on the context."""
+    key = (orbit.rep, x.key(), r, conjugate)
+    memo = ctx._power_sums
+    if key in memo:
+        return memo[key]
     n = orbit.level
     d = gcd(n, x.degree)
-    if (r * d) % n:
-        return None
-    k = r * d // n
-    m_n = orbit.curve.picard(n).exponent
-    ring = ctx.ring
-    total = ring.zero
-    for e in _minus_point_exponents(orbit, x):
-        total = total + ring.zeta(m_n, e * k)
-    return total * Fraction(n, d)
+    if conjugate:
+        value = _power_sum_plain(ctx, orbit, x, r)
+        if value is not None:
+            value = value.conjugate()
+    elif (r * d) % n:
+        value = None
+    else:
+        k = r * d // n
+        m_n = orbit.curve.picard(n).exponent
+        exps = [e * k for e in _minus_point_exponents(orbit, x)]
+        value = ctx.ring.zeta_sum(m_n, exps) * Fraction(n, d)
+    memo[key] = value
+    return value
 
 
 def hecke_eigenvalue_elementary(ctx: AutoformContext, orbit: CharacterOrbit,
@@ -350,16 +362,13 @@ def hecke_T0N_eigenvalue(ctx: AutoformContext, rho: CharacterOrbit,
     # character sum: ([N] n / N^2) q^{N(n-1)/2} #X(F_{q^N})
     #                * sum_i <Fr^i(sigma), Norm(rho)>
     pts = curve.points(N)
-    hits = ring.zero
+    norm_exps = [norm_rho.value_exponent(P) for P in pts]
+    exps = []
     sig = sigma.rep
-    m_N = curve.picard(N).exponent
     for _ in range(N):
-        acc = ring.zero
-        for P in pts:
-            e = sig.value_exponent(P) - norm_rho.value_exponent(P)
-            acc = acc + ring.zeta(m_N, e)
-        hits = hits + acc * Fraction(1, len(pts))
+        exps.extend(sig.value_exponent(P) - e for P, e in zip(pts, norm_exps))
         sig = sig.frobenius()
+    hits = ring.zeta_sum(curve.picard(N).exponent, exps) * Fraction(1, len(pts))
     count = curve.count_via_trace(N)
     front = ctx.ring.nu_integer(N) * Fraction(n, N * N) * (ring.u ** (N * (n - 1))) * count
     char_sum_value = front * hits
@@ -411,13 +420,13 @@ def l_function(ctx: AutoformContext, rho1: CharacterOrbit, rho2: CharacterOrbit,
     for x in ctx.curve.closed_points(order):
         f = x.degree
         for k in range(1, order // f + 1):
-            p1 = _power_sum_plain(ctx, rho1, x, k)
-            if p1 is None:
+            p1_bar = _power_sum_plain(ctx, rho1, x, k, conjugate=True)
+            if p1_bar is None:
                 continue
             p2 = _power_sum_plain(ctx, rho2, x, k)
             if p2 is None:
                 continue
-            val = p1.conjugate() * p2 * Fraction(1, k)
+            val = p1_bar * p2 * Fraction(1, k)
             deg = k * f
             log_coeffs[deg] = log_coeffs.get(deg, ring.zero) + val
     series = TruncatedSeries(log_coeffs, order, ring.one)

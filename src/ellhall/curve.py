@@ -319,15 +319,24 @@ class _Level:
             else:
                 hs = [-c * inv2 for c in cs]
                 discs = [d + c * c * inv2 * inv2 for d, c in zip(ds, cs)]
-            for x, disc, h in zip(xs, discs, hs):
-                z = f.sqrt(disc)
-                if z is None:
-                    continue
-                if z.is_zero():
-                    pts.append((x, h))
-                else:
-                    pts.append((x, h + z))
-                    pts.append((x, h - z))
+            if cs is None and a3.is_zero():
+                # h = -c/2 is identically zero: y = +-z
+                for x, disc in zip(xs, discs):
+                    z = f.sqrt(disc)
+                    if z is not None:
+                        pts.append((x, z))
+                        if not z.is_zero():
+                            pts.append((x, -z))
+            else:
+                for x, disc, h in zip(xs, discs, hs):
+                    z = f.sqrt(disc)
+                    if z is None:
+                        continue
+                    if z.is_zero():
+                        pts.append((x, h))
+                    else:
+                        pts.append((x, h + z))
+                        pts.append((x, h - z))
         return pts
 
 
@@ -463,10 +472,6 @@ class Character:
         return sum(e * v * (m // d)
                    for e, v, d in zip(self.exps, logs, pic.divisors)) % m
 
-    def eval(self, P, ring):
-        pic = self.curve.picard(self.level)
-        return ring.zeta(pic.exponent, self.value_exponent(P))
-
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exps)
 
@@ -553,9 +558,8 @@ class CharacterOrbit:
     def tilde_eval(self, x: ClosedPoint, ring):
         """The averaged character value rho~(x) on a closed point of X."""
         pts = self.curve.points_above(x, self.level)
-        total = ring.zero
-        for P in pts:
-            total = total + self.rep.eval(P, ring)
+        m = self.curve.picard(self.level).exponent
+        total = ring.zeta_sum(m, [self.rep.value_exponent(P) for P in pts])
         return total * Fraction(1, len(pts))
 
     def __eq__(self, other):

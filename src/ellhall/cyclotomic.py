@@ -6,7 +6,11 @@ d > 0 one common denominator and gcd(d, a, b) = 1.  Everything is kept
 reduced modulo the M-th cyclotomic polynomial and u^2 = q, so equality is
 plain coordinate comparison.  Arithmetic is on integers: a product takes
 three cyclotomic products (Karatsuba for the u-part), fewer when a factor
-has no u-part.  The inverse is by the Galois norm: (a + b u)^-1 is
+has no u-part, and none when a factor is rational (an int, a Fraction or a
+scalar with no u-part and no zeta-part): the other factor's coordinates
+are scaled and reduced by one gcd.  A sum of roots of unity is built from
+the counts of its exponents, as one coordinate vector.  The inverse is by
+the Galois norm: (a + b u)^-1 is
 (a - b u) / (a^2 - q b^2), and the cyclotomic norm N(x) = x c, c the product
 of the conjugates sigma_k(x) over the units k != 1 mod M, is an integer, so
 1 / x = c / N(x) takes integer products alone.  Complex conjugation is
@@ -170,6 +174,23 @@ class CurveRing:
         k = (self.m // order) * (power % order)
         return CurveScalar(self, self._zeta_powers[k], self._zero_vec, 1)
 
+    def zeta_sum(self, order: int, exponents) -> "CurveScalar":
+        """The sum of zeta_order^e over the exponents e (order must divide M):
+        the exponents are counted mod order, and the powers of zeta summed
+        with those counts into one coordinate vector."""
+        if order <= 0 or self.m % order:
+            raise ValueError(f"root of unity order {order} not available at M={self.m}")
+        counts = [0] * order
+        for e in exponents:
+            counts[e % order] += 1
+        step = self.m // order
+        vec = [0] * self.degree
+        for j, c in enumerate(counts):
+            if c:
+                for i, r in enumerate(self._zeta_powers[j * step]):
+                    vec[i] += c * r
+        return CurveScalar(self, tuple(vec), self._zero_vec, 1)
+
     def _scalar(self, a, b, d) -> "CurveScalar":
         """(a + b u) / d over integer vectors a, b and d > 0, in lowest terms."""
         if d != 1:
@@ -252,6 +273,10 @@ class CurveScalar:
     def __bool__(self):
         return not self.is_zero()
 
+    def is_rational(self):
+        """Whether this is a rational constant: no u-part, no zeta-part."""
+        return not any(self.b) and not any(self.a[1:])
+
     def _coerce(self, other):
         """other as an element of this ring, or None if it is not one."""
         if isinstance(other, CurveScalar):
@@ -290,10 +315,24 @@ class CurveScalar:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, n, e):
+        """self * n / e for integers n and e > 0, in lowest terms."""
+        b = self.b
+        return self.ring._scalar(tuple([n * c for c in self.a]),
+                                 tuple([n * c for c in b]) if any(b) else b, self.d * e)
+
     def __mul__(self, other):
+        if isinstance(other, int):
+            return self._scaled(other, 1)
+        if isinstance(other, Fraction):
+            return self._scaled(other.numerator, other.denominator)
         y = self._coerce(other)
         if y is None:
             return NotImplemented
+        if y.is_rational():
+            return self._scaled(y.a[0], y.d)
+        if self.is_rational():
+            return y._scaled(self.a[0], self.d)
         ring = self.ring
         mul = ring._cyc_mul
         a1, b1, a2, b2 = self.a, self.b, y.a, y.b
@@ -364,7 +403,7 @@ class CurveScalar:
         return self.a == y.a and self.b == y.b and self.d == y.d
 
     def __hash__(self):
-        if not any(self.b) and not any(self.a[1:]):
+        if self.is_rational():
             # a rational constant hashes as the Fraction it equals
             return hash(Fraction(self.a[0], self.d))
         return hash((self.ring.q, self.ring.m, self.a, self.b, self.d))

@@ -76,9 +76,12 @@ max|q| max|b| min(len q, len b) < 2^(8w-1), so the packed product of q and b
 carries across no slot and is Q B = A; and the sb-exponents of q b stay below
 W (its s-exponents stay in a's rows by the shape of q's frame), so q b lies
 in a's frame, where packing is one-to-one.  Then q b and a pack to the same
-integer, so they are equal.  Otherwise, and where the quotient would need a
-negative exponent, b's frame overhangs a's or a slot would need 64 bits, the
-heap loop (``_bdivexact_heap``) divides; it alone raises ArithmeticError.
+integer, so they are equal.  A candidate that fits its slots but breaks
+the carry bound is divided again in the slots its own coefficients need,
+since a quotient can have larger coefficients than a.  Otherwise, and where
+the quotient would need a negative exponent, b's frame overhangs a's or a
+slot would need 64 bits, the heap loop (``_bdivexact_heap``) divides; it
+alone raises ArithmeticError.
 Unlike the product, the quotient has no fill rule: a sparse frame of a, as
 in the engine's divisions by kappa, whose support is diagonal, still
 divides faster packed than on the heap loop.
@@ -282,20 +285,25 @@ def _packed_quotient(a, b):
     ra, rb = (ia1 - ia0) // gi + 1, (ib1 - ib0) // gi + 1
     mb = max(map(abs, b.values()))
     w = _slot_width(max(map(abs, a.values())) * mb * len(b))
-    if w is None:
-        return None
-    c, r = divmod(_pack(a, ia0, ja0, gi, gj, width, ra * width, w),
-                  _pack(b, ib0, jb0, gi, gj, width, rb * width, w))
-    if r:
-        return None
-    try:
-        q = _unpack(c, _frame(ia0 - ib0, ja0 - jb0, gi, gj, ra - rb + 1, width), w)
-    except OverflowError:
-        return None
-    if (max(map(abs, q.values())) * mb * min(len(q), len(b)) >> (8 * w - 1)
-            or max(map(_SB, q)) > ja1 - jb1):
-        return None
-    return q
+    while w is not None:
+        c, r = divmod(_pack(a, ia0, ja0, gi, gj, width, ra * width, w),
+                      _pack(b, ib0, jb0, gi, gj, width, rb * width, w))
+        if r:
+            return None
+        try:
+            q = _unpack(c, _frame(ia0 - ib0, ja0 - jb0, gi, gj, ra - rb + 1, width), w)
+        except OverflowError:
+            return None
+        if max(map(_SB, q)) > ja1 - jb1:
+            return None
+        bound = max(map(abs, q.values())) * mb * min(len(q), len(b))
+        if not bound >> (8 * w - 1):
+            return q
+        # q fits the slots, but q b could carry across them: the quotient
+        # can have larger coefficients than a, so divide again in the
+        # slots its own bound needs
+        w = _slot_width(bound)
+    return None
 
 
 def _bdivexact_heap(a, b):

@@ -297,6 +297,36 @@ class TestLFunctions:
         part2 = series_exp(TruncatedSeries(log2, 2, ring.one))
         assert part1 * part2 == full
 
+    def test_fresh_and_warm_contexts_agree(self, ctx, e1):
+        # ctx is warm from the tests above; the power sums it keeps must
+        # give what a fresh context computes
+        forms = [rho for n in (1, 2) for rho in primitive_orbits(e1, n)]
+        for f in forms:
+            for g in forms:
+                fresh = AutoformContext(e1, char_levels=(1, 2, 3, 4))
+                assert l_function(fresh, f, g, 6) == l_function(ctx, f, g, 6)
+        for rho in forms:
+            for x in e1.closed_points(3):
+                for level in range(1, rho.level + 1):
+                    fresh = AutoformContext(e1, char_levels=(1, 2, 3, 4))
+                    assert (hecke_eigenvalue_elementary(fresh, rho, x, level)
+                            == hecke_eigenvalue_elementary(ctx, rho, x, level))
+
+    def test_orbits_at_one_point_keep_apart(self, e1):
+        ctx = AutoformContext(e1, char_levels=(1, 2))
+        rho, sigma = primitive_orbits(e1, 1)[1:3]
+        differ = 0
+        for x in e1.closed_points(2):
+            for k in (1, 2):
+                p_rho = _power_sum_plain(ctx, rho, x, k)
+                p_sigma = _power_sum_plain(ctx, sigma, x, k)
+                fresh = AutoformContext(e1, char_levels=(1, 2))
+                assert p_sigma == _power_sum_plain(fresh, sigma, x, k)
+                assert _power_sum_plain(ctx, rho, x, k) == p_rho
+                assert _power_sum_plain(ctx, rho, x, k, conjugate=True) == p_rho.conjugate()
+                differ += p_rho != p_sigma
+        assert differ
+
     def test_character_l_function(self, e1):
         for chi in all_characters(e1, 1):
             if chi.is_trivial():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import subprocess
 import sys
@@ -64,6 +65,11 @@ def character_ring(curve, max_level):
     return get_curve_ring(curve.q, m, curve.trace)
 
 
+def character_value(chi, P, ring):
+    """chi(P) as one root of unity of the ring."""
+    return ring.zeta(chi.curve.picard(chi.level).exponent, chi.value_exponent(P))
+
+
 @pytest.fixture(scope="module")
 def e1():
     return CurveData(2, a3=1)
@@ -118,6 +124,24 @@ def test_points_are_the_solution_set(mixed, n):
         assert len(set(pts)) == len(pts)
         assert set(pts) == {None} | {(x, y) for x in f for y in f
                                      if on_curve(curve, n, (x, y))}
+
+
+# SHA-256 of the point lists of levels 1..6, order included, as the
+# general formulas give them (in odd characteristic y = h +- z with
+# h = -(a1 x + a3)/2, which is identically zero on the q = 5 curve)
+POINT_LIST_DIGESTS = {
+    (2, (0, 0, 1, 0, 0)): "1a85a274cab01f6ecfe096f9e52a313635ea3f8d77f3fa7761ee93d87aa19608",
+    (5, (0, 0, 0, 1, 1)): "724218b2651266f82d8768f1dd479c132b93acc9a88396fc9aff361a8e0d3ce4",
+}
+
+
+def test_point_lists_are_pinned_in_order(e1, e2):
+    for curve in (e1, e2):
+        digest = hashlib.sha256()
+        for n in range(1, 7):
+            digest.update(repr([None if P is None else (P[0].coeffs, P[1].coeffs)
+                                for P in curve.points(n)]).encode())
+        assert digest.hexdigest() == POINT_LIST_DIGESTS[curve.q, curve.a_ints]
 
 
 def test_budget_guard():
@@ -289,7 +313,7 @@ class TestCharacters:
             for chi in all_characters(e1, n):
                 total = ring.zero
                 for P in e1.points(n):
-                    total = total + chi.eval(P, ring)
+                    total = total + character_value(chi, P, ring)
                 if chi.is_trivial():
                     assert total == ring.from_int(e1.count_points(n))
                 else:
@@ -324,6 +348,19 @@ class TestCharacters:
         triv = CharacterOrbit(Character(e1, 2, (0, 0)))
         for x in e1.closed_points(3):
             assert triv.tilde_eval(x, ring) == ring.one
+
+    def test_tilde_eval_is_the_mean_of_character_values(self, e1):
+        # the sum of roots of unity from exponent counts against the
+        # running sum of the values, one at a time
+        ring = character_ring(e1, 3)
+        for n in (1, 2, 3):
+            for orbit in character_orbits(e1, n):
+                for x in e1.closed_points(3):
+                    pts = e1.points_above(x, n)
+                    total = ring.zero
+                    for P in pts:
+                        total = total + character_value(orbit.rep, P, ring)
+                    assert orbit.tilde_eval(x, ring) == total * Fraction(1, len(pts))
 
     def test_tilde_eval_representative_independent(self, e1):
         ring = character_ring(e1, 2)

@@ -241,3 +241,68 @@ def test_sqrt_q_in_the_field_is_a_zero_divisor():
     with pytest.raises(ZeroDivisionError,
                        match=re.escape("zero divisor: sqrt(q) lies in Q(zeta_M)")):
         x.inverse()
+
+
+# -- sums of roots of unity and rational factors --------------------------------
+
+
+SUM_RINGS = [get_curve_ring(2, m) for m in (1, 2, 3, 4, 6, 9, 12)]
+
+
+@pytest.mark.parametrize("ring", SUM_RINGS, ids=lambda r: f"M{r.m}")
+@given(exps=st.lists(st.integers(-40, 40), max_size=12))
+def test_zeta_sum_is_the_running_sum(ring, exps):
+    for order in (k for k in range(1, ring.m + 1) if ring.m % k == 0):
+        for es in (exps, [], [order, -order, 2 * order + 1, -1]):
+            want = ring.zero
+            for e in es:
+                want = want + ring.zeta(order, e)
+            got = ring.zeta_sum(order, es)
+            check_canonical(got)
+            assert got == want
+
+
+@pytest.mark.parametrize("ring", SUM_RINGS, ids=lambda r: f"M{r.m}")
+def test_zeta_sum_needs_order_dividing_m(ring):
+    for order in (0, -1, 5, 8, ring.m + 1):
+        if order > 0 and ring.m % order == 0:
+            continue
+        with pytest.raises(ValueError, match="not available"):
+            ring.zeta_sum(order, [0, 1])
+        with pytest.raises(ValueError, match="not available"):
+            ring.zeta(order)
+
+
+def scaled_oracle(x, c):
+    """x c for a rational c, by ``_cyc_mul`` on the coordinate vectors of c
+    as a constant of the ring."""
+    ring, c = x.ring, Fraction(c)
+    vec = (c.numerator,) + (0,) * (ring.degree - 1)
+    return (tuple(Fraction(v, x.d * c.denominator) for v in ring._cyc_mul(x.a, vec)),
+            tuple(Fraction(v, x.d * c.denominator) for v in ring._cyc_mul(x.b, vec)))
+
+
+@given(rings_and_scalars(1), st.integers(-12, 12),
+       st.fractions(min_value=-6, max_value=6, max_denominator=12))
+def test_rational_factors_scale_coordinates(args, k, c):
+    ring, x = args
+    # common factors on both sides: 6 x / 4 against 3/2, 2 against x / 2
+    for y in (x, x * 6 / ring.from_int(4), x / ring.from_int(2), -x, ring.zero):
+        for r in (k, c, 2, -3, Fraction(3, 2), Fraction(-4, 6), 0):
+            rs = ring.from_fraction(r)
+            want = scaled_oracle(y, r)
+            for z in (y * r, r * y, y * rs, rs * y):
+                check_canonical(z)
+                assert coords(z) == want
+
+
+@given(st.sampled_from(sorted(RINGS)),
+       st.fractions(min_value=-20, max_value=20, max_denominator=30),
+       st.fractions(min_value=-20, max_value=20, max_denominator=30))
+def test_rational_products_hash_as_their_fraction(name, c, e):
+    ring = RINGS[name]
+    x = ring.from_fraction(c)
+    for z, want in ((x * e, c * e), (e * x, c * e), (x * ring.from_fraction(e), c * e),
+                    (x * e.numerator, c * e.numerator)):
+        check_canonical(z)
+        assert z == want and hash(z) == hash(want)

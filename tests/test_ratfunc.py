@@ -727,6 +727,18 @@ class TestPackedQuotient:
         assert 5 * 5 > ratfunc._KRONECKER_MAX_FILL * len(a) * len(b)
         assert same_quotient(a, b) == {(2, 2): 3, (8, 2): 1, (2, 8): 1}
 
+    def test_quotient_larger_than_the_dividend(self):
+        # y kappa has coefficients of at most 62 and packs in one-byte
+        # slots, where y's 68 breaks the carry bound 68 * 1 * 2 < 2^7; the
+        # quotient is divided again in two-byte slots
+        y = {(k, k): c for k, c in enumerate((6, 34, 68, 56, 16))}
+        b = {(1, 1): 1, (-1, -1): -1}
+        a = bmul(y, b)
+        assert max(map(abs, a.values())) == 62
+        with mock.patch.object(ratfunc, "_bdivexact_heap",
+                               side_effect=AssertionError("heap loop")):
+            assert ratfunc._packed_quotient(a, b) == y
+
     def test_64_bit_coefficients_take_the_heap_loop(self):
         q = {(k, j): 2 ** 62 + k for k in range(6) for j in range(3)}
         b = {(0, 0): 3, (1, 1): -5}
@@ -735,14 +747,14 @@ class TestPackedQuotient:
     def test_quotient_wider_than_its_slots(self):
         # a = (1 - s^101)^2 (1 + ... + s^149) has coefficients of at most 2,
         # so with b = (1 - s)^2 it packs in one-byte slots; the quotient
-        # (1 + ... + s^100)^2 (1 + ... + s^149) does not fit them, and its
-        # digits are rejected
+        # (1 + ... + s^100)^2 (1 + ... + s^149) does not fit them, its
+        # digits there are rejected, and it is divided again in wider slots
         ones = {(k, 0): 1 for k in range(101)}
         q = bmul(bmul(ones, ones), {(k, 0): 1 for k in range(150)})
         b = {(0, 0): 1, (1, 0): -2, (2, 0): 1}
         a = bmul(q, b)
         assert max(map(abs, a.values())) == 2 and max(q.values()) > 127
-        assert same_quotient(a, b) is None
+        assert same_quotient(a, b) == q
 
     @pytest.mark.parametrize("a, b", [
         # b's sb-range is wider than a's: packing b on a's frame would
