@@ -189,17 +189,25 @@ def global_coproduct(A: GlobalTorsionElement) -> dict:
 
 
 def global_green_pair(A: GlobalTorsionElement, B: GlobalTorsionElement):
-    """Hermitian pairing: diagonal in the monomial basis, 1/#Aut weights."""
+    """Hermitian pairing: diagonal in the monomial basis, 1/#Aut weights.
+
+    Each distinct coefficient of B is conjugated once, keyed by its
+    coordinates (all of them lie in the context's ring)."""
     ctx = A.owner
     total = ctx.ring.zero
+    conjugates = {}
     for mono, c in A.terms.items():
         d = B.terms.get(mono)
         if d is None:
             continue
+        key = (d.a, d.b, d.d)
+        d_bar = conjugates.get(key)
+        if d_bar is None:
+            d_bar = conjugates[key] = d.conjugate()
         w = Fraction(1)
         for (deg, _idx), lam in mono:
             w /= aut_count(lam, ctx.curve.q ** deg)
-        total = total + c * d.conjugate() * w
+        total = total + c * d_bar * w
     return total
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import mul
 
 
 def cyclotomic_polynomial(m: int) -> list[int]:
@@ -157,6 +158,16 @@ class CurveRing:
             raise ValueError("i must be >= 1")
         n_points = self.point_count(i)
         return self.nu_integer(i) * self.nu ** i * Fraction(n_points, i)
+
+    def sum_of_products(self, pairs, negated=(), times=mul) -> "CurveScalar":
+        """The sum of a b over the pairs (a, b) of pairs, minus that over
+        negated: each product through times, added one by one."""
+        total = self.zero
+        for a, b in pairs:
+            total = total + times(a, b)
+        for a, b in negated:
+            total = total - times(a, b)
+        return total
 
     # -- constructors ---------------------------------------------------
 

@@ -41,11 +41,18 @@ k = delta(x + y), delta(y) and its sign, so one scaled series
 +-theta_{k (1,0)} c_{n delta(y)} / kappa is kept per (k, delta(y), sign),
 and its relabelling onto the ray of x + y per (x + y, delta(y), sign):
 values are stored with their sign, so no lookup negates an element.
-The coefficient products of the rewrite go through ``_times``, which keys a
-product by the values of its operands and stores it the second time the
-pair is seen: a pair seen once leaves only its hash in a set.  A hash
-collision there can only store a product early, and lookups compare whole
-keys, so the table is exact.
+Each path's coefficient is summed once.  ``multiply``, ``_bracket`` and the
+word rewrite (``_accumulate_word``) collect, per canonical path, the pairs
+(c, cc) whose products c cc add up to its coefficient, and hand each path's
+pairs to the ring's ``sum_of_products`` in one call: over the formal backend
+that is one packed multiply-accumulate (see ``ratfunc``), over the curve
+backend the plain sum of products.  A path reached once with a coefficient
+that needs no product (c or cc the ring's one) takes it at once, and a
+word of two letters, swapped at most once, adds its products at once.  The
+products formed outside the kernel (the rewrite's running coefficients, a
+path's lone pair, and sums too small to pack) go through ``_times``, which
+keys a product by the values of its operands and stores it at its first
+sighting; a product by the ring's one is never stored.
 Relation (2) and the splits divide by c_{n delta(y)} and kappa, element by
 element; over the formal backend these are exact divisions, which raise
 ArithmeticError where a wrong constant leaves a remainder.
@@ -110,7 +117,6 @@ class EllipticHallAlgebra:
         self._pair_cache: dict[tuple, dict] = {}
         self._split_cache: dict[tuple, tuple] = {}
         self._products: dict[tuple, object] = {}
-        self._seen_once: set[int] = set()
 
     # -- scalars --------------------------------------------------------
 
@@ -122,8 +128,8 @@ class EllipticHallAlgebra:
         return v
 
     def _times(self, a, b):
-        """a b, kept in ``_products`` from the second sighting of the pair
-        (a, b) on; a pair seen once leaves its hash in ``_seen_once``."""
+        """a b, kept in ``_products`` by the values of the pair (a, b) from
+        its first sighting on; a product by the ring's one is never kept."""
         one = self.ring.one
         if a is one:
             return b
@@ -132,13 +138,19 @@ class EllipticHallAlgebra:
         key = (a, b)
         v = self._products.get(key)
         if v is None:
-            v = a * b
-            h = hash(key)
-            if h in self._seen_once:
-                self._products[key] = v
-            else:
-                self._seen_once.add(h)
+            v = self._products[key] = a * b
         return v
+
+    def _finish(self, done, sums):
+        """done with the paths of sums added: a path's pairs (c, cc) summed
+        once, a lone pair through ``_times``, and zero sums dropped."""
+        if sums:
+            times, dot = self._times, self.ring.sum_of_products
+            for p, pairs in sums.items():
+                v = times(*pairs[0]) if len(pairs) == 1 else dot(pairs, (), times)
+                if v:
+                    done[p] = v
+        return done
 
     # -- basic elements ---------------------------------------------------
 
@@ -150,9 +162,8 @@ class EllipticHallAlgebra:
 
     def from_word(self, word) -> "AlgebraElement":
         """Straighten a single product of generators."""
-        out = {}
-        self._accumulate_word(tuple(tuple(v) for v in word), self.ring.one, out)
-        return AlgebraElement(self, out)
+        return AlgebraElement(self, self._accumulate_word(
+            tuple(tuple(v) for v in word), self.ring.one, {}))
 
     # -- theta series -----------------------------------------------------
 
@@ -312,7 +323,20 @@ class EllipticHallAlgebra:
         return res
 
     def _bracket(self, A: "AlgebraElement", B: "AlgebraElement") -> "AlgebraElement":
-        return A * B - B * A
+        """A B - B A, with the products of both sides summed once per path."""
+        one = self.ring.one
+        sides = []
+        for X, Y in ((A, B), (B, A)):
+            done, sums = self._collect(X, Y)
+            for p, v in done.items():
+                sums[p] = [(v, one)]
+            sides.append(sums)
+        plus, minus = sides
+        times, dot = self._times, self.ring.sum_of_products
+        out = {p: dot(pairs, minus.pop(p, ()), times) for p, pairs in plus.items()}
+        for p, pairs in minus.items():
+            out[p] = dot((), pairs, times)
+        return AlgebraElement(self, out)
 
     def _splits(self, z):
         """All interior-free decompositions z = x + y with det(x, z) > 0 and
@@ -355,15 +379,42 @@ class EllipticHallAlgebra:
     # -- straightening ------------------------------------------------------
 
     def _accumulate_word(self, word, coeff, out):
-        stack = [(word, coeff)]
+        """out with coeff times the normal form of word added: out, or a
+        new dict in its place when out is empty.
+
+        A stack entry (w, c, cc) stands for c cc times w: the product is
+        formed only where w is rewritten further.  A canonical path reached
+        once without a product to form takes its value at once; one reached
+        again, or with a product, collects its pairs (c, cc), summed once at
+        the end.  A word of two letters is swapped at most once, so each of
+        its paths gets one product, added at once."""
+        if coeff.is_zero():
+            return out
+        if len(word) == 2:
+            a, b = word
+            if angle_key(a) < angle_key(b):
+                for path, cc in self.commutator(a, b).terms.items():
+                    v = self._times(coeff, cc)
+                    if not v.is_zero():
+                        out[path] = out[path] + v if path in out else v
+                a, b = b, a
+            p = ((a, b) if a[0] * b[1] != a[1] * b[0] or abs(a[0]) + abs(a[1]) >= abs(b[0]) + abs(b[1])
+                 else canonical_path((a, b)))
+            v = out[p] + coeff if p in out else coeff
+            if v:
+                out[p] = v
+            else:
+                del out[p]
+            return out
+        one = self.ring.one
+        stack = [(word, coeff, one)]
+        done, sums = {}, {}
         guard = 0
         while stack:
             guard += 1
             if guard > _WORD_GUARD:
                 raise StraighteningError("word rewrite budget exceeded")
-            w, c = stack.pop()
-            if c.is_zero():
-                continue
+            w, c, cc = stack.pop()
             idx = -1
             runs_sorted = True  # parallel neighbours by decreasing length
             for i in range(len(w) - 1):
@@ -377,53 +428,69 @@ class EllipticHallAlgebra:
             if idx < 0:
                 # an angle-ordered word with sorted runs is its canonical path
                 p = w if runs_sorted and len(w) > 1 else canonical_path(w)
-                if p in out:
-                    out[p] = out[p] + c
+                pairs = sums.get(p)
+                if pairs is not None:
+                    pairs.append((c, cc))
+                elif p in done:
+                    sums[p] = [(done.pop(p), one), (c, cc)]
+                elif cc is one:
+                    done[p] = c
+                elif c is one:
+                    done[p] = cc
                 else:
-                    out[p] = c
+                    sums[p] = [(c, cc)]
                 continue
+            if cc is not one:
+                c = self._times(c, cc)
+                if c.is_zero():
+                    continue
             a, b = w[idx], w[idx + 1]
             head, tail = w[:idx], w[idx + 2:]
-            stack.append((head + (b, a) + tail, c))
-            comm = self.commutator(a, b).terms
-            if len(w) == 2:
-                # the commutator's paths are canonical: add them in place
-                for path, cc in comm.items():
-                    v = self._times(c, cc)
-                    if v.is_zero():
-                        continue
-                    out[path] = out[path] + v if path in out else v
-                continue
-            for path, cc in comm.items():
-                stack.append((head + path + tail, self._times(c, cc)))
+            stack.append((head + (b, a) + tail, c, one))
+            for path, k in self.commutator(a, b).terms.items():
+                stack.append((head + path + tail, c, k))
+        if not out:
+            return self._finish(done, sums)
+        for p, v in self._finish(done, sums).items():
+            out[p] = out[p] + v if p in out else v
         return out
 
-    def _reduce_pair(self, p1, p2) -> dict:
-        key = (p1, p2)
-        cached = self._pair_cache.get(key)
-        if cached is None:
-            cached = {}
-            self._accumulate_word(p1 + p2, self.ring.one, cached)
-            cached = {p: c for p, c in cached.items() if not c.is_zero()}
-            self._pair_cache[key] = cached
-        return cached
+    def _collect(self, A, B):
+        """(done, sums): the coefficients of the paths of A B, collected as
+        ``_accumulate_word`` collects its leaves.  A path reached once
+        without a product to form has its value in done, any other path its
+        pairs (c, cc) in sums; cc is read from the normal form of the pair
+        of paths, kept in ``_pair_cache``."""
+        one, times = self.ring.one, self._times
+        pair_cache = self._pair_cache
+        done, sums = {}, {}
+        for p1, c1 in A.terms.items():
+            for p2, c2 in B.terms.items():
+                c = c2 if c1 is one else c1 if c2 is one else times(c1, c2)
+                if c.is_zero():
+                    continue
+                reduced = pair_cache.get((p1, p2))
+                if reduced is None:
+                    reduced = pair_cache[p1, p2] = self._accumulate_word(p1 + p2, one, {})
+                for path, cc in reduced.items():
+                    pairs = sums.get(path)
+                    if pairs is not None:
+                        pairs.append((c, cc))
+                    elif path in done:
+                        sums[path] = [(done.pop(path), one), (c, cc)]
+                    elif c is one:
+                        done[path] = cc
+                    elif cc is one:
+                        done[path] = c
+                    else:
+                        sums[path] = [(c, cc)]
+        return done, sums
 
     def multiply(self, A: "AlgebraElement", B: "AlgebraElement") -> "AlgebraElement":
         if A.owner is not B.owner:
             raise ValueError("elements of different algebras")
-        out = {}
-        for p1, c1 in A.terms.items():
-            for p2, c2 in B.terms.items():
-                c = self._times(c1, c2)
-                if c.is_zero():
-                    continue
-                for path, cc in self._reduce_pair(p1, p2).items():
-                    v = self._times(c, cc)
-                    if path in out:
-                        out[path] = out[path] + v
-                    else:
-                        out[path] = v
-        return AlgebraElement(self, out)
+        done, sums = self._collect(A, B)
+        return AlgebraElement(self, self._finish(done, sums) if sums else done)
 
     # -- SL_2(Z) action ----------------------------------------------------
 
@@ -440,7 +507,7 @@ class EllipticHallAlgebra:
                 # whose image is in angle order maps to a canonical path
                 out[w] = out[w] + c if w in out else c
             else:
-                self._accumulate_word(w, c, out)
+                out = self._accumulate_word(w, c, out)
         return AlgebraElement(self, out)
 
     # -- relation verification ----------------------------------------------

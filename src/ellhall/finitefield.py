@@ -14,7 +14,9 @@ reads its coordinates as base-p digits, c_0 most significant, and
 ``element`` looks coordinates up by that index.  The power table walks
 indices: x -> x g is F_p-linear, so the next index is read from tables of
 the images of the high and the low half of the digits, and the Zech
-table is index arithmetic on the top digit.  Every field, prime or not,
+table is index arithmetic on the top digit.  The walk keeps the index of
+each power, so a square root, of the two +-z, takes the one of least index
+by comparing two integers.  Every field, prime or not,
 takes this one path; it costs O(p^n) memory per field built, the same
 order as enumerating the field once.  Since each value of each field is
 one object, equality and hash of elements are identity.
@@ -174,14 +176,14 @@ class FiniteField:
                           for coeffs in product(range(p), repeat=n)]
         self.zero = self._elements[0]
         self.one = self.element([1])
-        self.exp, self.zech = self._log_tables()
+        self.exp, self.zech, self._exp_index = self._log_tables()
         # log(-1): g^(units/2) for odd p, and -1 = 1 for p = 2
         self.neg_log = self.units // 2 if p % 2 else 0
         self._embeddings: dict[tuple[int, int], dict] = {}
 
-    def _log_tables(self) -> tuple[list, list]:
-        """(exp, zech) for the first primitive element g; sets each
-        element's log.
+    def _log_tables(self) -> tuple[list, list, memoryview]:
+        """(exp, zech, index) for the first primitive element g, index[k]
+        the index of exp[k]; sets each element's log.
 
         x -> x g is F_p-linear, so the image of x is the image of the high
         digits of its index plus that of the low digits.  Both images are tabulated per half as digit vectors packed
@@ -237,6 +239,7 @@ class FiniteField:
         elements = self._elements
         exp = []
         zech = []
+        index = memoryview(bytearray(4 * m)).cast("I")
         hi, lo = divmod(top, scale)
         for k in range(m):
             i = hi * scale + lo
@@ -245,13 +248,14 @@ class FiniteField:
                 raise ArithmeticError(f"g^{k} repeats g^{e.log}: g is not primitive")
             e.log = k
             exp.append(e)
+            index[k] = i
             zech.append(elements[i + top if i < wrap else i - wrap])
             word = img_hi[hi] + img_lo[lo]
             hi = red_hi[word >> shift]
             lo = red_lo[word & mask]
         for k, e in enumerate(zech):
             zech[k] = e.log
-        return exp, zech
+        return exp, zech, index
 
     def element(self, coeffs) -> "FFElement":
         """The element with these coordinates, low to high, found by its
@@ -270,8 +274,9 @@ class FiniteField:
     def sqrt(self, a: "FFElement"):
         """A square root of a, or None for a non-square.
 
-        Of the two roots +-z the one first in iteration order; for p = 2 the
-        root is unique (the unit group has odd order, so every log halves).
+        Of the two roots +-z the one first in iteration order, that is of
+        least index; for p = 2 the root is unique (the unit group has odd
+        order, so every log halves, and -z = z).
         """
         k = a.log
         if k is None:
@@ -280,9 +285,10 @@ class FiniteField:
             if self.p != 2:
                 return None
             k += self.units
-        z = self.exp[k // 2]
-        w = -z
-        return z if z.coeffs <= w.coeffs else w
+        k //= 2
+        j = (k + self.neg_log) % self.units  # the log of -z
+        index = self._exp_index
+        return self.exp[k if index[k] <= index[j] else j]
 
     def embedding_from(self, sub: "FiniteField") -> dict:
         """Field embedding as a dict {subfield element: image here}."""

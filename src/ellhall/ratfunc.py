@@ -65,7 +65,34 @@ Products on one frame share its monomials.  The frame of a packed value is
 (i0, j0, gi, gj, rows, width): its least exponents, its steps and its shape.
 ``_frame`` builds the tuple of its slots' monomials once, and every product
 on that frame is read off it, so the result dicts share their key tuples;
-``_bias`` is kept per (w, n) the same way.
+``_bias`` is kept per (w, n) the same way.  A ``FormalScalar`` computes the
+summary of its numerator once and keeps it (``_summary``): its least and
+largest exponents of s and of sb, its steps and its largest |coefficient|,
+which ``_kronecker`` and the sum kernel below read.
+
+A sum of products is one multiply-accumulate (``_packed_sum``, through
+``FormalRing.sum_of_products``): sum_k +-a_k b_k becomes one value without
+forming any a_k b_k.  All terms go over one denominator L, the lcm of the
+den a_k den b_k, the k-th product scaled by m_k = L / (den a_k den b_k).
+One frame holds every product: its least exponents are the least over all
+products, its steps the gcd of every operand's steps and of each product's
+least exponents less the frame's, and its width and rows cover every
+product's box.  Each product is packed as in ``_kronecker``, each operand
+from its own least exponents but on the frame's width (a one-term a_k is just
+its coefficient), and the integer product is shifted left by the slots from
+the frame's least exponents to the product's: each term of a_k b_k then sits
+at its slot of the frame, since its compressed sb-exponent stays below the
+width and no term crosses into the next row.  The integers, each times
++-m_k, are added, and the total is read back and brought to lowest terms once
+(``_reduced``).  The sum is
+exact: packing is linear, so the total is the packed numerator N of the sum
+over L, and each coefficient of N is at most
+B = sum_k m_k max|a_k| max|b_k| min(len a_k, len b_k) in absolute value; the
+slot width w is the least with B < 2^(8w-1), so the biased digits of the
+total carry across no slot and N reads back as for one product.  At a B of
+2^63 or more, on a frame of more than ``_KRONECKER_MAX_FILL`` slots per term
+pair, and below ``_KRONECKER_MIN_PAIRS`` term pairs in all, each product and
+sum is formed on its own instead.
 
 Exact division (``bdivexact``) packs a and b on the frame of a, W one more
 than a's largest compressed sb-exponent, divides the two integers once and
@@ -94,17 +121,19 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import compress, product
-from math import gcd
-from operator import itemgetter
+from math import gcd, lcm
+from operator import itemgetter, mul
 
 _ONE_POLY = {(0, 0): 1}
 
 
-def bmul(a, b):
+def bmul(a, b, sa=None, sb=None):
+    """a b; sa and sb are the ``_summary`` of a and b where the caller
+    keeps them."""
     if len(a) > len(b):
-        a, b = b, a
+        a, b, sa, sb = b, a, sb, sa
     if len(a) * len(b) >= _KRONECKER_MIN_PAIRS:
-        r = _kronecker(a, b)
+        r = _kronecker(a, b, sa, sb)
         if r is not None:
             return r
     return _bmul_dict(a, b)
@@ -140,7 +169,10 @@ def _bmul_dict(a, b):
 # 128-144 and 144-160 term pairs (12-27% less in another run), and 12% more
 # at 64-96; on relation-sweep (BENCH_15_bmul_sweep.json) it takes 0-22% less
 # from 96 to 160, less still above, and 27% more at 64-96.  The kernel that built each product's
-# monomials afresh lost below 160 (BENCH_7_bmul.json, BENCH_9_bmul.json).
+# monomials afresh lost below 160 (BENCH_7_bmul.json, BENCH_9_bmul.json).  The same
+# threshold sends a sum of products to _packed_sum, by its term pairs in all: replayed
+# (BENCH_18_bmul.json, assoc-triples), packed sums take 46% more time than products and
+# sums one by one at 64-96 and 8-50% less from 96 on.
 _KRONECKER_MIN_PAIRS = 96
 
 # Slots per term pair above which a product stays on the dict loop: a slot
@@ -154,28 +186,37 @@ _KRONECKER_MAX_FILL = 2
 _SLOT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
-def _kronecker(a, b):
+def _kronecker(a, b, sa=None, sb=None):
     """a b by Kronecker substitution, with len(a) <= len(b), or None when a
     coefficient could need 64 bits or the packed form would be too sparse.
+    sa and sb are the ``_summary`` of a and b, computed when not given.
 
     See the module docstring for the packing and why the result is exact.
     """
-    w = _slot_width(max(map(abs, a.values())) * max(map(abs, b.values())) * len(a))
+    ia0, ia1, ja0, ja1, gia, gja, ma = sa or _summary(a)
+    ib0, ib1, jb0, jb1, gib, gjb, mb = sb or _summary(b)
+    w = _slot_width(ma * mb * len(a))
     if w is None:
         return None
-    ia, ja = zip(*a)
-    ib, jb = zip(*b)
-    ia0, ja0, ib0, jb0 = min(ia), min(ja), min(ib), min(jb)
-    gi = gcd(*[i - ia0 for i in set(ia)], *[i - ib0 for i in set(ib)]) or 1
-    gj = gcd(*[j - ja0 for j in set(ja)], *[j - jb0 for j in set(jb)]) or 1
-    width = (max(ja) - ja0 + max(jb) - jb0) // gj + 1
-    ra, rb = (max(ia) - ia0) // gi + 1, (max(ib) - ib0) // gi + 1
+    gi, gj = gcd(gia, gib) or 1, gcd(gja, gjb) or 1
+    width = (ja1 - ja0 + jb1 - jb0) // gj + 1
+    ra, rb = (ia1 - ia0) // gi + 1, (ib1 - ib0) // gi + 1
     rows = ra + rb - 1
     if rows * width > _KRONECKER_MAX_FILL * len(a) * len(b):
         return None
     c = (_pack(a, ia0, ja0, gi, gj, width, ra * width, w)
          * _pack(b, ib0, jb0, gi, gj, width, rb * width, w))
     return _unpack(c, _frame(ia0 + ib0, ja0 + jb0, gi, gj, rows, width), w)
+
+
+def _summary(a):
+    """(i0, i1, j0, j1, gi, gj, m) of a nonzero a: the least and largest
+    exponents of s and of sb, the gcd of the offsets of the exponents of each
+    variable from their least value (0 for a single value), and max|coefficient|."""
+    ia, ja = zip(*a)
+    i0, j0 = min(ia), min(ja)
+    return (i0, max(ia), j0, max(ja), gcd(*[i - i0 for i in set(ia)]),
+            gcd(*[j - j0 for j in set(ja)]), max(map(abs, a.values())))
 
 
 def _slot_width(bound):
@@ -207,8 +248,8 @@ def _bias(w, n):
 
 
 def _pack(a, i0, j0, gi, gj, width, n, w):
-    """The integer a(X^width, X) in the compressed exponents, X = 2^8w, as n
-    slots of w bytes."""
+    """The integer a(X^width, X) in the compressed exponents, X = 2^8w, as
+    n slots of w bytes, slot 0 at s^i0 sb^j0."""
     buf = bytearray(n * w)
     slots = memoryview(buf).cast(_SLOT_FORMATS[w])
     for (i, j), c in a.items():
@@ -272,19 +313,15 @@ def _packed_quotient(a, b):
     The candidate q is read off Q = A // B, A and B the packed a and b on the
     frame of a (see the module docstring for why it is exact).
     """
-    ia, ja = zip(*a)
-    ib, jb = zip(*b)
-    ia0, ja0, ib0, jb0 = min(ia), min(ja), min(ib), min(jb)
-    ia1, ja1, ib1, jb1 = max(ia), max(ja), max(ib), max(jb)
+    ia0, ia1, ja0, ja1, gia, gja, ma = _summary(a)
+    ib0, ib1, jb0, jb1, gib, gjb, mb = _summary(b)
     # q would need a negative exponent, or b's frame overhangs a's
     if ia0 < ib0 or ja0 < jb0 or ia1 - ia0 < ib1 - ib0 or ja1 - ja0 < jb1 - jb0:
         return None
-    gi = gcd(*[i - ia0 for i in set(ia)], *[i - ib0 for i in set(ib)]) or 1
-    gj = gcd(*[j - ja0 for j in set(ja)], *[j - jb0 for j in set(jb)]) or 1
+    gi, gj = gcd(gia, gib) or 1, gcd(gja, gjb) or 1
     width = (ja1 - ja0) // gj + 1
     ra, rb = (ia1 - ia0) // gi + 1, (ib1 - ib0) // gi + 1
-    mb = max(map(abs, b.values()))
-    w = _slot_width(max(map(abs, a.values())) * mb * len(b))
+    w = _slot_width(ma * mb * len(b))
     while w is not None:
         c, r = divmod(_pack(a, ia0, ja0, gi, gj, width, ra * width, w),
                       _pack(b, ib0, jb0, gi, gj, width, rb * width, w))
@@ -343,13 +380,21 @@ def _bdivexact_heap(a, b):
 class FormalScalar:
     """Element num / den of Q[s^+-1, sb^+-1] (see the module docstring)."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den", "_hash", "_shape")
 
     def __init__(self, num, den):
         # num and den must already obey both rules: use FormalRing or _coerce
         self.num = num
         self.den = den
         self._hash = None
+        self._shape = None
+
+    def _summary(self):
+        """The ``_summary`` of a nonzero num, computed once."""
+        shape = self._shape
+        if shape is None:
+            shape = self._shape = _summary(self.num)
+        return shape
 
     # -- predicates ---------------------------------------------------
 
@@ -436,8 +481,12 @@ class FormalScalar:
             n = _bmul_term(a, b)
         elif len(b) == 1:
             n = _bmul_term(b, a)
-        else:
+        elif len(a) * len(b) < _KRONECKER_MIN_PAIRS:
             n = bmul(a, b)
+        else:
+            # the summaries bound the coefficients before the cancellation
+            # above: a larger bound, so still a safe slot width
+            n = bmul(a, b, self._summary(), other._summary())
         return FormalScalar(n, da * db)
 
     __rmul__ = __mul__
@@ -564,6 +613,67 @@ def _reduced(n, den):
     return FormalScalar(n, den)
 
 
+def _packed_sum(pairs, negated=()):
+    """The sum of a b over the pairs (a, b) of pairs minus that over
+    negated, packed on one frame; None below _KRONECKER_MIN_PAIRS term pairs
+    in all, on a frame of more than _KRONECKER_MAX_FILL slots per term pair,
+    or at a 64-bit bound.
+
+    See the module docstring for the frame and why the sum is exact.
+    """
+    live = []
+    term_pairs = 0
+    for sign, group in ((1, pairs), (-1, negated)):
+        for a, b in group:
+            la, lb = len(a.num), len(b.num)
+            if la and lb:
+                term_pairs += la * lb
+                live.append((a, b, sign) if la <= lb else (b, a, sign))
+    if term_pairs < _KRONECKER_MIN_PAIRS:
+        return None
+    if not live:
+        return _ZERO
+    # each product's exponent box, steps, coefficient bound and den
+    gi = gj = 0
+    i0 = j0 = i1 = j1 = None
+    for k, (a, b, sign) in enumerate(live):
+        sa, sb = a._summary(), b._summary()
+        ia0, ia1, ja0, ja1, gia, gja, ma = sa
+        ib0, ib1, jb0, jb1, gib, gjb, mb = sb
+        pi0, pj0, pi1, pj1 = ia0 + ib0, ja0 + jb0, ia1 + ib1, ja1 + jb1
+        if i0 is None:
+            i0, j0, i1, j1 = pi0, pj0, pi1, pj1
+        else:
+            # the offset of each product's least exponents joins the steps
+            gi, gj = gcd(gi, pi0 - i0), gcd(gj, pj0 - j0)
+            i0, j0, i1, j1 = min(i0, pi0), min(j0, pj0), max(i1, pi1), max(j1, pj1)
+        gi, gj = gcd(gi, gia, gib), gcd(gj, gja, gjb)
+        live[k] = (a, b, sign, sa, sb, a.den * b.den, ma * mb * len(a.num))
+    gi, gj = gi or 1, gj or 1
+    rows, width = (i1 - i0) // gi + 1, (j1 - j0) // gj + 1
+    if rows * width > _KRONECKER_MAX_FILL * term_pairs:
+        return None
+    den = lcm(*[x[5] for x in live])
+    w = _slot_width(sum(abs(den // d) * bound for *_, d, bound in live))
+    if w is None:
+        return None
+    total = 0
+    bits = 8 * w
+    for a, b, sign, sa, sb, d, _ in live:
+        ia0, ia1, ja0 = sa[:3]
+        ib0, ib1, jb0 = sb[:3]
+        # a and b packed from their least exponents: their integer product
+        # is a b packed from s^(ia0 + ib0) sb^(ja0 + jb0), shifted into place
+        shift = ((ia0 + ib0 - i0) // gi * width + (ja0 + jb0 - j0) // gj) * bits
+        if len(a.num) == 1:
+            c = a.num[ia0, ja0]
+        else:
+            c = _pack(a.num, ia0, ja0, gi, gj, width, ((ia1 - ia0) // gi + 1) * width, w)
+        c *= _pack(b.num, ib0, jb0, gi, gj, width, ((ib1 - ib0) // gi + 1) * width, w)
+        total += sign * (den // d) * c << shift
+    return _reduced(_unpack(total, _frame(i0, j0, gi, gj, rows, width), w), den)
+
+
 def _poly_str(a):
     terms = []
     for (i, j) in sorted(a, key=lambda m: (-(m[0] + m[1]), -m[0])):
@@ -618,6 +728,24 @@ class FormalRing:
         self.s = self.monomial(1, 0)
         self.sb = self.monomial(0, 1)
         self.nu = self.monomial(-1, -1)
+
+    @staticmethod
+    def sum_of_products(pairs, negated=(), times=mul):
+        """The sum of a b over the pairs (a, b) of pairs, minus that over
+        negated, as one value: one multiply-accumulate on one frame
+        (``_packed_sum``) when it takes the sum, else each product through
+        times and each sum on its own."""
+        if len(pairs) == 1 and not negated:
+            return times(*pairs[0])
+        r = _packed_sum(pairs, negated)
+        if r is not None:
+            return r
+        r = times(*pairs[0]) if pairs else _ZERO
+        for a, b in pairs[1:]:
+            r = r + times(a, b)
+        for a, b in negated:
+            r = r - times(a, b)
+        return r
 
     @staticmethod
     def monomial(i, j, coef=1):

@@ -11,8 +11,11 @@ where the specialized quantities reduce through sigma*sigma-bar = q and the
 trace recursion t_i = a*t_{i-1} - q*t_{i-2}.
 
 Both rings expose the same protocol: ``zero``, ``one``, the loop weight
-``nu`` and the structure constants ``nu_integer(r)``, ``c_coefficient(i)``
-and ``kappa(n)``.  Both element types support +, -, *, /, ** and
+``nu``, the structure constants ``nu_integer(r)``, ``c_coefficient(i)``
+and ``kappa(n)``, and ``sum_of_products(pairs, negated, times)``, the sum of
+the products a b of pairs less those of negated as one value (one packed
+multiply-accumulate in the formal ring, products through times and sums
+one by one in the curve ring).  Both element types support +, -, *, /, ** and
 multiplication by int or Fraction, and are false exactly when zero.
 
 Every algebra of the package is a free module with a sparse basis over

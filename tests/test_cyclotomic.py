@@ -167,6 +167,16 @@ def test_ring_operations_match_fraction_formulas(args):
             y.inverse()
 
 
+@given(rings_and_scalars(6))
+def test_sum_of_products_is_the_running_sum(args):
+    ring, a, b, c, d, e, f = args
+    got = ring.sum_of_products([(a, b), (c, d)], [(e, f)])
+    check_canonical(got)
+    assert got == a * b + c * d - e * f
+    assert ring.sum_of_products([]) == ring.zero
+    assert ring.sum_of_products([], [(a, b)]) == -(a * b)
+
+
 @pytest.mark.parametrize("u_part", [False, True], ids=["no-u", "with-u"])
 @given(data=st.data())
 def test_products_by_u_part(u_part, data):

@@ -270,21 +270,23 @@ class TestProductTable:
                    [[alg.generator(v) for v in vs] for alg in (warm, fresh)]]
             assert got[0].terms == got[1].terms
 
-    def test_second_sighting_stores(self):
+    def test_first_sighting_stores(self):
         alg = EllipticHallAlgebra(1, FORMAL)
+        assert not hasattr(alg, "_seen_once")
         a, b = FORMAL.s + 1, FORMAL.sb - 2
-        assert alg._times(a, b) == a * b
-        assert not alg._products and len(alg._seen_once) == 1
+        stored = alg._times(a, b)
+        assert stored == a * b
+        assert list(alg._products) == [(a, b)] and alg._products[(a, b)] is stored
         # equal values in new objects are the same key
-        assert alg._times(FORMAL.s + 1, FORMAL.sb - 2) == a * b
-        assert list(alg._products) == [(a, b)]
-        stored = alg._products[(a, b)]
-        assert alg._times(a, b) is stored
-        # the other order is another key, and one is never stored
-        assert alg._times(b, a) == stored
+        assert alg._times(FORMAL.s + 1, FORMAL.sb - 2) is stored
         assert len(alg._products) == 1
+        # the other order is another key
+        other = alg._times(b, a)
+        assert other == stored and other is not stored
+        assert len(alg._products) == 2
+        # a product by one is never stored
         assert alg._times(FORMAL.one, a) is a and alg._times(b, FORMAL.one) is b
-        assert len(alg._seen_once) == 2
+        assert len(alg._products) == 2
 
 
 class TestResolution:

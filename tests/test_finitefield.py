@@ -127,6 +127,19 @@ def test_sqrt_is_first_root_in_iteration_order(field):
         assert squares == (field.size + 1) // 2
 
 
+@pytest.mark.parametrize("pn", [(5, 1), (5, 2), (5, 3), (5, 4), (3, 5)],
+                         ids=lambda pn: f"F{pn[0]}^{pn[1]}")
+def test_sqrt_by_index_equals_coefficient_order(pn):
+    # the root of least index is the root whose coefficient tuple is least
+    field = get_field(*pn)
+    for a in field:
+        k = a.log
+        if k is None or k % 2:
+            continue
+        z = field.exp[k // 2]
+        assert field.sqrt(a) is min(z, -z, key=lambda e: e.coeffs)
+
+
 @pytest.mark.parametrize("pn", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)],
                          ids=lambda pn: f"F{pn[0]**pn[1]}")
 def test_zech_sums_match_coordinates(pn):

@@ -2,7 +2,7 @@
 FormalScalar against the Laurent polynomial over Q it stands for."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -669,6 +669,129 @@ class TestKronecker:
         ids = set(map(id, frame))
         for r in results:
             assert r is not None and set(map(id, r)) <= ids
+
+
+def scalar(num, den=1):
+    """The FormalScalar num / den, built from its required fields."""
+    return ratfunc.FormalScalar(*laurent.fields({m: Fraction(c, den) for m, c in num.items()}))
+
+
+@st.composite
+def scalars(draw, max_terms=10, max_coef=2 ** 12):
+    num = draw(stepped(max_terms=max_terms, max_coef=max_coef))
+    return scalar(num, draw(st.integers(-30, 30).filter(bool)))
+
+
+def running_sum(pairs, negated=()):
+    """The (num, den) of the sum of a b over pairs minus that over negated:
+    each product by the dict loop, added over the common den L."""
+    dens = [a.den * b.den for group in (pairs, negated) for a, b in group]
+    L = lcm(*dens) if dens else 1
+    total = {}
+    for sign, group in ((1, pairs), (-1, negated)):
+        for a, b in group:
+            k = sign * L // (a.den * b.den)
+            for m, c in ratfunc._bmul_dict(a.num, b.num).items():
+                total[m] = total.get(m, 0) + k * c
+    return laurent.fields({m: Fraction(c, L) for m, c in total.items() if c})
+
+
+def same_sum(pairs, negated=()):
+    """The packed sum of the pairs, or None where it declines, after checking
+    it and sum_of_products against the running sum, field for field."""
+    want = running_sum(pairs, negated)
+    with mock.patch.object(ratfunc, "_KRONECKER_MIN_PAIRS", 0):
+        got = ratfunc._packed_sum(pairs, negated)
+    for r in (got, R.sum_of_products(pairs, negated)):
+        if r is not None:
+            assert (r.num, r.den) == want
+            assert all(type(c) is int and c for c in r.num.values())
+    return got
+
+
+class TestPackedSum:
+    """The multiply-accumulate kernel against the running sum of products."""
+
+    @given(st.lists(st.tuples(scalars(), scalars()), max_size=5),
+           st.lists(st.tuples(scalars(), scalars()), max_size=3))
+    def test_equals_running_sum(self, pairs, negated):
+        same_sum(pairs, negated)
+
+    def test_empty(self):
+        assert same_sum([]) is R.zero
+        assert R.sum_of_products([]) == R.zero == R.sum_of_products([], [])
+
+    def test_zero_operands(self):
+        x = scalar({(2 * u, 2 * v): 3 * u - v + 1 for u in range(3) for v in range(3)}, 7)
+        assert same_sum([(R.zero, x), (x, R.zero)]) is R.zero
+        assert (same_sum([(x, x), (R.zero, x)], [(x, R.zero)]).num
+                == (x * x).num)
+
+    def test_negative_and_mixed_denominators(self):
+        a = scalar({(0, 0): 1, (2, 0): 1}, -3)
+        b = scalar({(0, 2): 5, (2, 2): -1}, 2)
+        c = scalar({(-2, 0): 4, (0, -2): 9}, -10)
+        assert a.den < 0 and c.den < 0
+        got = same_sum([(a, b), (c, a)], [(b, c)])
+        assert got == a * b + c * a - b * c
+
+    def test_offsets_and_steps_of_the_frame(self):
+        # in s, least exponents 1, 0 and -4 and steps 2, 3 and 1; in sb,
+        # least exponents 0, 1 and 0 and steps 1, 2 and 2: each product must
+        # land at its own offset on the frame of steps 1
+        a = scalar({(1 + 2 * u, v): u * v - 2 for u in range(3) for v in range(4)})
+        b = scalar({(3 * u, 1 + 2 * v): u + v + 1 for u in range(3) for v in range(4)})
+        c = scalar({(u - 4, 2 * v): 5 - u * v for u in range(3) for v in range(4)})
+        got = same_sum([(a, b), (c, c)], [(b, c)])
+        assert got is not None and got == a * b + c * c - b * c
+
+    def test_offsets_join_the_steps(self):
+        # every operand steps by 2 in s and in sb, but a b starts at odd
+        # exponents and c c at even ones: the frame must step by 1
+        a = scalar({(1 + 2 * u, 2 * v): u + v + 1 for u in range(3) for v in range(3)})
+        b = scalar({(2 * u, 1 + 2 * v): 2 * u - v + 3 for u in range(3) for v in range(3)})
+        c = scalar({(2 * u, 2 * v): 4 - u * v for u in range(3) for v in range(3)})
+        got = same_sum([(a, b), (c, c)])
+        assert got is not None and got == a * b + c * c
+
+    def test_eight_byte_slots(self):
+        # the summed bound is past 2^31 and below 2^63
+        a = scalar({(k, 0): 2 ** 30 - k for k in range(8)})
+        b = scalar({(0, 2 * k): 2 ** 24 + k for k in range(12)})
+        bound = 2 * (2 ** 30) * (2 ** 24 + 11) * 8
+        assert ratfunc._slot_width(bound) == 8
+        assert same_sum([(a, b), (b, a)]) is not None
+
+    def test_bound_past_64_bits_falls_back(self):
+        a = scalar({(k, 0): 2 ** 40 + k for k in range(8)})
+        b = scalar({(0, k): 2 ** 30 - k for k in range(14)})
+        assert same_sum([(a, b), (b, b)]) is None
+
+    def test_sparse_frame_falls_back(self):
+        a = scalar({(1000 * k, 7 * k * k): k + 1 for k in range(12)})
+        b = scalar({(k * k, 999 * k): 2 - k for k in range(12)})
+        assert same_sum([(a, b), (b, b)]) is None
+
+    @given(st.lists(scalars(max_terms=14), min_size=1, max_size=6))
+    def test_right_factors_one(self, xs):
+        got = same_sum([(x, R.one) for x in xs])
+        assert got is None or got == sum(xs[1:], xs[0])
+
+    def test_right_factors_one_on_a_grid(self):
+        xs = [scalar({(2 * u, 2 * v): u - 3 * v + k for u in range(4) for v in range(4)}, k)
+              for k in (1, 2, 3)]
+        assert same_sum([(x, R.one) for x in xs]) == xs[0] + xs[1] + xs[2]
+
+    @pytest.mark.parametrize("total", sorted({ratfunc._KRONECKER_MIN_PAIRS - 1,
+                                              ratfunc._KRONECKER_MIN_PAIRS}))
+    def test_size_threshold(self, total):
+        # below the threshold sum_of_products multiplies and adds instead
+        a = scalar({(2 * k, 0): k + 1 for k in range(total - 1)})
+        x = scalar({(0, 0): 5})
+        with mock.patch.object(ratfunc, "_bmul_term", wraps=ratfunc._bmul_term) as term:
+            got = R.sum_of_products([(a, x), (x, x)])
+        assert got == a * x + x * x
+        assert term.called == (total < ratfunc._KRONECKER_MIN_PAIRS)
 
 
 def same_quotient(a, b):
