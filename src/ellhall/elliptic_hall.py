@@ -29,8 +29,12 @@ then x closest to [o, z]) is chosen once; the PBW basis is unique, so no
 other choice is ever tried.  Every other pair of the orbit is the image
 of the representative: its normal form with each segment relabelled,
 straightened again only where a relabelled path leaves the canonical
-order (a path crossing the cut ray L0).  Likewise the theta series is
-expanded only on the ray of (1, 0), and theta_{k z0} relabels it.
+order (a path crossing the cut ray L0).  Likewise theta is built only on
+the ray of (1, 0), and theta_{k z0} relabels it.  There theta_k / kappa is
+kept per k, from the recurrence of E = exp(F), which satisfies E' = F' E
+because the generators of one ray commute:
+    theta_k / kappa = (1/k) sum_{i=1..k} i t_{(i,0)} theta_{(k-i)(1,0)},
+and theta_k is kappa times it.
 
 Each algebra memoizes, in tables confined to the instance: the theta
 elements per (direction, index), the commutators [t_a, t_b] per ordered
@@ -53,8 +57,10 @@ products formed outside the kernel (the rewrite's running coefficients, a
 path's lone pair, and sums too small to pack) go through ``_times``, which
 keys a product by the values of its operands and stores it at its first
 sighting; a product by the ring's one is never stored.
-Relation (2) and the splits divide by c_{n delta(y)} and kappa, element by
-element; over the formal backend these are exact divisions, which raise
+Relation (2) divides by c_{n delta(y)} and kappa, element by element, once
+per (k, delta(y), sign); a split divides by c_{n delta(y)} only, since its
+theta correction (theta_z - kappa t_z) / kappa is theta_k / kappa relabelled
+less t_z.  Over the formal backend these are exact divisions, which raise
 ArithmeticError where a wrong constant leaves a remainder.
 Elements are immutable values, so share algebras read-mostly or keep one
 per worker.
@@ -67,7 +73,7 @@ from fractions import Fraction
 from .lattice import (angle_key, canonical_path, delta, det, epsilon,
                       interior_points, primitive)
 from .ratfunc import FormalRing
-from .scalars import LinearCombination, TruncatedSeries, series_exp
+from .scalars import LinearCombination
 
 
 class StraighteningError(RuntimeError):
@@ -107,10 +113,11 @@ class EllipticHallAlgebra:
         self.n = n
         self.ring = ring
         self.kappa = ring.kappa(n)
-        self.one = AlgebraElement(self, {(): ring.one})
-        self.zero = AlgebraElement(self, {})
+        self.one = AlgebraElement._of_nonzero(self, {(): ring.one})
+        self.zero = AlgebraElement._of_nonzero(self, {})
         self._c_cache: dict[int, object] = {}
         self._theta_cache: dict[tuple, "AlgebraElement"] = {}
+        self._theta_kappa_cache: dict[int, "AlgebraElement"] = {}
         self._comm_cache: dict[tuple, "AlgebraElement"] = {}
         self._basic_cache: dict[tuple, "AlgebraElement"] = {}
         self._ray_cache: dict[tuple, "AlgebraElement"] = {}
@@ -158,11 +165,12 @@ class EllipticHallAlgebra:
         x = (int(x[0]), int(x[1]))
         if x == (0, 0):
             raise ValueError("no generator at the origin")
-        return AlgebraElement(self, {(x,): self.ring.one})
+        return AlgebraElement._of_nonzero(self, {(x,): self.ring.one})
 
     def from_word(self, word) -> "AlgebraElement":
         """Straighten a single product of generators."""
-        return AlgebraElement(self, self._accumulate_word(
+        # into an empty dict, the rewrite drops each zero where it forms
+        return AlgebraElement._of_nonzero(self, self._accumulate_word(
             tuple(tuple(v) for v in word), self.ring.one, {}))
 
     # -- theta series -----------------------------------------------------
@@ -181,21 +189,34 @@ class EllipticHallAlgebra:
         if k == 0:
             val = self.one
         elif z0 == (1, 0):
-            inner = TruncatedSeries(
-                {i: self.generator((i, 0)).scale(self.kappa) for i in range(1, k + 1)},
-                k, self.one)
-            val = series_exp(inner).coefficient(k)
+            val = self._theta_over_kappa(k).scale(self.kappa)
         else:
             val = self._relabel(self.theta_ray((1, 0), k), z0)
         self._theta_cache[key] = val
+        return val
+
+    def _theta_over_kappa(self, k: int) -> "AlgebraElement":
+        """theta_{k (1,0)} / kappa for k >= 1, by the recurrence of exp:
+
+            theta_k / kappa = (1/k) sum_{i=1..k} i t_{(i,0)} theta_{(k-i)(1,0)}.
+
+        The generators of one ray commute (relation (1)), so E = exp(F)
+        satisfies E' = F' E; its i = k term is t_{(k,0)}."""
+        val = self._theta_kappa_cache.get(k)
+        if val is None:
+            val = self.generator((k, 0))
+            for i in range(1, k):
+                step = self.generator((i, 0)) * self.theta_ray((1, 0), k - i)
+                val = val + step.scale(Fraction(i, k))
+            self._theta_kappa_cache[k] = val
         return val
 
     def _relabel(self, A, z0):
         """A, supported on the ray of (1, 0), with each segment (m, 0) read
         as m z0: a path on one ray stays canonical when relabelled."""
         q, p = z0
-        return AlgebraElement(self, {tuple((m * q, m * p) for m, _ in path): c
-                                     for path, c in A.terms.items()})
+        return AlgebraElement._of_nonzero(
+            self, {tuple((m * q, m * p) for m, _ in path): c for path, c in A.terms.items()})
 
     def theta(self, z) -> "AlgebraElement":
         """theta_z for arbitrary nonzero z (class-z homogeneous)."""
@@ -311,15 +332,21 @@ class EllipticHallAlgebra:
         return -res if flip else res
 
     def _resolve_through(self, z, o, x, y):
-        """[t_z, t_o] via t_z = [t_y, t_x] / c - theta corrections."""
+        """[t_z, t_o] via t_z = [t_y, t_x] / c - theta corrections.
+
+        The correction is (theta_z - kappa t_z) / kappa, read off
+        theta_k / kappa on the ray of z (k = delta(z); zero at k = 1), so
+        no division by kappa is left here."""
         e1 = self.commutator(x, o)
         e2 = self.commutator(y, o)
         term1 = self._bracket(self.generator(y), e1)
         term2 = self._bracket(self.generator(x), e2)
         res = (term1 - term2) / self.c(self.n * delta(y))
-        corr = self.theta(z) - self.generator(z).scale(self.kappa)
-        if corr.terms:
-            res = res - self._bracket(corr, self.generator(o)) / self.kappa
+        k = delta(z)
+        if k > 1:
+            corr = (self._relabel(self._theta_over_kappa(k), (z[0] // k, z[1] // k))
+                    - self.generator(z))
+            res = res - self._bracket(corr, self.generator(o))
         return res
 
     def _bracket(self, A: "AlgebraElement", B: "AlgebraElement") -> "AlgebraElement":
@@ -333,10 +360,14 @@ class EllipticHallAlgebra:
             sides.append(sums)
         plus, minus = sides
         times, dot = self._times, self.ring.sum_of_products
-        out = {p: dot(pairs, minus.pop(p, ()), times) for p, pairs in plus.items()}
+        out = {}
+        for p, pairs in plus.items():
+            if v := dot(pairs, minus.pop(p, ()), times):
+                out[p] = v
         for p, pairs in minus.items():
-            out[p] = dot((), pairs, times)
-        return AlgebraElement(self, out)
+            if v := dot((), pairs, times):
+                out[p] = v
+        return AlgebraElement._of_nonzero(self, out)
 
     def _splits(self, z):
         """All interior-free decompositions z = x + y with det(x, z) > 0 and
@@ -490,7 +521,7 @@ class EllipticHallAlgebra:
         if A.owner is not B.owner:
             raise ValueError("elements of different algebras")
         done, sums = self._collect(A, B)
-        return AlgebraElement(self, self._finish(done, sums) if sums else done)
+        return AlgebraElement._of_nonzero(self, self._finish(done, sums) if sums else done)
 
     # -- SL_2(Z) action ----------------------------------------------------
 
@@ -543,30 +574,44 @@ class EllipticHallAlgebra:
         in the eigenform picture; both identities are homogeneous in those
         slots, so the constant cancels bidegree by bidegree and the bare
         generators t_(1,d) can stand in for the normalized coefficients.
+
+        Each product of two series coefficients is formed once per call, and
+        each path's coefficient of lhs - rhs is one ``sum_of_products``.
         """
         cc = self.chi_coefficients()
         dd = {(j, i): -c for (i, j), c in cc.items()}  # chi_{-n}(z,w) = -chi_n(w,z)
+        dot = self.ring.sum_of_products
+        products = {}
 
-        def u(d):
-            return self.generator((1, d))
+        def factor(kind, d):
+            if kind == "u":
+                return self.generator((1, d))
+            return self.theta_ray((0, 1), d) if d >= 0 else self.zero
 
-        def th(k):
-            if k < 0:
-                return self.zero
-            return self.theta_ray((0, 1), k)
+        def collect(sides, key1, key2, c):
+            """Each path's pairs (c, coefficient of the product) into sides."""
+            prod = products.get((key1, key2))
+            if prod is None:
+                prod = products[key1, key2] = factor(*key1) * factor(*key2)
+            for p, v in prod.terms.items():
+                pairs = sides.get(p)
+                if pairs is None:
+                    sides[p] = [(c, v)]
+                else:
+                    pairs.append((c, v))
 
         rows = []
-        for name, left, alphas in (("T1T1", u, range(-window, window + 1)),
-                                   ("T0T1", th, range(0, window + 1))):
+        for name, kind, alphas in (("T1T1", "u", range(-window, window + 1)),
+                                   ("T0T1", "th", range(0, window + 1))):
             for alpha in alphas:
                 for beta in range(-window, window + 1):
-                    lhs = self.zero
-                    rhs = self.zero
+                    plus, minus = {}, {}
                     for (i, j), c in cc.items():
-                        lhs = lhs + (left(alpha - i) * u(beta - j)).scale(c)
+                        collect(plus, (kind, alpha - i), ("u", beta - j), c)
                     for (i, j), c in dd.items():
-                        rhs = rhs + (u(beta - j) * left(alpha - i)).scale(c)
-                    ok = (lhs - rhs).is_zero()
+                        collect(minus, ("u", beta - j), (kind, alpha - i), c)
+                    ok = (all(not dot(pairs, minus.pop(p, ())) for p, pairs in plus.items())
+                          and all(not dot((), pairs) for pairs in minus.values()))
                     rows.append({"relation": name, "bidegree": (alpha, beta), "ok": ok})
         return rows
 

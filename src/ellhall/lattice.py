@@ -73,13 +73,13 @@ def angle_key(x: Point):
 
 def interior_points_pick(x: Point, y: Point) -> int:
     """Interior lattice points of the triangle (0, x, x+y), via Pick."""
-    d = det(x, y)
-    if d == 0:
+    xq, xp = x
+    yq, yp = y
+    twice_area = abs(xq * yp - xp * yq)
+    if twice_area == 0:
         raise ValueError("degenerate triangle")
-    z = (x[0] + y[0], x[1] + y[1])
-    boundary = delta(x) + delta(y) + delta(z)
+    boundary = gcd(xq, xp) + gcd(yq, yp) + gcd(xq + yq, xp + yp)
     # Pick: I = A - B/2 + 1 with 2A = |det|
-    twice_area = abs(d)
     if (twice_area - boundary) % 2:
         raise IdentityMismatch(f"Pick parity fails for {x}, {y}")
     return (twice_area - boundary + 2) // 2
@@ -88,28 +88,29 @@ def interior_points_pick(x: Point, y: Point) -> int:
 def interior_points_scan(x: Point, y: Point) -> int:
     """Interior points counted column by column, independently of Pick.
 
-    Each column strictly between the extreme abscissae meets the triangle
-    in a segment [lo, hi] whose ends lie on the edges; its open part holds
-    ceil(hi) - floor(lo) - 1 lattice points.
+    With the vertices sorted by abscissa, v0 <= v1 <= v2, each column
+    strictly between q0 and q2 meets the triangle in a segment with one end
+    on the long edge v0 v2 and the other on v0 v1 (up to q1) or on v1 v2
+    (after q1); which end is the upper one is fixed by the side of v1.  The
+    open segment (lo, hi) holds ceil(hi) - floor(lo) - 1 lattice points.
     """
     if det(x, y) == 0:
         raise ValueError("degenerate triangle")
-    z = (x[0] + y[0], x[1] + y[1])
-    edges = [(a, b) if a[0] < b[0] else (b, a)
-             for a, b in (((0, 0), x), (x, z), (z, (0, 0))) if a[0] != b[0]]
+    (q0, p0), (q1, p1), (q2, p2) = sorted(((0, 0), x, (x[0] + y[0], x[1] + y[1])))
+    # the long edge's ordinate at q is p0 + dp (q - q0) / dq, dq > 0
+    dq, dp = q2 - q0, p2 - p0
+    short_on_top = dq * (p1 - p0) > dp * (q1 - q0)
     count = 0
-    for q in range(min(0, x[0], z[0]) + 1, max(0, x[0], z[0])):
-        lo = hi = None
-        for (aq, ap), (bq, bp) in edges:
-            if aq <= q <= bq:
-                # the edge's ordinate at q is num / den, den > 0
-                num, den = ap * (bq - aq) + (bp - ap) * (q - aq), bq - aq
-                f, c = num // den, -(-num // den)
-                if lo is None or f < lo:
-                    lo = f
-                if hi is None or c > hi:
-                    hi = c
-        count += hi - lo - 1
+    for (aq, ap), (bq, bp), columns in (((q0, p0), (q1, p1), range(q0 + 1, min(q1 + 1, q2))),
+                                        ((q1, p1), (q2, p2), range(q1 + 1, q2))):
+        eq, ep = bq - aq, bp - ap
+        for q in columns:
+            long_num = p0 * dq + dp * (q - q0)
+            short_num = ap * eq + ep * (q - aq)
+            if short_on_top:
+                count += -(-short_num // eq) - long_num // dq - 1
+            else:
+                count += -(-long_num // dq) - short_num // eq - 1
     return count
 
 

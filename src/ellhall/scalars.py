@@ -21,9 +21,15 @@ multiplication by int or Fraction, and are false exactly when zero.
 Every algebra of the package is a free module with a sparse basis over
 these rings; :class:`LinearCombination` holds the module structure once
 (with division by a scalar, coefficient by coefficient), and each algebra
-adds only its product.  :class:`TruncatedSeries` keeps power series with
-the same zero rule: construction drops zero coefficients, so an element is
-zero exactly when it has no terms.
+adds only its product.  No element holds a zero coefficient, so an element
+is zero exactly when it has no terms.  Zeros are dropped where they form:
+the constructor scans its terms, a sum or difference checks only the keys
+it touches (a coefficient less the very same object cancels without
+arithmetic), and negation and division by a scalar, which cannot make a
+nonzero coefficient zero, build their results without a scan
+(``_of_nonzero``).  ``scale`` keeps its scan: a curve ring with q a square
+in Q(zeta_M) has zero divisors.  :class:`TruncatedSeries` keeps the same
+rule, with its constructor's scan.
 
 Scalars and elements are immutable values and safe to share across
 threads; ring construction goes through a per-process cache.
@@ -52,6 +58,14 @@ class LinearCombination:
         self.owner = owner
         self.terms = {k: v for k, v in terms.items() if v}
 
+    @classmethod
+    def _of_nonzero(cls, owner, terms: dict):
+        """The element with terms, which hold no zero coefficient: no scan."""
+        self = object.__new__(cls)
+        self.owner = owner
+        self.terms = terms
+        return self
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -59,32 +73,45 @@ class LinearCombination:
         return bool(self.terms)
 
     def scale(self, c):
+        # scanned: a curve ring with q a square has zero divisors
         if not c:
             return type(self)(self.owner, {})
         return type(self)(self.owner, {k: v * c for k, v in self.terms.items()})
 
     def __truediv__(self, c):
         """Each coefficient divided by the scalar c."""
-        return type(self)(self.owner, {k: v / c for k, v in self.terms.items()})
+        return self._of_nonzero(self.owner, {k: v / c for k, v in self.terms.items()})
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         out = dict(self.terms)
         for k, v in other.terms.items():
-            out[k] = out[k] + v if k in out else v
-        return type(self)(self.owner, out)
+            w = out.get(k)
+            if w is None:
+                out[k] = v
+            elif w := w + v:
+                out[k] = w
+            else:
+                del out[k]
+        return self._of_nonzero(self.owner, out)
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         out = dict(self.terms)
         for k, v in other.terms.items():
-            out[k] = out[k] - v if k in out else -v
-        return type(self)(self.owner, out)
+            w = out.get(k)
+            if w is None:
+                out[k] = -v
+            elif w is not v and (w := w - v):
+                out[k] = w
+            else:
+                del out[k]  # w - v is zero; w is v cancels without forming it
+        return self._of_nonzero(self.owner, out)
 
     def __neg__(self):
-        return type(self)(self.owner, {k: -v for k, v in self.terms.items()})
+        return self._of_nonzero(self.owner, {k: -v for k, v in self.terms.items()})
 
     def __rmul__(self, c):
         return self.scale(c)

@@ -33,7 +33,6 @@ from ellhall.cyclotomic import CurveRing, CurveScalar
 from ellhall.elliptic_hall import EllipticHallAlgebra
 from ellhall.finitefield import get_field
 from ellhall.ratfunc import FormalRing
-from ellhall.scalars import TruncatedSeries
 from ellhall.verification import run_verify_all
 
 
@@ -63,9 +62,11 @@ def _double(res):
     return res * 2
 
 
-def _without_top(series):
-    return TruncatedSeries({k: v for k, v in series.terms.items() if k < series.order},
-                           series.order, series.one)
+def _without_top_term(theta_over_kappa):
+    """theta_k / kappa without the i = k term t_{(k,0)} of its recurrence."""
+    def faulty(alg, k):
+        return theta_over_kappa(alg, k) - alg.generator((k, 0))
+    return faulty
 
 
 def _next_orbit(norm_to):
@@ -219,14 +220,13 @@ FAULTS = {
         1, {"straightening-soundness": {"associativity": _ASSOC_1,
                                         "associativity triples": "6"},
             "functional-relations": _QUADRATIC}),
-    # theta_k read from exp(...) computed one order short: theta_k = 0
+    # theta_k one order short: the recurrence of exp without its i = k
+    # term, so theta_1 = 0 and every theta_k with it
     "theta-exp-short": Fault(
-        lambda: _replaced(elliptic_hall, "series_exp",
-                          _when(lambda a: True, _without_top)),
+        lambda: _replaced(EllipticHallAlgebra, "_theta_over_kappa", _without_top_term),
         1, {"straightening-soundness": {
-                "error": "StraighteningError: commutator cycle at ((2, 0), (1, 2))"},
-            "functional-relations": {
-                "error": "StraighteningError: commutator cycle at ((1, 0), (1, 3))"},
+                "error": "StraighteningError: commutator cycle at ((2, 0), (0, 2))"},
+            "functional-relations": _QUADRATIC,
             "step2-cross-identity": {"n=1 d=1": "engine commutator mismatch"}}),
     # #X(F_{q^2}) by enumeration one too many: budget 1 does not count N_2
     "point-count-n2": Fault(

@@ -77,6 +77,40 @@ class TestTheta:
             assert alg2.theta_ray(z0, k) == series_exp(inner).coefficient(k), (z0, k)
 
 
+THETA_BACKENDS = pytest.mark.parametrize("ring", [FORMAL, get_curve_ring(2, 1, 0)],
+                                         ids=["formal", "curve-E1"])
+
+
+class TestThetaRecurrence:
+    @THETA_BACKENDS
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_recurrence_equals_series_exp(self, ring, n):
+        # kappa (theta_k / kappa) against the coefficient of z^k in
+        # exp(kappa sum_i t_(i,0) z^i), over both backends
+        alg = EllipticHallAlgebra(n, ring)
+        for k in range(1, 7):
+            inner = TruncatedSeries(
+                {i: alg.generator((i, 0)).scale(alg.kappa) for i in range(1, k + 1)},
+                k, alg.one)
+            want = series_exp(inner).coefficient(k)
+            assert alg._theta_over_kappa(k).scale(alg.kappa) == want, k
+            assert alg.theta_ray((1, 0), k) == want, k
+
+    @THETA_BACKENDS
+    @pytest.mark.parametrize("z, o", [((2, 0), (1, 1)), ((0, 2), (-1, 1)), ((2, 2), (1, -1)),
+                                      ((-2, 4), (0, 1)), ((3, 0), (1, 2)), ((0, -3), (1, 1))])
+    def test_jacobi_correction_without_kappa(self, ring, z, o):
+        # the correction bracket of a Jacobi step, read off theta_k / kappa,
+        # against (theta_z - kappa t_z) bracketed with t_o and divided by kappa
+        alg = EllipticHallAlgebra(1, ring)
+        k = delta(z)
+        t_o = alg.generator(o)
+        old = alg._bracket(alg.theta(z) - alg.generator(z).scale(alg.kappa), t_o) / alg.kappa
+        corr = alg._relabel(alg._theta_over_kappa(k), (z[0] // k, z[1] // k)) - alg.generator(z)
+        new = alg._bracket(corr, t_o)
+        assert new == old and new
+
+
 class TestBasicCommutators:
     def test_hand_instance_unit_square(self, alg1, alg2):
         for alg in (alg1, alg2):

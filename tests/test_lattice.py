@@ -12,6 +12,7 @@ from paths import enumerate_convex_paths, in_cone, path_class, sl2_apply
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
+BOX_6 = [(q, p) for q in range(-6, 7) for p in range(-6, 7) if (q, p) != (0, 0)]
 points = st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(
     lambda v: v != (0, 0))
 
@@ -67,12 +68,46 @@ def interior_points_walk(x, y):
     return count
 
 
+def interior_points_edge_scan(x, y):
+    """Oracle: the column count with every edge tried at every column.
+
+    Each column strictly between the extreme abscissae meets the triangle
+    in a segment [lo, hi] whose ends lie on the edges; its open part holds
+    ceil(hi) - floor(lo) - 1 lattice points.
+    """
+    z = (x[0] + y[0], x[1] + y[1])
+    edges = [(a, b) if a[0] < b[0] else (b, a)
+             for a, b in (((0, 0), x), (x, z), (z, (0, 0))) if a[0] != b[0]]
+    count = 0
+    for q in range(min(0, x[0], z[0]) + 1, max(0, x[0], z[0])):
+        lo = hi = None
+        for (aq, ap), (bq, bp) in edges:
+            if aq <= q <= bq:
+                # the edge's ordinate at q is num / den, den > 0
+                num, den = ap * (bq - aq) + (bp - ap) * (q - aq), bq - aq
+                f, c = num // den, -(-num // den)
+                if lo is None or f < lo:
+                    lo = f
+                if hi is None or c > hi:
+                    hi = c
+        count += hi - lo - 1
+    return count
+
+
+SMALL_PAIRS = [(x, y) for x in BOX_6 for y in BOX_6 if det(x, y) != 0]
+
+
 def test_column_count_equals_walk():
-    box = [(q, p) for q in range(-6, 7) for p in range(-6, 7) if (q, p) != (0, 0)]
-    pairs = [(x, y) for x in box for y in box if det(x, y) != 0]
-    assert len(pairs) == 27248
-    for x, y in pairs:
+    assert len(SMALL_PAIRS) == 27248
+    for x, y in SMALL_PAIRS:
         assert interior_points_scan(x, y) == interior_points_walk(x, y), (x, y)
+
+
+def test_column_count_equals_edge_scan_and_pick():
+    # every pair of [-6, 6]^4 with det != 0
+    for x, y in SMALL_PAIRS:
+        n = interior_points_edge_scan(x, y)
+        assert interior_points_scan(x, y) == n == interior_points_pick(x, y), (x, y)
 
 
 def test_angle_examples():

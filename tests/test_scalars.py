@@ -11,7 +11,7 @@ from ellhall.cyclotomic import CurveRing, cyclotomic_polynomial, get_curve_ring
 from ellhall.dvr_hall import DvrHallAlgebra, SymmetricFunction, p_monomial
 from ellhall.elliptic_hall import EllipticHallAlgebra
 from ellhall.ratfunc import FORMAL, FormalScalar
-from ellhall.scalars import TruncatedSeries, series_exp
+from ellhall.scalars import LinearCombination, TruncatedSeries, series_exp
 
 R = FORMAL
 evaluate = laurent.evaluate
@@ -301,6 +301,84 @@ def test_negation_is_scale_minus_one(make):
     assert -zero == zero
     for x, y in ((a, b), (b, a), (a, zero), (zero, a), (a, a)):
         assert x - y == x + y.scale(-1)
+
+
+# -- zeros dropped where they form ------------------------------------------------
+
+ZD_RING = get_curve_ring(2, 8)  # sqrt(2) = zeta_8 + zeta_8^7 lies in Q(zeta_8)
+SQRT2 = ZD_RING.zeta(8) + ZD_RING.zeta(8, 7)
+ZD_VALUES = (ZD_RING.one, ZD_RING.u, ZD_RING.u - SQRT2, ZD_RING.u + SQRT2,
+             ZD_RING.zeta(8), ZD_RING.zeta(8, 3) - ZD_RING.u)
+ZERO_RULE_RINGS = {
+    "formal": (R, small_formal(), small_formal()),
+    "curve-q2M8": (ZD_RING,
+                   st.builds(lambda v, k: v * k, st.sampled_from(ZD_VALUES), st.integers(-2, 2)),
+                   st.sampled_from((ZD_RING.u, ZD_RING.zeta(8), ZD_RING.one * 3))),
+}
+
+
+@st.composite
+def _combination_pair(draw, values):
+    """(a, b) on the keys 0..4: b repeats some coefficients of a as the very
+    same objects, so a - b cancels them by identity, and negates others, so
+    a + b cancels them by arithmetic."""
+    keys = st.integers(0, 4)
+    a = draw(st.dictionaries(keys, values, max_size=5))
+    b = draw(st.dictionaries(keys, values, max_size=5))
+    for k, v in a.items():
+        how = draw(st.sampled_from(("own", "same", "negated")))
+        if how == "same":
+            b[k] = v
+        elif how == "negated":
+            b[k] = -v
+    return a, b
+
+
+def _reference(ring, a, b, op):
+    """op coefficient by coefficient, a missing key read as zero, zeros dropped."""
+    out = {k: op(a.get(k, ring.zero), b.get(k, ring.zero)) for k in a.keys() | b.keys()}
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("ring, values, units", ZERO_RULE_RINGS.values(), ids=ZERO_RULE_RINGS)
+@given(data=st.data())
+def test_no_operation_leaves_a_zero_coefficient(ring, values, units, data):
+    a_terms, b_terms = data.draw(_combination_pair(values))
+    a, b = LinearCombination(ring, a_terms), LinearCombination(ring, b_terms)
+    a_terms, b_terms = a.terms, b.terms  # the constructor drops drawn zeros
+    c = data.draw(values)
+    unit = data.draw(units)
+    results = {
+        "+": (a + b, _reference(ring, a_terms, b_terms, lambda x, y: x + y)),
+        "-": (a - b, _reference(ring, a_terms, b_terms, lambda x, y: x - y)),
+        "neg": (-a, {k: -v for k, v in a_terms.items()}),
+        "/": (a / unit, {k: v / unit for k, v in a_terms.items()}),
+        "scale": (a.scale(c), _reference(ring, a_terms, {}, lambda x, y: x * c)),
+    }
+    for op, (got, want) in results.items():
+        assert all(v for v in got.terms.values()), op
+        assert got.terms == want, op
+        assert got.owner is ring
+
+
+def test_identical_coefficients_cancel_without_arithmetic():
+    class Opaque:
+        """A nonzero coefficient whose difference is never formed."""
+        def __sub__(self, other):
+            raise AssertionError("the difference of an object with itself was formed")
+
+    x = Opaque()
+    a = LinearCombination(R, {0: x, 1: R.one})
+    b = LinearCombination(R, {0: x})
+    assert (a - b).terms == {1: R.one}
+
+
+def test_scale_by_a_zero_divisor_drops_the_annihilated_terms():
+    # (u - sqrt(2)) (u + sqrt(2)) = u^2 - 2 = 0 in Q(zeta_8)[u]/(u^2 - 2)
+    x = ZD_RING.u - SQRT2
+    a = LinearCombination(ZD_RING, {0: ZD_RING.u + SQRT2, 1: ZD_RING.one})
+    assert a.scale(x).terms == {1: x}
+    assert not LinearCombination(ZD_RING, {0: ZD_RING.u + SQRT2}).scale(x)
 
 
 def test_series_difference_truncates_at_smaller_order():
